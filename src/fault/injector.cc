@@ -205,7 +205,7 @@ ssize_t FaultInjector::Read(int core, int fd, void* buf, size_t count) {
   return real_->Read(core, fd, buf, count);
 }
 
-ssize_t FaultInjector::Write(int core, int fd, const void* buf, size_t count) {
+ssize_t FaultInjector::Write(int core, int fd, const iovec* iov, int iovcnt) {
   const FaultRule* rule = Match(CallSite::kWrite, core);
   if (rule != nullptr) {
     NoteInjected(CallSite::kWrite, core);
@@ -217,7 +217,7 @@ ssize_t FaultInjector::Write(int core, int fd, const void* buf, size_t count) {
       SleepFor(rule->duration_us);
     }
   }
-  return real_->Write(core, fd, buf, count);
+  return real_->Write(core, fd, iov, iovcnt);
 }
 
 int FaultInjector::EpollCtl(int core, int epfd, int op, int fd, epoll_event* event) {

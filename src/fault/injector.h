@@ -60,7 +60,7 @@ class FaultInjector : public SysIface {
   int AttachFilter(int core, int sockfd, int level, int optname, const void* optval,
                    socklen_t optlen) override;
   ssize_t Read(int core, int fd, void* buf, size_t count) override;
-  ssize_t Write(int core, int fd, const void* buf, size_t count) override;
+  ssize_t Write(int core, int fd, const iovec* iov, int iovcnt) override;
   // kErrno fails WITHOUT performing the epoll_ctl: an arming failure, the
   // shape that strands a held connection if the reactor mishandles it.
   int EpollCtl(int core, int epfd, int op, int fd, epoll_event* event) override;

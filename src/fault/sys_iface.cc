@@ -36,11 +36,15 @@ ssize_t SysIface::Read(int core, int fd, void* buf, size_t count) {
   return read(fd, buf, count);
 }
 
-ssize_t SysIface::Write(int core, int fd, const void* buf, size_t count) {
+ssize_t SysIface::Write(int core, int fd, const iovec* iov, int iovcnt) {
   (void)core;
-  // Every Write site is a socket; MSG_NOSIGNAL turns the peer-reset SIGPIPE
-  // into a plain EPIPE the handler state machine can classify.
-  return send(fd, buf, count, MSG_NOSIGNAL);
+  // Every Write site is a socket. sendmsg rather than writev: MSG_NOSIGNAL
+  // turns the peer-reset SIGPIPE into a plain EPIPE the handler state
+  // machine can classify, and writev has no such flag.
+  msghdr msg{};
+  msg.msg_iov = const_cast<iovec*>(iov);
+  msg.msg_iovlen = static_cast<size_t>(iovcnt);
+  return sendmsg(fd, &msg, MSG_NOSIGNAL);
 }
 
 int SysIface::EpollCtl(int core, int epfd, int op, int fd, epoll_event* event) {

@@ -21,6 +21,7 @@
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 
 namespace affinity {
 namespace fault {
@@ -45,9 +46,11 @@ class SysIface {
                            socklen_t optlen);
 
   // The request/response data path (src/svc handlers) and the epoll
-  // (re-)arming of held connections.
+  // (re-)arming of held connections. Write is a gather write: the iovcnt
+  // buffers go out in one call, in order, the way a framed response (header
+  // plus payload) is one writev in the paper's cost model.
   virtual ssize_t Read(int core, int fd, void* buf, size_t count);
-  virtual ssize_t Write(int core, int fd, const void* buf, size_t count);
+  virtual ssize_t Write(int core, int fd, const iovec* iov, int iovcnt);
   virtual int EpollCtl(int core, int epfd, int op, int fd, epoll_event* event);
 
   // The client side of the seam: rt::LoadClient routes its connect(2)

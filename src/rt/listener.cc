@@ -41,6 +41,15 @@ int CreateListenSocket(uint16_t* port, int backlog, bool reuseport, std::string*
     close(fd);
     return -1;
   }
+  // Every accepted socket inherits TCP_NODELAY from its listener, so no
+  // accept pays a setsockopt. A reply is one gather write, but a reply
+  // longer than one segment ends in a small one, which Nagle would hold
+  // until the client's delayed ACK (~40 ms).
+  if (setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) < 0) {
+    *error = Errno("setsockopt(TCP_NODELAY)");
+    close(fd);
+    return -1;
+  }
 
   sockaddr_in addr;
   memset(&addr, 0, sizeof(addr));

@@ -16,7 +16,8 @@
 namespace affinity {
 namespace rt {
 
-// Creates a nonblocking IPv4 TCP listen socket bound to 127.0.0.1:*port.
+// Creates a nonblocking IPv4 TCP listen socket bound to 127.0.0.1:*port,
+// with TCP_NODELAY set so every socket accepted from it inherits it.
 // With `reuseport`, sets SO_REUSEPORT so several shards can share the port.
 // If *port is 0 the kernel picks one and *port is updated. Returns the fd,
 // or -1 with a description in *error.

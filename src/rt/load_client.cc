@@ -7,6 +7,7 @@
 #include <string.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -299,6 +300,27 @@ int LoadClient::ConnectSocket(int thread_index, uint16_t src_port, ThreadLedger*
   return fd;
 }
 
+LoadClient::ConnOutcome LoadClient::WriteAll(int thread_index, int fd, const char* buf,
+                                             int len) {
+  // The socket is blocking with SO_SNDTIMEO, so a short or EAGAIN write
+  // means the timeout expired.
+  int off = 0;
+  while (off < len) {
+    iovec iov{const_cast<char*>(buf) + off, static_cast<size_t>(len - off)};
+    ssize_t n = config_.sys->Write(thread_index, fd, &iov, 1);
+    if (n > 0) {
+      off += static_cast<int>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    return n < 0 && (errno == EWOULDBLOCK || errno == EAGAIN) ? ConnOutcome::kTimedOut
+                                                              : ConnOutcome::kError;
+  }
+  return ConnOutcome::kOk;
+}
+
 LoadClient::ConnOutcome LoadClient::RunRounds(int thread_index, int fd, ThreadLedger* ledger,
                                               int rounds) {
   char req[svc::kReqBufBytes];
@@ -323,20 +345,9 @@ LoadClient::ConnOutcome LoadClient::RunRounds(int thread_index, int fd, ThreadLe
     }
 
     uint64_t t0 = NowNs();
-    // Write the full line; the socket is blocking with SO_SNDTIMEO, so a
-    // short or EAGAIN write means the timeout expired.
-    int off = 0;
-    while (off < req_len) {
-      ssize_t n = sys->Write(thread_index, fd, req + off, static_cast<size_t>(req_len - off));
-      if (n > 0) {
-        off += static_cast<int>(n);
-        continue;
-      }
-      if (n < 0 && errno == EINTR) {
-        continue;
-      }
-      return n < 0 && (errno == EWOULDBLOCK || errno == EAGAIN) ? ConnOutcome::kTimedOut
-                                                                : ConnOutcome::kError;
+    ConnOutcome sent = WriteAll(thread_index, fd, req, req_len);
+    if (sent != ConnOutcome::kOk) {
+      return sent;
     }
 
     // Read the framed response: a "<len>\n" decimal header, then len
@@ -483,21 +494,8 @@ LoadClient::ConnOutcome LoadClient::RunStalled(int thread_index, int fd, ThreadL
       char req[svc::kReqBufBytes];
       int half = std::max(1, config_.payload_bytes / 2);
       memset(req, 'x', static_cast<size_t>(half));
-      int off = 0;
-      while (off < half) {
-        ssize_t n =
-            config_.sys->Write(thread_index, fd, req + off, static_cast<size_t>(half - off));
-        if (n > 0) {
-          off += static_cast<int>(n);
-          continue;
-        }
-        if (n < 0 && errno == EINTR) {
-          continue;
-        }
-        return n < 0 && (errno == EWOULDBLOCK || errno == EAGAIN) ? ConnOutcome::kTimedOut
-                                                                  : ConnOutcome::kError;
-      }
-      return AwaitReap(thread_index, fd);
+      ConnOutcome sent = WriteAll(thread_index, fd, req, half);
+      return sent == ConnOutcome::kOk ? AwaitReap(thread_index, fd) : sent;
     }
     case StallMode::kMidRead: {
       // Send one full request, then never read the response. With the tiny
@@ -509,22 +507,8 @@ LoadClient::ConnOutcome LoadClient::RunStalled(int thread_index, int fd, ThreadL
       char req[svc::kReqBufBytes];
       memset(req, 'x', static_cast<size_t>(config_.payload_bytes));
       req[config_.payload_bytes] = '\n';
-      int req_len = config_.payload_bytes + 1;
-      int off = 0;
-      while (off < req_len) {
-        ssize_t n = config_.sys->Write(thread_index, fd, req + off,
-                                       static_cast<size_t>(req_len - off));
-        if (n > 0) {
-          off += static_cast<int>(n);
-          continue;
-        }
-        if (n < 0 && errno == EINTR) {
-          continue;
-        }
-        return n < 0 && (errno == EWOULDBLOCK || errno == EAGAIN) ? ConnOutcome::kTimedOut
-                                                                  : ConnOutcome::kError;
-      }
-      return AwaitReapNoRead(fd);
+      ConnOutcome sent = WriteAll(thread_index, fd, req, config_.payload_bytes + 1);
+      return sent == ConnOutcome::kOk ? AwaitReapNoRead(fd) : sent;
     }
     case StallMode::kNone:
       break;

@@ -174,6 +174,8 @@ class LoadClient {
   ConnOutcome RunRounds(int thread_index, int fd, ThreadLedger* ledger, int rounds);
   int ConnectSocket(int thread_index, uint16_t src_port, ThreadLedger* ledger,
                     ConnOutcome* outcome);
+  // Sends all `len` bytes of `buf`: kOk, kTimedOut (SO_SNDTIMEO) or kError.
+  ConnOutcome WriteAll(int thread_index, int fd, const char* buf, int len);
   // The deliberate-stall lifecycle on a connected socket (stall != kNone).
   ConnOutcome RunStalled(int thread_index, int fd, ThreadLedger* ledger);
   // Blocks (SO_RCVTIMEO-bounded reads) until the server reaps the

@@ -2,12 +2,12 @@
 
 #include <fcntl.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cassert>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -320,12 +320,6 @@ void Reactor::Run() {
         if (ev.accepted_fd >= 0) {
           int afd = ev.accepted_fd;
           backoff_ms_ = 0;  // fds are flowing again: reset the exponential window
-          if (src.listener == nullptr || !src.listener->is_unix) {
-            // Same Nagle rationale as the accept4 path; the listener kind
-            // stands in for the peer family multishot accept cannot report.
-            int one = 1;
-            setsockopt(afd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-          }
           size_t qi = src.qi;
           if (shared_->director != nullptr && src.listener != nullptr &&
               src.listener->id == 0 && !src.listener->is_unix) {
@@ -736,13 +730,6 @@ void Reactor::AcceptBatch(size_t src_idx) {
       }
       break;  // EAGAIN (drained), or a hard error: retry next wakeup
     }
-    if (peer.ss_family == AF_INET) {
-      // The response is written as two small segments (length header, then
-      // payload); without TCP_NODELAY, Nagle holds the second until the
-      // client's delayed ACK (~40 ms) -- fatal for request/response latency.
-      int one = 1;
-      setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    }
     size_t qi = default_qi;
     if (steer && peer.ss_family == AF_INET) {
       // Flow-group steering: the connection belongs to whichever core owns
@@ -1114,7 +1101,7 @@ void Reactor::Serve(ConnHandle handle, bool local) {
                 static_cast<uint64_t>(handle));
   }
   svc::ConnRef ref{&st, conn->fd, index_, shared_->sys};
-  uint16_t prev = st.rounds_done;
+  uint32_t prev = st.rounds_done;
   svc::Verdict verdict = handler->OnAccept(ref);
   NoteRounds(conn, prev);
   Finish(handle, conn, verdict);
@@ -1131,16 +1118,17 @@ void Reactor::DriveConn(ConnHandle handle, uint32_t ev_events) {
   }
   svc::ConnHandler* handler = shared_->listeners[st.listener]->handler;
   svc::ConnRef ref{&st, conn->fd, index_, shared_->sys};
-  uint16_t prev = st.rounds_done;
+  uint32_t prev = st.rounds_done;
   svc::Verdict verdict = st.phase == svc::ConnPhase::kWriting ? handler->OnWritable(ref)
                                                               : handler->OnReadable(ref);
   NoteRounds(conn, prev);
   Finish(handle, conn, verdict);
 }
 
-void Reactor::NoteRounds(PendingConn* conn, uint16_t prev_rounds) {
-  uint16_t done = conn->svc.rounds_done;
-  if (done == prev_rounds) {
+void Reactor::NoteRounds(PendingConn* conn, uint32_t prev_rounds) {
+  const uint32_t delta = conn->svc.rounds_done - prev_rounds;
+  assert(delta <= 1 && "a handler call completes at most one round");
+  if (delta == 0) {
     return;
   }
   // A completed round retires the current phase deadline: the next verdict
@@ -1150,24 +1138,17 @@ void Reactor::NoteRounds(PendingConn* conn, uint16_t prev_rounds) {
   if (shared_->deadlines_enabled) {
     wheel_->Cancel(&conn->phase_timer);
   }
-  uint32_t delta = static_cast<uint32_t>(done - prev_rounds);
-  hot_.requests->fetch_add(delta, std::memory_order_relaxed);
-  // Ledger: these rounds ran on the core recorded at Serve() time. A held
+  hot_.requests->fetch_add(1, std::memory_order_relaxed);
+  // Ledger: the round ran on the core recorded at Serve() time. A held
   // connection never changes reactors mid-conversation, so the bucket set
   // there is exact for every round.
   if (conn->svc.accept_local) {
-    hot_.requests_local_core->fetch_add(delta, std::memory_order_relaxed);
+    hot_.requests_local_core->fetch_add(1, std::memory_order_relaxed);
   } else {
-    hot_.requests_remote_core->fetch_add(delta, std::memory_order_relaxed);
-    hot_.requests_dist[conn->svc.accept_dist - 1]->fetch_add(delta,
-                                                             std::memory_order_relaxed);
+    hot_.requests_remote_core->fetch_add(1, std::memory_order_relaxed);
+    hot_.requests_dist[conn->svc.accept_dist - 1]->fetch_add(1, std::memory_order_relaxed);
   }
-  // One handler call can complete several rounds back-to-back (requests
-  // already queued in the socket buffer); the per-round latencies are then
-  // within one pump of each other, so the last one stands in for the batch.
-  for (uint32_t i = 0; i < delta; ++i) {
-    hot_.request_latency->Add(conn->svc.last_request_ns);
-  }
+  hot_.request_latency->Add(conn->svc.last_request_ns);
 }
 
 void Reactor::Finish(ConnHandle handle, PendingConn* conn, svc::Verdict verdict) {

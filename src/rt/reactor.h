@@ -407,9 +407,10 @@ class Reactor {
   // ledger stays exact. Runs on the kill path too: a "dead" reactor's
   // process would have had its fds closed by the kernel anyway.
   void CloseAllOpen();
-  // Request-counter + latency-histogram bookkeeping after a handler call
-  // completed `rounds_done - prev_rounds` rounds.
-  void NoteRounds(PendingConn* conn, uint16_t prev_rounds);
+  // Request-counter + latency-histogram bookkeeping after a handler call.
+  // A call completes at most one round, so `rounds_done - prev_rounds` is 0
+  // or 1.
+  void NoteRounds(PendingConn* conn, uint32_t prev_rounds);
   // Pops from ring `qi` into the dequeue batch (policy hook deferred to
   // FlushDequeues).
   bool PopFrom(size_t qi, ConnHandle* out);

@@ -29,8 +29,10 @@ namespace affinity {
 namespace svc {
 
 // What the connection needs next. kWantRead/kWantWrite map 1:1 onto the
-// EPOLLIN/EPOLLOUT mask the reactor (re-)arms; the handler only returns
-// them after the socket said EAGAIN, so level-triggered epoll will fire.
+// EPOLLIN/EPOLLOUT mask the reactor (re-)arms. The handler returns them
+// after the socket said EAGAIN, or kWantRead right after a completed round;
+// a request already buffered then is still reported, by level-triggered
+// epoll or by the re-armed one-shot poll, which completes at once.
 enum class Verdict : uint8_t {
   kWantRead,
   kWantWrite,
@@ -57,8 +59,9 @@ class ConnHandler {
   virtual const char* name() const = 0;
 
   // First touch after the pop: the state is Reset, the fd is nonblocking.
-  // May complete whole rounds immediately (the request often arrived while
-  // the connection sat in the ring).
+  // May complete the first round immediately (the request often arrived
+  // while the connection sat in the ring). Each of the three calls below
+  // completes at most one round; the reactor's request ledger relies on it.
   virtual Verdict OnAccept(const ConnRef& c) = 0;
   virtual Verdict OnReadable(const ConnRef& c) = 0;
   virtual Verdict OnWritable(const ConnRef& c) = 0;

@@ -53,7 +53,7 @@ struct ConnState {
   uint8_t accept_dist = 0;
   bool opened = false;         // OnAccept ran; OnClose is owed exactly once
 
-  uint16_t rounds_done = 0;  // completed request/response rounds
+  uint32_t rounds_done = 0;  // completed request/response rounds
 
   // The epoll event mask currently registered for this connection's fd;
   // 0 = not registered (the reactor is driving it eagerly).

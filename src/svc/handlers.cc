@@ -1,5 +1,8 @@
 #include "src/svc/handlers.h"
 
+#include <sys/uio.h>
+
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -147,9 +150,19 @@ Verdict RequestResponseHandler::ReadPhase(const ConnRef& c) {
 Verdict RequestResponseHandler::WritePhase(const ConnRef& c) {
   ConnState* st = c.st;
   for (;;) {
-    while (st->head_off < st->head_len) {
-      ssize_t n = c.sys->Write(c.core, c.fd, st->head_buf + st->head_off,
-                               st->head_len - st->head_off);
+    // The unsent header and the unsent payload go out in one gather write:
+    // a response the socket takes whole costs exactly one syscall.
+    while (st->head_off < st->head_len || st->resp_off < st->resp_len) {
+      iovec iov[2];
+      int iovcnt = 0;
+      if (st->head_off < st->head_len) {
+        iov[iovcnt++] = {st->head_buf + st->head_off, st->head_len - st->head_off};
+      }
+      if (st->resp_off < st->resp_len) {
+        iov[iovcnt++] = {const_cast<char*>(st->resp_data) + st->resp_off,
+                         st->resp_len - st->resp_off};
+      }
+      ssize_t n = c.sys->Write(c.core, c.fd, iov, iovcnt);
       if (n < 0) {
         if (errno == EAGAIN || errno == EWOULDBLOCK) {
           return Verdict::kWantWrite;
@@ -159,21 +172,12 @@ Verdict RequestResponseHandler::WritePhase(const ConnRef& c) {
         }
         return Verdict::kClose;  // EPIPE/ECONNRESET: peer gone mid-response
       }
-      st->head_off += static_cast<uint32_t>(n);
-    }
-    while (st->resp_off < st->resp_len) {
-      ssize_t n = c.sys->Write(c.core, c.fd, st->resp_data + st->resp_off,
-                               st->resp_len - st->resp_off);
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          return Verdict::kWantWrite;
-        }
-        if (errno == EINTR) {
-          continue;
-        }
-        return Verdict::kClose;
-      }
-      st->resp_off += static_cast<uint32_t>(n);
+      // A short write may end inside the header, on its boundary, or inside
+      // the payload: the header cursor takes its share first.
+      uint32_t sent = static_cast<uint32_t>(n);
+      uint32_t head_sent = std::min(sent, st->head_len - st->head_off);
+      st->head_off += head_sent;
+      st->resp_off += sent - head_sent;
     }
     if (!RestageChunk(c)) {
       break;  // the staged cursor was the whole (or last chunk of the) response
@@ -184,31 +188,26 @@ Verdict RequestResponseHandler::WritePhase(const ConnRef& c) {
   st->last_request_ns = NowNs() - st->req_start_ns;
   st->req_len = 0;
   st->phase = ConnPhase::kReading;
-  if (max_rounds_ > 0 && st->rounds_done >= static_cast<uint16_t>(max_rounds_)) {
+  if (max_rounds_ > 0 && st->rounds_done >= max_rounds_) {
     return Verdict::kClose;
   }
-  return Verdict::kWantRead;  // phase transition, not an EAGAIN
+  return Verdict::kWantRead;
 }
 
 Verdict RequestResponseHandler::Pump(const ConnRef& c) {
-  // Loop phases until the socket blocks or the conversation ends. The loop
-  // is bounded by the kernel socket buffers: each full lap consumes a whole
-  // request from them, and the protocol forbids pipelining.
-  for (;;) {
-    if (c.st->phase == ConnPhase::kReading) {
-      Verdict v = ReadPhase(c);
-      if (v != Verdict::kWantWrite) {
-        return v;  // EAGAIN (kWantRead) or a close decision
-      }
-      // Fall through: a response is staged, try to write it now.
+  // At most one round per call: read until a request line is whole, then
+  // write its response. A completed round returns kWantRead without reading
+  // again -- the next request is the readiness engine's to report (the
+  // level-triggered epoll registration, or the POLL_ADD the reactor
+  // re-arms), so no call ends in a read that only returns EAGAIN.
+  if (c.st->phase == ConnPhase::kReading) {
+    Verdict v = ReadPhase(c);
+    if (v != Verdict::kWantWrite) {
+      return v;  // EAGAIN (kWantRead) or a close decision
     }
-    Verdict v = WritePhase(c);
-    if (v != Verdict::kWantRead) {
-      return v;  // EAGAIN (kWantWrite) or a close decision
-    }
-    // Response fully written: eagerly try the next request (usually EAGAIN,
-    // but a stolen connection may have one queued already).
+    // Fall through: a response is staged, try to write it now.
   }
+  return WritePhase(c);
 }
 
 void EchoHandler::BuildResponse(const ConnRef& c, uint32_t req_len) {

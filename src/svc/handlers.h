@@ -12,14 +12,18 @@
 // payload-len bytes. Requests are not pipelined -- bytes after the
 // terminator are a protocol violation (RST).
 //
-// All three share one state machine (RequestResponseHandler::Pump) that
-// reads until a full request line, builds a response, and writes it
-// through, looping until the socket says EAGAIN -- so a verdict always
-// means "epoll must wake us", never "try again immediately".
+// All of them share one state machine (RequestResponseHandler::Pump) that
+// serves at most one round per call: it reads until a full request line,
+// builds the response, and sends header plus payload in one gather write.
+// A verdict always means "the readiness engine must wake us", never "try
+// again immediately": kWantRead follows EAGAIN and also a completed round,
+// so the next request is reported by epoll instead of costing a read that
+// returns EAGAIN.
 
 #ifndef AFFINITY_SRC_SVC_HANDLERS_H_
 #define AFFINITY_SRC_SVC_HANDLERS_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -32,7 +36,8 @@ class RequestResponseHandler : public ConnHandler {
  public:
   // `max_rounds` > 0: the server closes after that many responses (echo-N);
   // 0: serve until the client closes.
-  explicit RequestResponseHandler(int max_rounds) : max_rounds_(max_rounds) {}
+  explicit RequestResponseHandler(int max_rounds)
+      : max_rounds_(max_rounds > 0 ? static_cast<uint32_t>(max_rounds) : 0) {}
 
   Verdict OnAccept(const ConnRef& c) override;
   Verdict OnReadable(const ConnRef& c) override;
@@ -60,15 +65,15 @@ class RequestResponseHandler : public ConnHandler {
   }
 
  private:
-  // The full state machine: read -> respond -> write, looping until EAGAIN
-  // or a close decision.
+  // The full state machine for one round: read -> respond -> write,
+  // stopping at EAGAIN, the end of the round, or a close decision.
   Verdict Pump(const ConnRef& c);
-  // One phase each; kWantRead/kWantWrite mean EAGAIN, anything else is a
-  // terminal decision or phase completion.
+  // One phase each; kWantRead/kWantWrite mean EAGAIN or phase completion,
+  // anything else is a terminal decision.
   Verdict ReadPhase(const ConnRef& c);
   Verdict WritePhase(const ConnRef& c);
 
-  int max_rounds_;
+  uint32_t max_rounds_;
 };
 
 class EchoHandler : public RequestResponseHandler {

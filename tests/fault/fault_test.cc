@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/uio.h>
+
 #include <cerrno>
 #include <chrono>
 #include <vector>
@@ -46,9 +48,11 @@ class FakeSys : public SysIface {
     ++reads;
     return static_cast<ssize_t>(count);
   }
-  ssize_t Write(int /*core*/, int /*fd*/, const void* /*buf*/, size_t count) override {
+  ssize_t Write(int /*core*/, int /*fd*/, const iovec* iov, int iovcnt) override {
     ++writes;
-    return static_cast<ssize_t>(count);
+    size_t total = 0;
+    for (int i = 0; i < iovcnt; ++i) total += iov[i].iov_len;
+    return static_cast<ssize_t>(total);
   }
   int EpollCtl(int /*core*/, int /*epfd*/, int /*op*/, int /*fd*/,
                epoll_event* /*event*/) override {
@@ -211,10 +215,13 @@ TEST(FaultInjectorTest, DataPathSitesInjectIndependently) {
   EXPECT_EQ(ECONNRESET, errno);
   EXPECT_EQ(8, injector.Read(0, 3, buf, sizeof(buf)));  // window is 1 call wide
 
-  EXPECT_EQ(8, injector.Write(0, 3, buf, sizeof(buf)));
+  // A gather write is one call at the kWrite site, however many buffers.
+  iovec iov[2] = {{buf, 3}, {buf + 3, 5}};
+  EXPECT_EQ(8, injector.Write(0, 3, iov, 2));
   errno = 0;
-  EXPECT_EQ(-1, injector.Write(0, 3, buf, sizeof(buf)));
+  EXPECT_EQ(-1, injector.Write(0, 3, iov, 2));
   EXPECT_EQ(ECONNRESET, errno);
+  EXPECT_EQ(8, injector.Write(0, 3, iov, 2));  // window is 1 call wide
 
   EXPECT_EQ(0, injector.Connect(0, 3, nullptr, 0));
   errno = 0;
@@ -223,7 +230,7 @@ TEST(FaultInjectorTest, DataPathSitesInjectIndependently) {
 
   // Injected calls never reached the fake; forwarded ones all did.
   EXPECT_EQ(2, sys.reads);
-  EXPECT_EQ(1, sys.writes);
+  EXPECT_EQ(2, sys.writes);
   EXPECT_EQ(1, sys.connects);
   InjectorStats stats = injector.Stats();
   EXPECT_EQ(1u, stats.injected[static_cast<int>(CallSite::kRead)]);

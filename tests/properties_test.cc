@@ -108,8 +108,8 @@ TEST_P(ListenConservationTest, ResponsesNeverExceedDeliveredRequests) {
 INSTANTIATE_TEST_SUITE_P(Variants, ListenConservationTest,
                          ::testing::Values(AcceptVariant::kStock, AcceptVariant::kFine,
                                            AcceptVariant::kAffinity),
-                         [](const ::testing::TestParamInfo<AcceptVariant>& info) {
-                           switch (info.param) {
+                         [](const ::testing::TestParamInfo<AcceptVariant>& param_info) {
+                           switch (param_info.param) {
                              case AcceptVariant::kStock:
                                return std::string("Stock");
                              case AcceptVariant::kFine:
@@ -180,10 +180,10 @@ INSTANTIATE_TEST_SUITE_P(
                       DetCase{AcceptVariant::kFine, ServerKind::kApacheWorker},
                       DetCase{AcceptVariant::kAffinity, ServerKind::kApacheWorker},
                       DetCase{AcceptVariant::kAffinity, ServerKind::kLighttpd}),
-    [](const ::testing::TestParamInfo<DetCase>& info) {
-      std::string name = AcceptVariantName(info.param.variant);
+    [](const ::testing::TestParamInfo<DetCase>& param_info) {
+      std::string name = AcceptVariantName(param_info.param.variant);
       name += "_";
-      name += ServerKindName(info.param.server);
+      name += ServerKindName(param_info.param.server);
       for (char& c : name) {
         if (!std::isalnum(static_cast<unsigned char>(c))) {
           c = '_';

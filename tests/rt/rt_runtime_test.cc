@@ -5,7 +5,12 @@
 
 #include "src/rt/runtime.h"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -37,6 +42,34 @@ TEST(ListenerTest, ReuseportShardsShareOnePort) {
   close(a);
   if (b >= 0) close(b);
   if (c >= 0) close(c);
+}
+
+// The reactors set no socket option per accept: an accepted socket must
+// inherit TCP_NODELAY from its listen shard, or a multi-segment reply's
+// tail would wait out the client's delayed ACK.
+TEST(ListenerTest, AcceptedSocketInheritsNoDelayFromItsShard) {
+  std::string error;
+  uint16_t port = 0;
+  int listener = CreateListenSocket(&port, 4, /*reuseport=*/true, &error);
+  ASSERT_GE(listener, 0) << error;
+  int client = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(client, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  ASSERT_EQ(connect(client, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  pollfd pfd{listener, POLLIN, 0};
+  ASSERT_EQ(poll(&pfd, 1, /*timeout_ms=*/2000), 1);
+  int accepted = accept4(listener, nullptr, nullptr, SOCK_CLOEXEC);
+  ASSERT_GE(accepted, 0);
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(getsockopt(accepted, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+  EXPECT_EQ(nodelay, 1);
+  close(accepted);
+  close(client);
+  close(listener);
 }
 
 class RtRuntimeTest : public ::testing::TestWithParam<RtMode> {};

@@ -125,6 +125,44 @@ TEST(SvcE2eTest, StaticWorkloadServesObjectsEndToEnd) {
   ExpectClientLedgerBalances(client);
 }
 
+// One live conversation of more than 65,535 rounds: the server must count
+// each round exactly once -- no wrap of the per-connection round counter,
+// no early close from a truncated round limit.
+TEST(SvcE2eTest, ConversationPastSixteenBitsOfRoundsIsCountedExactly) {
+  constexpr int kRounds = 70000;
+  RtConfig config;
+  config.mode = RtMode::kAffinity;
+  config.num_threads = 1;
+  config.workload = svc::WorkloadKind::kEcho;
+  config.handler.echo_rounds = kRounds;
+  Runtime runtime(config);
+  std::string error;
+  ASSERT_TRUE(runtime.Start(&error)) << error;
+
+  LoadClientConfig client_config;
+  client_config.port = runtime.port();
+  client_config.num_threads = 1;
+  client_config.max_conns = 1;
+  client_config.workload = svc::WorkloadKind::kEcho;
+  client_config.requests_per_conn = kRounds;
+  client_config.payload_bytes = 8;
+  client_config.connect_timeout_ms = 2000;
+  LoadClient client(client_config);
+  client.Start();
+  EXPECT_TRUE(WaitFor([&] { return client.completed() >= 1; }, std::chrono::seconds(120)))
+      << "the conversation did not finish; rounds so far: " << client.requests();
+  client.Stop();
+  runtime.Stop();
+
+  EXPECT_EQ(client.completed(), 1u);
+  EXPECT_EQ(client.requests(), static_cast<uint64_t>(kRounds));
+  RtTotals totals = runtime.Totals();
+  EXPECT_EQ(totals.requests, client.requests());
+  EXPECT_EQ(totals.request_latency_ns.count(), totals.requests);
+  ExpectBooksBalance(runtime);
+  ExpectClientLedgerBalances(client);
+}
+
 TEST(SvcE2eTest, MultiListenerMuxWithPerListenerAccounting) {
   // One runtime, three listeners: the primary TCP port serving echo, an
   // extra TCP port serving static content, and a UNIX socket serving echo

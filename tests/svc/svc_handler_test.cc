@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <sys/epoll.h>
+#include <sys/uio.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -24,10 +26,11 @@ namespace {
 
 // A SysIface whose Read/Write follow a script. Reads deliver a chunk, an
 // errno, or EOF per call; once the script runs dry every further read is
-// EAGAIN (the socket went quiet). Writes accept at most `cap` bytes per
-// scripted step (cap 0 = EAGAIN, a full send buffer); once the write
-// script runs dry every write is accepted whole. Everything written lands
-// in `written` for byte-exact response checks.
+// EAGAIN (the socket went quiet). Each gather write consumes one scripted
+// step, which accepts at most `cap` bytes across all of the call's buffers
+// (cap 0 = EAGAIN, a full send buffer); once the write script runs dry
+// every write is accepted whole. Everything written lands in `written` for
+// byte-exact response checks.
 class ScriptedSys : public fault::SysIface {
  public:
   struct ReadStep {
@@ -72,11 +75,11 @@ class ScriptedSys : public fault::SysIface {
     return static_cast<ssize_t>(n);
   }
 
-  ssize_t Write(int core, int fd, const void* buf, size_t count) override {
+  ssize_t Write(int core, int fd, const iovec* iov, int iovcnt) override {
     (void)core;
     (void)fd;
     ++writes_issued;
-    size_t n = count;
+    size_t cap = SIZE_MAX;
     if (write_idx < writes.size()) {
       WriteStep step = writes[write_idx++];
       if (step.err != 0) {
@@ -87,9 +90,14 @@ class ScriptedSys : public fault::SysIface {
         errno = EAGAIN;
         return -1;
       }
-      n = std::min(count, step.cap);
+      cap = step.cap;
     }
-    written.append(static_cast<const char*>(buf), n);
+    size_t n = 0;
+    for (int i = 0; i < iovcnt && n < cap; ++i) {
+      size_t take = std::min(iov[i].iov_len, cap - n);
+      written.append(static_cast<const char*>(iov[i].iov_base), take);
+      n += take;
+    }
     return static_cast<ssize_t>(n);
   }
 
@@ -121,7 +129,11 @@ TEST(SvcHandlerTest, EchoCompletesAWholeRoundInOnAccept) {
   // and parks back in the reading phase waiting for the next request.
   EXPECT_EQ(handler.OnAccept(c), Verdict::kWantRead);
   EXPECT_EQ(sys.written, "5\nhello");
-  EXPECT_EQ(st.rounds_done, 1);
+  // Header and payload leave in one gather write, and the completed round
+  // returns without a read that could only say EAGAIN.
+  EXPECT_EQ(sys.writes_issued, 1);
+  EXPECT_EQ(sys.reads_issued, 1);
+  EXPECT_EQ(st.rounds_done, 1u);
   EXPECT_EQ(st.phase, ConnPhase::kReading);
   EXPECT_EQ(st.req_len, 0u);
   EXPECT_GT(st.last_request_ns, 0u);
@@ -146,7 +158,7 @@ TEST(SvcHandlerTest, PartialRequestSurvivesEpollRounds) {
   sys.reads.push_back(ScriptedSys::Data("lo\n"));
   EXPECT_EQ(handler.OnReadable(c), Verdict::kWantRead);
   EXPECT_EQ(sys.written, "5\nhello");
-  EXPECT_EQ(st.rounds_done, 1);
+  EXPECT_EQ(st.rounds_done, 1u);
 }
 
 TEST(SvcHandlerTest, EagainMidResponseParksInWritingPhase) {
@@ -162,13 +174,13 @@ TEST(SvcHandlerTest, EagainMidResponseParksInWritingPhase) {
   EXPECT_EQ(handler.OnAccept(c), Verdict::kWantWrite);
   EXPECT_EQ(st.phase, ConnPhase::kWriting);
   EXPECT_EQ(sys.written, "3\n");
-  EXPECT_EQ(st.rounds_done, 0);
+  EXPECT_EQ(st.rounds_done, 0u);
 
   // EPOLLOUT fires; the write script is dry so the rest flushes whole and
   // the handler goes back to reading.
   EXPECT_EQ(handler.OnWritable(c), Verdict::kWantRead);
   EXPECT_EQ(sys.written, "3\nabc");
-  EXPECT_EQ(st.rounds_done, 1);
+  EXPECT_EQ(st.rounds_done, 1u);
   EXPECT_EQ(st.phase, ConnPhase::kReading);
 }
 
@@ -235,11 +247,63 @@ TEST(SvcHandlerTest, EchoNClosesAfterNthRound) {
   ConnState st;
   ConnRef c = MakeConn(&st, &sys);
 
-  // Both requests are already buffered; the pump loop serves both rounds in
-  // one call and the server-side close lands exactly after the second.
-  EXPECT_EQ(handler.OnAccept(c), Verdict::kClose);
+  // Both requests are already buffered, but a call serves one round: the
+  // second waits for the next readiness report, and the server-side close
+  // lands exactly after it.
+  EXPECT_EQ(handler.OnAccept(c), Verdict::kWantRead);
+  EXPECT_EQ(sys.written, "3\none");
+  EXPECT_EQ(sys.read_idx, 1u);
+  EXPECT_EQ(handler.OnReadable(c), Verdict::kClose);
   EXPECT_EQ(sys.written, "3\none3\ntwo");
-  EXPECT_EQ(st.rounds_done, 2);
+  EXPECT_EQ(st.rounds_done, 2u);
+}
+
+// max_rounds above 16 bits: the round counter and the close comparison
+// must both count every round, not wrap or truncate at 65,536.
+TEST(SvcHandlerTest, EchoNCountsPastSixteenBits) {
+  constexpr uint32_t kRounds = 70000;
+  ScriptedSys sys;
+  EchoHandler handler(static_cast<int>(kRounds));
+  ConnState st;
+  ConnRef c = MakeConn(&st, &sys);
+
+  sys.reads.reserve(kRounds);
+  for (uint32_t round = 1; round <= kRounds; ++round) {
+    sys.reads.push_back(ScriptedSys::Data("r\n"));
+    Verdict want = round < kRounds ? Verdict::kWantRead : Verdict::kClose;
+    ASSERT_EQ(handler.OnReadable(c), want) << "round " << round;
+    ASSERT_EQ(st.rounds_done, round);
+  }
+  EXPECT_EQ(sys.written.size(), kRounds * std::string("1\nr").size());
+}
+
+// A short gather write can end inside the header, exactly on the
+// header/payload boundary, or inside the payload; each must resume
+// byte-exact on the next EPOLLOUT.
+TEST(SvcHandlerTest, ShortGatherWritesResumeByteExact) {
+  // "11\nhello world": a 3-byte header, an 11-byte payload.
+  const std::string want = "11\nhello world";
+  for (size_t cap : {size_t{1}, size_t{3}, size_t{8}}) {
+    SCOPED_TRACE(cap);
+    ScriptedSys sys;
+    sys.reads = {ScriptedSys::Data("hello world\n")};
+    sys.writes = {{cap, 0}, {0, 0}};
+    EchoHandler handler(/*max_rounds=*/0);
+    ConnState st;
+    ConnRef c = MakeConn(&st, &sys);
+
+    EXPECT_EQ(handler.OnAccept(c), Verdict::kWantWrite);
+    EXPECT_EQ(sys.written, want.substr(0, cap));
+    EXPECT_EQ(st.head_off, std::min<uint32_t>(static_cast<uint32_t>(cap), 3u));
+    EXPECT_EQ(st.resp_off, cap > 3 ? cap - 3 : 0u);
+    EXPECT_EQ(st.rounds_done, 0u);
+
+    // EPOLLOUT fires and the rest goes out whole in one more write.
+    EXPECT_EQ(handler.OnWritable(c), Verdict::kWantRead);
+    EXPECT_EQ(sys.written, want);
+    EXPECT_EQ(sys.writes_issued, 3);  // the short one, the EAGAIN, the rest
+    EXPECT_EQ(st.rounds_done, 1u);
+  }
 }
 
 TEST(SvcHandlerTest, StaticServesKnownKeyAndRejectsUnknown) {
@@ -304,7 +368,7 @@ TEST(SvcHandlerTest, StreamServesTheFullFramedPayloadAcrossChunks) {
   EXPECT_EQ(handler.OnAccept(c), Verdict::kWantRead);
   std::string chunk = "abcdefgh";
   EXPECT_EQ(sys.written, "32\n" + chunk + chunk + chunk + chunk);
-  EXPECT_EQ(st.rounds_done, 1);
+  EXPECT_EQ(st.rounds_done, 1u);
   EXPECT_EQ(st.stream_remaining, 0u);
   EXPECT_EQ(st.phase, ConnPhase::kReading);
 }
@@ -326,14 +390,14 @@ TEST(SvcHandlerTest, StreamParksOnWantWriteMidResponseAndResumes) {
   EXPECT_EQ(sys.written, "32\nabcde");
   EXPECT_EQ(st.resp_off, 5u);
   EXPECT_EQ(st.stream_remaining, 3u);
-  EXPECT_EQ(st.rounds_done, 0);
+  EXPECT_EQ(st.rounds_done, 0u);
 
   // EPOLLOUT fires; the script is dry so the tail of chunk 1 and the three
   // restaged chunks flush whole, byte-exact against the framed total.
   EXPECT_EQ(handler.OnWritable(c), Verdict::kWantRead);
   std::string chunk = "abcdefgh";
   EXPECT_EQ(sys.written, "32\n" + chunk + chunk + chunk + chunk);
-  EXPECT_EQ(st.rounds_done, 1);
+  EXPECT_EQ(st.rounds_done, 1u);
   EXPECT_EQ(st.stream_remaining, 0u);
 }
 
@@ -344,10 +408,13 @@ TEST(SvcHandlerTest, StreamHonorsMaxRounds) {
   ConnState st;
   ConnRef c = MakeConn(&st, &sys);
 
-  // Both requests buffered: two full streams, then the server-side close.
-  EXPECT_EQ(handler.OnAccept(c), Verdict::kClose);
+  // Both requests buffered: one full stream per call, then the server-side
+  // close after the second.
+  EXPECT_EQ(handler.OnAccept(c), Verdict::kWantRead);
+  EXPECT_EQ(sys.written, "8\nabcdabcd");
+  EXPECT_EQ(handler.OnReadable(c), Verdict::kClose);
   EXPECT_EQ(sys.written, "8\nabcdabcd8\nabcdabcd");
-  EXPECT_EQ(st.rounds_done, 2);
+  EXPECT_EQ(st.rounds_done, 2u);
 }
 
 TEST(SvcHandlerTest, WorkloadNamesRoundTrip) {
@@ -398,7 +465,7 @@ TEST(SvcHandlerTest, ResetMakesABlockConversationFresh) {
   EXPECT_EQ(st.listener, 2);
   EXPECT_FALSE(st.remote_served);
   EXPECT_FALSE(st.opened);
-  EXPECT_EQ(st.rounds_done, 0);
+  EXPECT_EQ(st.rounds_done, 0u);
   EXPECT_EQ(st.armed, 0u);
   EXPECT_EQ(st.req_len, 0u);
   EXPECT_EQ(st.stream_remaining, 0u);
