@@ -66,10 +66,6 @@ struct BenchJsonRow {
   // Which overload policy the run sheds with ("rst" / "backlog"); emitted
   // when non-empty (the --sweep-policy arm labels).
   std::string overload_policy;
-  // Which I/O engine drove the reactors ("epoll" / "uring"); emitted when
-  // non-empty. The committed epoll baselines predate the key and their
-  // two-anchor scans never look for it.
-  std::string io_backend;
   // Hardware-topology block (src/topo): the resolved model plus the distance
   // splits of the locality ledger, steals, and failover parking. Emitted
   // only when has_topo is set -- appended after every pre-existing key, so
@@ -155,9 +151,6 @@ inline bool WriteBenchResultsJson(const std::string& path, const std::string& be
     }
     if (!row.overload_policy.empty()) {
       w.Key("overload_policy").String(row.overload_policy);
-    }
-    if (!row.io_backend.empty()) {
-      w.Key("io_backend").String(row.io_backend);
     }
     if (row.has_topo) {
       w.Key("topo_origin").String(row.topo_origin);

@@ -78,23 +78,6 @@
 //   --stream-chunk=N / --stream-chunks=N
 //                                    (stream response shape; default 1024 x 64
 //                                     = 64 KiB per request)
-//   --backend=epoll|uring            (which I/O engine drives the reactors.
-//                                     "uring" benches BOTH engines head-to-head:
-//                                     every selected mode runs once on epoll and
-//                                     once on io_uring (multishot accept +
-//                                     one-shot polls, batched submission), with
-//                                     per-engine rows and conservation enforced
-//                                     on each. When the kernel cannot deliver a
-//                                     ring the bench prints "uring unavailable:
-//                                     <reason>" and exits 0 -- degraded loudly,
-//                                     never silently green. Incompatible with
-//                                     --check/--baseline/--skew/--sweep: the
-//                                     committed gates are epoll-only)
-//   --probe-uring                    (probe io_uring support and exit: status 0
-//                                     and "uring available" when a ring works,
-//                                     status 1 and the refusal reason otherwise.
-//                                     For CI to decide whether the uring jobs
-//                                     can run at all)
 //   --rpc=N                          (requests per connection for the
 //                                     request/response workloads; default 8 --
 //                                     the paper's persistent-connection sweep
@@ -158,7 +141,6 @@
 #include "bench/bench_common.h"
 #include "src/core/reporter.h"
 #include "src/fault/fault_plan.h"
-#include "src/io/uring_backend.h"
 #include "src/obs/json_writer.h"
 #include "src/obs/stats_sampler.h"
 #include "src/rt/load_client.h"
@@ -194,8 +176,6 @@ struct Options {
   int sweep = 0;      // >0: backpressure sweep with this many load steps
   std::string sweep_policy = "rst";  // rst | backlog (overload disposition)
   bool hwprof = true;                // perf_event counters + locality columns
-  std::string backend = "epoll";     // epoll | uring (uring = head-to-head)
-  bool probe_uring = false;          // probe support and exit
   int stream_chunk = 1024;           // stream workload: bytes per chunk
   int stream_chunks = 64;            // stream workload: chunks per response
   std::string topo = "auto";         // auto | flat | script:<file>
@@ -263,8 +243,6 @@ Options ParseOptions(int argc, char** argv) {
       opt.sweep = atoi(v);
     } else if (ParseFlag(argv[i], "--sweep-policy", &v)) {
       opt.sweep_policy = v;
-    } else if (ParseFlag(argv[i], "--backend", &v)) {
-      opt.backend = v;
     } else if (ParseFlag(argv[i], "--stream-chunk", &v)) {
       opt.stream_chunk = atoi(v);
     } else if (ParseFlag(argv[i], "--stream-chunks", &v)) {
@@ -277,8 +255,6 @@ Options ParseOptions(int argc, char** argv) {
       opt.timeout_ms = atoi(v);
     } else if (ParseFlag(argv[i], "--drain-ms", &v)) {
       opt.drain_ms = atoi(v);
-    } else if (strcmp(argv[i], "--probe-uring") == 0) {
-      opt.probe_uring = true;
     } else if (ParseFlag(argv[i], "--hwprof", &v)) {
       if (strcmp(v, "on") == 0) {
         opt.hwprof = true;
@@ -302,7 +278,6 @@ Options ParseOptions(int argc, char** argv) {
               "[--workload=accept|echo|static|think|stream] [--rpc=N] [--payload=N] "
               "[--think-us=N] [--stream-chunk=N] [--stream-chunks=N] [--sweep=N] "
               "[--sweep-policy=rst|backlog] [--hwprof=on|off] "
-              "[--backend=epoll|uring] [--probe-uring] "
               "[--topo=auto|flat|script:FILE] "
               "[--stall=none|handshake|midrequest|midread] [--timeout-ms=N] "
               "[--drain-ms=N]\n",
@@ -357,18 +332,6 @@ Options ParseOptions(int argc, char** argv) {
       opt.workload = svc::WorkloadKind::kEcho;  // backpressure needs requests
     }
   }
-  if (opt.backend != "epoll" && opt.backend != "uring") {
-    fprintf(stderr, "unknown --backend=%s\n", opt.backend.c_str());
-    exit(2);
-  }
-  if (opt.backend == "uring" &&
-      (opt.check || !opt.baseline_path.empty() || opt.skew_groups > 0 || opt.sweep > 0)) {
-    // The committed gates (--check ratios, the baseline file, the skew and
-    // sweep experiments) were all measured on epoll; a uring run against
-    // them compares engines, not arrangements.
-    fprintf(stderr, "--backend=uring is incompatible with --check/--baseline/--skew/--sweep\n");
-    exit(2);
-  }
   if (opt.stream_chunk < 1) opt.stream_chunk = 1;
   if (opt.stream_chunks < 1) opt.stream_chunks = 1;
   if (opt.stall != "none" && opt.stall != "handshake" && opt.stall != "midrequest" &&
@@ -420,7 +383,6 @@ struct RunSpec {
   bool force_fallback = false;
   int migrate_interval_ms = 0;  // 0 = migration off
   int skew_groups = 0;          // 0 = ephemeral ports, >0 = skewed to core 0
-  io::IoBackendKind backend = io::IoBackendKind::kEpoll;
 };
 
 struct RunResult {
@@ -646,7 +608,6 @@ RunResult RunMode(const RunSpec& spec, const Options& opt) {
   config.handler.think_us = opt.think_us;
   config.handler.stream_chunk_bytes = opt.stream_chunk;
   config.handler.stream_chunks = opt.stream_chunks;
-  config.backend = spec.backend;
   config.steer = spec.steer;
   config.steer_force_fallback = spec.force_fallback;
   config.migrate_interval_ms = spec.migrate_interval_ms;
@@ -669,30 +630,16 @@ RunResult RunMode(const RunSpec& spec, const Options& opt) {
     // Wound the last reactor (core 0 owns the skewed flow groups, so it
     // stays healthy) once the run has warmed up, and arm the watchdog.
     int victim = opt.threads - 1;
-    // The wound lands on the engine's own blocking point: a uring reactor
-    // never calls epoll_wait, so the site follows the backend.
-    fault::CallSite wait_site = spec.backend == io::IoBackendKind::kUring
-                                    ? fault::CallSite::kUringWait
-                                    : fault::CallSite::kEpollWait;
     config.fault_plan =
         opt.chaos == "stall"
-            ? fault::FaultPlan::ReactorStall(victim, /*after_calls=*/200,
-                                             /*stall_ms=*/500, wait_site)
-            : fault::FaultPlan::ReactorKill(victim, /*after_calls=*/200, wait_site);
+            ? fault::FaultPlan::ReactorStall(victim, /*after_calls=*/200, /*stall_ms=*/500)
+            : fault::FaultPlan::ReactorKill(victim, /*after_calls=*/200);
     config.watchdog_timeout_ms = 50;
   }
   Runtime runtime(config);
   std::string error;
   if (!runtime.Start(&error)) {
     fprintf(stderr, "  %s: runtime start failed: %s\n", spec.label.c_str(), error.c_str());
-    return result;
-  }
-  if (runtime.io_backend() != spec.backend) {
-    // The head-to-head pre-probes, so a mid-run fallback is a real refusal:
-    // fail the row rather than silently bench epoll twice.
-    fprintf(stderr, "  %s: backend fell back (%s)\n", spec.label.c_str(),
-            runtime.backend_fallback_reason().c_str());
-    runtime.Stop();
     return result;
   }
   if (runtime.director() != nullptr) {
@@ -871,27 +818,6 @@ int main(int argc, char** argv) {
     opt.topo_source = scripted_topo.get();
   }
 
-  if (opt.probe_uring) {
-    io::UringProbe probe = io::ProbeUringSupport();
-    if (probe.available) {
-      std::printf("uring available\n");
-      return 0;
-    }
-    std::printf("uring unavailable: %s\n", probe.reason.c_str());
-    return 1;
-  }
-  // The head-to-head probes up front so an unavailable kernel degrades into
-  // one explicit line and a clean exit, never a half-run or a silent
-  // epoll-vs-epoll comparison.
-  const bool compare_backends = opt.backend == "uring";
-  if (compare_backends) {
-    io::UringProbe probe = io::ProbeUringSupport();
-    if (!probe.available) {
-      std::printf("uring unavailable: %s\n", probe.reason.c_str());
-      return 0;
-    }
-  }
-
   PrintBanner("rt loopback: live SO_REUSEPORT accept on 127.0.0.1",
               "paper fig 2/3 shape on real sockets: per-core queues + stealing vs one "
               "shared accept queue");
@@ -902,7 +828,6 @@ int main(int argc, char** argv) {
   PrintKv("steering", opt.steer);
   PrintKv("hwprof", opt.hwprof ? "on" : "off");
   PrintKv("topo", opt.topo);
-  PrintKv("backend", compare_backends ? "epoll vs uring (head-to-head)" : opt.backend);
   if (opt.sweep_policy != "rst") {
     PrintKv("overload policy", opt.sweep_policy);
   }
@@ -1043,19 +968,7 @@ int main(int argc, char** argv) {
       spec.steer = steer_on && mode == RtMode::kAffinity;
       spec.force_fallback = force_fallback;
       spec.migrate_interval_ms = spec.steer ? 100 : 0;
-      if (compare_backends) {
-        // Head-to-head: the same arrangement once per engine, epoll first
-        // (the reference), labeled per engine.
-        RunSpec epoll_arm = spec;
-        epoll_arm.label += "/epoll";
-        specs.push_back(epoll_arm);
-        RunSpec uring_arm = spec;
-        uring_arm.backend = io::IoBackendKind::kUring;
-        uring_arm.label += "/uring";
-        specs.push_back(uring_arm);
-      } else {
-        specs.push_back(spec);
-      }
+      specs.push_back(spec);
     }
   }
 
@@ -1089,13 +1002,13 @@ int main(int argc, char** argv) {
       all_ok = false;
       continue;
     }
-    if (spec.mode == RtMode::kStock && spec.backend == io::IoBackendKind::kEpoll) {
+    if (spec.mode == RtMode::kStock) {
       stock_rate = r.conns_per_sec;
       stock_req_rate = r.requests_per_sec;
       stock_spec = spec;
       have_stock_spec = true;
     }
-    if (spec.mode == RtMode::kAffinity && spec.backend == io::IoBackendKind::kEpoll) {
+    if (spec.mode == RtMode::kAffinity) {
       affinity_rate = r.conns_per_sec;
       affinity_req_rate = r.requests_per_sec;
       affinity_req_p95_us = r.req_p95_us;
@@ -1159,14 +1072,6 @@ int main(int argc, char** argv) {
         all_ok = false;
       }
     }
-    if (compare_backends && r.totals.accepted != r.totals.accounted()) {
-      // Head-to-head rows are the uring engine's acceptance gate: every
-      // accepted connection must be accounted for on BOTH engines.
-      std::printf("    [%s] conservation IMBALANCED: accepted=%llu accounted=%llu\n",
-                  spec.label.c_str(), static_cast<unsigned long long>(r.totals.accepted),
-                  static_cast<unsigned long long>(r.totals.accounted()));
-      all_ok = false;
-    }
     std::vector<std::string> cells = {spec.label, TablePrinter::Num(r.conns_per_sec, 0)};
     if (rr) {
       cells.push_back(TablePrinter::Num(r.requests_per_sec, 0));
@@ -1208,9 +1113,6 @@ int main(int argc, char** argv) {
     FillLocalityRow(&row, r);
     if (opt.sweep_policy != "rst") {
       row.overload_policy = opt.sweep_policy;
-    }
-    if (compare_backends) {
-      row.io_backend = io::IoBackendName(spec.backend);
     }
     FillTopoRow(&row, r);
     if (opt.timeout_ms > 0 || opt.drain_ms > 0) {

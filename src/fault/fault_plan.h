@@ -33,36 +33,18 @@ enum class CallSite : uint8_t {
   kEpollCtl = 6,
   // The client side: rt::LoadClient's connect(2), keyed by client thread.
   kConnect = 7,
-  // The io_uring backend's enter(2) sites (src/io/uring_backend):
-  // kUringWait is that engine's blocking point and carries the same
-  // stall/kill semantics as kEpollWait; kUringSubmit is the non-blocking
-  // mid-iteration flush (an injected errno leaves the SQEs staged for the
-  // next enter, so submission faults degrade to latency, never loss).
-  kUringSubmit = 8,
-  kUringWait = 9,
 };
-inline constexpr int kNumCallSites = 10;
-
-// Which engine's blocking site a reactor-targeting plan should name; see
-// ReactorStall/ReactorKill below. Validated against RtConfig::backend by
-// ValidateRtConfig -- a plan naming the wrong engine's site would never
-// fire, which is a config error, not a quiet no-op.
-inline constexpr bool IsEpollOnlySite(CallSite site) {
-  return site == CallSite::kEpollWait || site == CallSite::kEpollCtl;
-}
-inline constexpr bool IsUringOnlySite(CallSite site) {
-  return site == CallSite::kUringSubmit || site == CallSite::kUringWait;
-}
+inline constexpr int kNumCallSites = 8;
 
 const char* CallSiteName(CallSite site);
 
 enum class FaultAction : uint8_t {
   kErrno,  // fail the call with `err` (Close still releases the fd)
   kDelay,  // sleep `duration_us`, then perform the real call
-  kStall,  // blocking waits (kEpollWait/kUringWait) only: block
-           // `duration_us` (interruptible by stop) -- the reactor stops
-           // heartbeating, which is what trips the watchdog
-  kKill,   // blocking waits only: return SysIface::kKillReactor,
+  kStall,  // the blocking wait (kEpollWait) only: block `duration_us`
+           // (interruptible by stop) -- the reactor stops heartbeating,
+           // which is what trips the watchdog
+  kKill,   // the blocking wait only: return SysIface::kKillReactor,
            // permanently -- the reactor exits Run() as if its thread died
 };
 
@@ -85,15 +67,12 @@ struct FaultPlan {
 
   // --- canned plans for the chaos matrix ---
 
-  // `core`'s blocking wait stalls for `stall_ms` starting at its
-  // `after_calls`-th call: a reactor wedge that later resolves. `site`
-  // names the engine's blocking point -- kEpollWait (default) or
-  // kUringWait for --backend=uring runs.
-  static FaultPlan ReactorStall(int core, uint64_t after_calls, uint64_t stall_ms,
-                                CallSite site = CallSite::kEpollWait) {
+  // `core`'s epoll_wait stalls for `stall_ms` starting at its
+  // `after_calls`-th call: a reactor wedge that later resolves.
+  static FaultPlan ReactorStall(int core, uint64_t after_calls, uint64_t stall_ms) {
     FaultPlan plan;
     FaultRule rule;
-    rule.site = site;
+    rule.site = CallSite::kEpollWait;
     rule.core = core;
     rule.action = FaultAction::kStall;
     rule.duration_us = stall_ms * 1000;
@@ -102,13 +81,12 @@ struct FaultPlan {
     return plan;
   }
 
-  // `core`'s reactor dies at its `after_calls`-th blocking wait (`site` as
-  // in ReactorStall) and never comes back.
-  static FaultPlan ReactorKill(int core, uint64_t after_calls,
-                               CallSite site = CallSite::kEpollWait) {
+  // `core`'s reactor dies at its `after_calls`-th epoll_wait and never
+  // comes back.
+  static FaultPlan ReactorKill(int core, uint64_t after_calls) {
     FaultPlan plan;
     FaultRule rule;
-    rule.site = site;
+    rule.site = CallSite::kEpollWait;
     rule.core = core;
     rule.action = FaultAction::kKill;
     rule.after_calls = after_calls;

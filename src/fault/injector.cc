@@ -43,10 +43,6 @@ const char* CallSiteName(CallSite site) {
       return "epoll_ctl";
     case CallSite::kConnect:
       return "connect";
-    case CallSite::kUringSubmit:
-      return "uring_submit";
-    case CallSite::kUringWait:
-      return "uring_wait";
   }
   return "?";
 }
@@ -250,47 +246,6 @@ int FaultInjector::Connect(int core, int sockfd, const sockaddr* addr, socklen_t
     }
   }
   return real_->Connect(core, sockfd, addr, addrlen);
-}
-
-int FaultInjector::UringSubmit(int core, int ring_fd, unsigned to_submit) {
-  const FaultRule* rule = Match(CallSite::kUringSubmit, core);
-  if (rule != nullptr) {
-    NoteInjected(CallSite::kUringSubmit, core);
-    if (rule->action == FaultAction::kErrno) {
-      // Fail WITHOUT entering: the SQEs stay staged in the ring, so the
-      // fault costs the batch one iteration of latency, never an op.
-      errno = rule->err;
-      return -1;
-    }
-    if (rule->action == FaultAction::kDelay || rule->action == FaultAction::kStall) {
-      SleepFor(rule->duration_us);
-    }
-  }
-  return real_->UringSubmit(core, ring_fd, to_submit);
-}
-
-int FaultInjector::UringWait(int core, int ring_fd, unsigned to_submit, unsigned min_complete,
-                             int timeout_ms) {
-  if (core >= 0 && core < num_cores_ && killed_[core].load(std::memory_order_relaxed)) {
-    return kKillReactor;
-  }
-  const FaultRule* rule = Match(CallSite::kUringWait, core);
-  if (rule != nullptr) {
-    NoteInjected(CallSite::kUringWait, core);
-    switch (rule->action) {
-      case FaultAction::kErrno:
-        errno = rule->err;
-        return -1;
-      case FaultAction::kDelay:
-      case FaultAction::kStall:
-        SleepFor(rule->duration_us);
-        break;
-      case FaultAction::kKill:
-        killed_[core].store(true, std::memory_order_relaxed);
-        return kKillReactor;
-    }
-  }
-  return real_->UringWait(core, ring_fd, to_submit, min_complete, timeout_ms);
 }
 
 InjectorStats FaultInjector::Stats() const {

@@ -9,10 +9,9 @@
 //
 // Stalls sleep in small slices and re-check the runtime's stop flag, so a
 // "wedged" reactor still shuts down cleanly when the run ends mid-stall.
-// Kills are sticky: once a core's kKill rule fires, every later blocking
-// wait (EpollWait or UringWait, whichever engine the reactor runs) on that
-// core returns kKillReactor (a dead reactor stays dead even if the call
-// counter would have moved past the rule).
+// Kills are sticky: once a core's kKill rule fires, every later EpollWait
+// on that core returns kKillReactor (a dead reactor stays dead even if the
+// call counter would have moved past the rule).
 
 #ifndef AFFINITY_SRC_FAULT_INJECTOR_H_
 #define AFFINITY_SRC_FAULT_INJECTOR_H_
@@ -65,13 +64,6 @@ class FaultInjector : public SysIface {
   // shape that strands a held connection if the reactor mishandles it.
   int EpollCtl(int core, int epfd, int op, int fd, epoll_event* event) override;
   int Connect(int core, int sockfd, const sockaddr* addr, socklen_t addrlen) override;
-  // kErrno fails WITHOUT submitting: the staged SQEs stay queued for the
-  // next enter, so an injected submit fault is pure latency.
-  int UringSubmit(int core, int ring_fd, unsigned to_submit) override;
-  // The uring engine's blocking point: same kStall/kKill semantics (and the
-  // same sticky kill latch) as EpollWait.
-  int UringWait(int core, int ring_fd, unsigned to_submit, unsigned min_complete,
-                int timeout_ms) override;
 
   InjectorStats Stats() const;
   uint64_t calls(CallSite site, int core) const;

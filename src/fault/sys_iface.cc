@@ -1,11 +1,6 @@
 #include "src/fault/sys_iface.h"
 
-#include <linux/io_uring.h>
-#include <sys/syscall.h>
 #include <unistd.h>
-
-#include <cstdint>
-#include <cstring>
 
 namespace affinity {
 namespace fault {
@@ -55,26 +50,6 @@ int SysIface::EpollCtl(int core, int epfd, int op, int fd, epoll_event* event) {
 int SysIface::Connect(int core, int sockfd, const sockaddr* addr, socklen_t addrlen) {
   (void)core;
   return connect(sockfd, addr, addrlen);
-}
-
-int SysIface::UringSubmit(int core, int ring_fd, unsigned to_submit) {
-  (void)core;
-  return static_cast<int>(
-      syscall(__NR_io_uring_enter, ring_fd, to_submit, 0u, 0u, nullptr, 0u));
-}
-
-int SysIface::UringWait(int core, int ring_fd, unsigned to_submit, unsigned min_complete,
-                        int timeout_ms) {
-  (void)core;
-  io_uring_getevents_arg arg;
-  std::memset(&arg, 0, sizeof(arg));
-  __kernel_timespec ts;
-  ts.tv_sec = timeout_ms / 1000;
-  ts.tv_nsec = static_cast<long long>(timeout_ms % 1000) * 1000000ll;
-  arg.ts = reinterpret_cast<uint64_t>(&ts);
-  return static_cast<int>(syscall(__NR_io_uring_enter, ring_fd, to_submit, min_complete,
-                                  IORING_ENTER_GETEVENTS | IORING_ENTER_EXT_ARG, &arg,
-                                  sizeof(arg)));
 }
 
 SysIface* DefaultSys() {

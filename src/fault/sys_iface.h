@@ -57,20 +57,6 @@ class SysIface {
   // through here (with `core` = the client thread index), so chaos plans
   // can refuse or delay connections from the client's vantage too.
   virtual int Connect(int core, int sockfd, const sockaddr* addr, socklen_t addrlen);
-
-  // The io_uring backend's enter(2) sites (src/io/uring_backend). Both
-  // follow the family convention: the real call's return value, or -1 with
-  // errno on failure.
-  //
-  // Non-blocking submission of `to_submit` staged SQEs (the mid-iteration
-  // flush when completions are already pending).
-  virtual int UringSubmit(int core, int ring_fd, unsigned to_submit);
-  // Submit + wait in one enter(2): IORING_ENTER_GETEVENTS with an EXT_ARG
-  // timeout. This is the uring reactor's blocking point -- the kUringWait
-  // site carries the same kStall/kKill chaos semantics as kEpollWait,
-  // including the kKillReactor sentinel.
-  virtual int UringWait(int core, int ring_fd, unsigned to_submit, unsigned min_complete,
-                        int timeout_ms);
 };
 
 // The shared passthrough instance; stateless, safe from every thread.

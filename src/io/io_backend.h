@@ -1,32 +1,29 @@
-// IoBackend: the reactor's readiness/completion engine, made substitutable.
+// IoBackend: the reactor's event engine -- level-triggered epoll over the
+// listen shards and the held connections.
 //
-// PR 5 routed every fate-deciding syscall through fault::SysIface; this seam
-// goes one level up and abstracts the EVENT ENGINE itself, so the same
-// reactor loop (accept rings, BalancePolicy stealing, svc handlers, locality
-// ledger) can run on either of two kernel interfaces:
-//  - EpollBackend: the original readiness model -- epoll_wait + accept4
-//    drained inline by the reactor (src/io/epoll_backend.*),
-//  - UringBackend: io_uring completions -- multishot accept delivers
-//    already-accepted fds in the completion stream, one-shot POLL_ADDs
-//    replace epoll (re-)arming, and all staging is batched into one
-//    io_uring_enter per loop iteration (src/io/uring_backend.*).
-// The COREC line of work (see PAPERS.md / DESIGN.md 5j) argues completion
-// batching beats per-core readiness queues at low load; this seam is what
-// lets bench_rt_loopback test that claim against the paper's design without
-// forking the reactor.
+// The engine only reports readiness; the reactor does the I/O. A listen
+// event means "accept4 will succeed" and the reactor drains the shard itself
+// (Reactor::AcceptBatch); a connection event means the handler's read or
+// write can make progress. Conn arming goes through sys->EpollCtl (the
+// kEpollCtl fault site) and the wait through sys->EpollWait (the kEpollWait
+// fault site, including the kKillReactor chaos sentinel). Listen
+// registrations bypass the fault seam: chaos plans target the hot path, and
+// a failed listen ADD at startup must surface as a dead source, not an
+// injected flake.
 //
-// Token scheme (shared by both backends, carried in epoll_event.data.u64 /
-// io_uring_sqe.user_data verbatim):
-//  - bit 63 set   = connection: bits [32,48) are the PendingConn block's
-//    reuse generation (stale-completion defense -- a one-shot poll can
-//    complete after its connection closed and its handle was recycled),
-//    bits [0,32) the ConnHandle.
-//  - bit 62 set   = backend-internal bookkeeping (a cancel's own CQE);
-//    never surfaces as an IoEvent.
-//  - otherwise    = listen source: bits [0,32) the listen fd, bits [32,48)
-//    the source's watch generation (stale-terminal defense for re-armed
-//    multishot accepts).
-// Listen fds are nonnegative ints, so the tag bits can never collide.
+// Why the paper's accept fix does not depend on the engine, and what a
+// completion-model engine would have to show to join this one, is recorded
+// in DESIGN.md section 5j.
+//
+// Token scheme (carried verbatim in epoll_event.data.u64):
+//  - bit 63 set = connection: bits [32,48) are the PendingConn block's reuse
+//    generation, bits [0,32) the ConnHandle. The generation is the
+//    stale-event defense: one epoll batch can hold an event for a conn that
+//    an earlier event in the same batch closed and recycled (a pool-pressure
+//    eviction inside AcceptBatch), and the reactor drops it by comparing
+//    generations.
+//  - otherwise  = listen source: bits [0,32) the listen fd. Listen fds are
+//    nonnegative ints, so the tag bit can never collide.
 
 #ifndef AFFINITY_SRC_IO_IO_BACKEND_H_
 #define AFFINITY_SRC_IO_IO_BACKEND_H_
@@ -40,89 +37,64 @@
 namespace affinity {
 namespace io {
 
-enum class IoBackendKind : uint8_t { kEpoll, kUring };
-
-const char* IoBackendName(IoBackendKind kind);
-bool ParseIoBackend(const char* name, IoBackendKind* out);
-
 inline constexpr uint64_t kConnTokenTag = 1ull << 63;
-inline constexpr uint64_t kInternalTokenTag = 1ull << 62;
 
 inline uint64_t MakeConnToken(uint32_t handle, uint16_t gen) {
   return kConnTokenTag | (static_cast<uint64_t>(gen) << 32) | handle;
 }
-inline uint64_t MakeListenToken(int fd, uint16_t gen) {
-  return (static_cast<uint64_t>(gen) << 32) | static_cast<uint64_t>(static_cast<uint32_t>(fd));
+inline uint64_t MakeListenToken(int fd) {
+  return static_cast<uint64_t>(static_cast<uint32_t>(fd));
 }
 inline bool IsConnToken(uint64_t token) { return (token & kConnTokenTag) != 0; }
 inline uint32_t HandleOfToken(uint64_t token) { return static_cast<uint32_t>(token); }
 inline int FdOfListenToken(uint64_t token) { return static_cast<int>(static_cast<uint32_t>(token)); }
 inline uint16_t GenOfToken(uint64_t token) { return static_cast<uint16_t>(token >> 32); }
 
-// One readiness/completion event, normalized across backends. Readiness
-// masks use the EPOLL* bit values (POLLIN/POLLOUT/POLLERR/POLLHUP are
-// numerically identical, which is what lets the uring poll path share them).
+// One readiness event: the registration's token and its EPOLL* mask.
 struct IoEvent {
   uint64_t token = 0;
-  uint32_t events = 0;    // EPOLLIN/EPOLLOUT/EPOLLERR/EPOLLHUP readiness
-  int accepted_fd = -1;   // >= 0: a multishot accept delivered this fd
-  int error = 0;          // listen-source completion errno (0 = none)
-  // The listen source's multishot accept terminated (no more completions
-  // will arrive); the reactor must WatchListen again to keep accepting.
-  // Epoll never sets this -- its listen registrations are level-triggered
-  // and permanent.
-  bool rewatch = false;
+  uint32_t events = 0;  // EPOLLIN/EPOLLOUT/EPOLLERR/EPOLLHUP readiness
 };
 
-// The engine contract. One instance per reactor thread, used only by that
-// thread (Wait/arm/cancel are reactor-loop calls); construction and Init
-// happen inside Run() after pinning.
+// One instance per reactor thread, used only by that thread; Init happens
+// inside Reactor::Run() after pinning.
 class IoBackend {
  public:
-  virtual ~IoBackend() = default;
+  // `core` keys the SysIface calls; `sys` must outlive the engine.
+  IoBackend(int core, fault::SysIface* sys) : core_(core), sys_(sys) {}
+  ~IoBackend() { Shutdown(); }
+  IoBackend(const IoBackend&) = delete;
+  IoBackend& operator=(const IoBackend&) = delete;
 
-  virtual const char* name() const = 0;
+  // Creates the epoll instance. False with *error set (when non-null) means
+  // this reactor cannot run.
+  bool Init(std::string* error);
+  void Shutdown();
 
-  // Acquires kernel resources (epoll instance / ring mmaps). False with
-  // *error set means this reactor cannot run on this backend.
-  virtual bool Init(std::string* error) = 0;
-  virtual void Shutdown() = 0;
+  // Starts or stops watching a listen fd for accept readiness.
+  bool WatchListen(int fd);
+  void UnwatchListen(int fd);
 
-  // True when the reactor drains accept4 itself on listen readiness
-  // (epoll); false when accepted fds arrive inside IoEvents (uring).
-  virtual bool accepts_inline() const = 0;
-
-  // True when a delivered conn event consumes its registration (uring's
-  // one-shot polls): the reactor clears ConnState::armed before the handler
-  // runs so Finish() re-arms. Epoll registrations persist (level-triggered).
-  virtual bool oneshot_arms() const = 0;
-
-  // Starts watching a listen fd: EPOLLIN registration (epoll) or a
-  // multishot accept SQE (uring).
-  virtual bool WatchListen(int fd, uint64_t token) = 0;
-  // Stops watching: EPOLL_CTL_DEL, or an async cancel of the multishot
-  // accept (its terminal CQE is dropped via the token generation).
-  virtual void UnwatchListen(int fd, uint64_t token) = 0;
-
-  // (Re-)arms `events` (EPOLLIN or EPOLLOUT) for a held connection.
-  // `first` distinguishes ADD from MOD for epoll; uring ignores it (every
-  // arm is a fresh one-shot POLL_ADD). False = the connection cannot be
-  // watched and must be closed.
-  virtual bool ArmConn(int fd, uint32_t events, uint64_t token, bool first) = 0;
-  // Cancels a pending arm before close (uring; epoll's close() implicitly
-  // drops the registration).
-  virtual void CancelConn(int fd, uint64_t token) = 0;
+  // (Re-)arms `events` (EPOLLIN or EPOLLOUT) for a held connection: ADD when
+  // `first`, MOD after. close() drops the registration, so there is no
+  // disarm. False = the connection cannot be watched and must be closed.
+  bool ArmConn(int fd, uint32_t events, uint64_t token, bool first);
 
   // Blocks up to timeout_ms for events; returns the count filled into
   // `out`, 0 on timeout/EINTR, -1 on a hard engine error, or
   // fault::SysIface::kKillReactor when a chaos plan killed this reactor.
-  // For uring this is also the single submission point: every SQE staged
-  // since the last Wait goes to the kernel here, batched.
-  virtual int Wait(IoEvent* out, int max_events, int timeout_ms) = 0;
+  int Wait(IoEvent* out, int max_events, int timeout_ms);
+
+ private:
+  int core_;
+  fault::SysIface* sys_;
+  int ep_ = -1;
 };
 
-// Builds the backend for `kind`. `core` keys the SysIface calls; `sys` must
-// outlive the backend.
+// The one engine kind. Callers that build the engine by kind
+// (rtbench/layers.cc) go through this factory.
+enum class IoBackendKind : uint8_t { kEpoll };
+
 std::unique_ptr<IoBackend> CreateIoBackend(IoBackendKind kind, int core, fault::SysIface* sys);
 
 }  // namespace io

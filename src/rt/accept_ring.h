@@ -47,9 +47,9 @@ struct PendingConn {
   // serve_core stays -1 until the first service touch.
   int16_t accept_core = -1;
   int16_t serve_core = -1;
-  // Block-reuse generation for the io backends' stale-completion defense:
+  // Block-reuse generation for the event engine's stale-event defense:
   // bumped on every free, carried in bits [32,48) of the conn token
-  // (io::MakeConnToken), so a completion raced against close-and-recycle is
+  // (io::MakeConnToken), so an event raced against close-and-recycle is
   // recognized and dropped instead of driving the wrong conversation.
   // NEVER cleared by ConnState::Reset -- continuity across reuse is the
   // point. Atomic because the bump can happen on the serving core while the

@@ -10,9 +10,7 @@
 #include <cassert>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 
-#include "src/io/uring_backend.h"
 #include "src/rt/listener.h"
 
 namespace affinity {
@@ -77,7 +75,8 @@ const char* DeadlineKindName(DeadlineKind kind) {
   return "?";
 }
 
-Reactor::Reactor(int index, ReactorShared* shared) : index_(index), shared_(shared) {}
+Reactor::Reactor(int index, ReactorShared* shared)
+    : index_(index), shared_(shared), io_(index, shared->sys) {}
 
 void Reactor::ResolveHotCells() {
   obs::MetricsRegistry* m = shared_->metrics;
@@ -142,58 +141,26 @@ void Reactor::Run() {
   // the counters follow the reactor's core. Never fails -- an unavailable
   // PMU yields an inactive profile (phase entries only).
   prof_ = shared_->hwprof != nullptr ? shared_->hwprof->AttachThread(index_) : nullptr;
+  if (!io_.Init(nullptr)) {
+    return;
+  }
 
   // One source per listener: this reactor's shard of a per-shard listener,
   // or the single shared fd (stock mode, and UNIX sockets always -- every
   // reactor polls it, level-triggered, so a shared listener herds like
   // stock accept while per-shard ones stay private). Accepts land on this
   // core's ring outside stock mode regardless of which fd produced them.
-  // Sources are derived BEFORE the backend comes up: the uring engine wants
-  // the full startup fd set for fixed-file registration.
   sources_.clear();
-  std::vector<int> listen_fds;
   for (RtListener* listener : shared_->listeners) {
-    int fd = listener->fds.size() == 1 ? listener->fds[0]
-                                       : listener->fds[static_cast<size_t>(index_)];
-    uint32_t qi = shared_->mode == RtMode::kStock ? 0u : static_cast<uint32_t>(index_);
     ListenSource src;
-    src.fd = fd;
-    src.qi = qi;
+    src.fd = listener->fds.size() == 1 ? listener->fds[0]
+                                       : listener->fds[static_cast<size_t>(index_)];
+    src.qi = shared_->mode == RtMode::kStock ? 0u : static_cast<uint32_t>(index_);
     src.listener = listener;
-    src.watch_gen = watch_gen_seed_++;
+    io_.WatchListen(src.fd);
     sources_.push_back(src);
-    listen_fds.push_back(fd);
   }
   base_sources_ = sources_.size();
-
-  // The event engine. The Runtime already probed and resolved the kind; a
-  // per-reactor uring setup failure (rlimit on locked memory, seccomp) still
-  // degrades to a private epoll engine rather than losing the core.
-  io_.reset();
-  if (shared_->backend == io::IoBackendKind::kUring) {
-    std::unique_ptr<io::UringBackend> uring(new io::UringBackend(index_, shared_->sys));
-    std::string err;
-    if (uring->Init(&err)) {
-      if (shared_->uring_fixed_files) {
-        uring->RegisterListenFds(listen_fds);
-      }
-      io_ = std::move(uring);
-    } else {
-      std::fprintf(stderr, "rt: reactor %d: uring init failed (%s); falling back to epoll\n",
-                   index_, err.c_str());
-    }
-  }
-  if (io_ == nullptr) {
-    io_ = io::CreateIoBackend(io::IoBackendKind::kEpoll, index_, shared_->sys);
-    std::string err;
-    if (!io_->Init(&err)) {
-      io_.reset();
-      return;
-    }
-  }
-  for (ListenSource& src : sources_) {
-    src.watching = io_->WatchListen(src.fd, io::MakeListenToken(src.fd, src.watch_gen));
-  }
   open_head_ = kNullConn;
   open_count_ = 0;
   // The deadline wheel, anchored to the shared clock's current reading.
@@ -233,7 +200,6 @@ void Reactor::Run() {
   // from dead peers join the set after a failover, so events are dispatched
   // per fd.
   io::IoEvent events[64];
-  Accepted pending[64];  // uring CQE-delivered fds staged for AdmitBatch
   while (!shared_->stop.load(std::memory_order_acquire)) {
     if (shared_->domains != nullptr) {
       shared_->domains->Beat(index_);
@@ -244,15 +210,9 @@ void Reactor::Run() {
     }
     if (shared_->draining.load(std::memory_order_acquire) && !drain_unwatched_) {
       // Graceful drain: stop accepting (unwatch every listen source) but
-      // keep serving queued and open connections. Accepted fds still in a
-      // completion engine's CQE pipeline are real connections and are
-      // admitted below regardless.
-      for (ListenSource& src : sources_) {
-        if (src.watching) {
-          io_->UnwatchListen(src.fd, io::MakeListenToken(src.fd, src.watch_gen));
-          ++src.watch_gen;
-          src.watching = false;
-        }
+      // keep serving queued and open connections.
+      for (const ListenSource& src : sources_) {
+        io_.UnwatchListen(src.fd);
       }
       drain_unwatched_ = true;
     }
@@ -260,127 +220,43 @@ void Reactor::Run() {
     // by other shards) noticed even when our own shard is idle; the wheel's
     // next deadline can only shorten the sleep below it.
     Prof(obs::hwprof::Phase::kEpollWait);
-    int n = io_->Wait(events, 64, NextWaitTimeoutMs());
+    int n = io_.Wait(events, 64, NextWaitTimeoutMs());
     if (n == fault::SysIface::kKillReactor) {
       // The chaos plan killed this reactor: exit as if the thread died.
       // Deliberately no recovery, no draining -- the watchdog and the
       // surviving peers own everything from here.
       break;
     }
+    if (n < 0) {
+      break;  // hard engine error (Wait swallows EINTR itself)
+    }
     if (n > 0) {
       hot_.epoll_wakeups->fetch_add(1, std::memory_order_relaxed);
-      int npend = 0;
-      uint32_t owner_accepts = 0;
-      uint32_t cross_accepts = 0;
-      auto now = std::chrono::steady_clock::now();
-      for (int i = 0; i < n; ++i) {
-        const io::IoEvent& ev = events[i];
-        if (io::IsConnToken(ev.token)) {
-          ConnHandle handle = io::HandleOfToken(ev.token);
-          PendingConn* conn = shared_->pool->Get(handle);
-          if (conn == nullptr ||
-              io::GenOfToken(ev.token) != conn->io_gen.load(std::memory_order_relaxed)) {
-            continue;  // stale completion: the conn closed, the block moved on
-          }
-          if (io_->oneshot_arms()) {
-            conn->svc.armed = 0;  // the delivered one-shot consumed its registration
-          }
-          Prof(obs::hwprof::Phase::kServe);
-          DriveConn(handle, ev.events);
+    }
+    for (int i = 0; i < n; ++i) {
+      const io::IoEvent& ev = events[i];
+      if (io::IsConnToken(ev.token)) {
+        ConnHandle handle = io::HandleOfToken(ev.token);
+        PendingConn* conn = shared_->pool->Get(handle);
+        if (conn == nullptr ||
+            io::GenOfToken(ev.token) != conn->io_gen.load(std::memory_order_relaxed)) {
+          // Stale event: an earlier event of this batch closed the conn (a
+          // pool-pressure eviction inside AcceptBatch) and its block moved on.
           continue;
         }
-        int fd = io::FdOfListenToken(ev.token);
-        size_t si = 0;
-        while (si < sources_.size() && sources_[si].fd != fd) {
-          ++si;
-        }
-        if (si == sources_.size()) {
-          // A CQE from a source released between harvests (failover
-          // recovery): any fd inside is still a real connection the kernel
-          // accepted on our behalf; dispose of it in order.
-          if (ev.accepted_fd >= 0) {
-            hot_.accepted->fetch_add(1, std::memory_order_relaxed);
-            hot_.overflow_drops->fetch_add(1, std::memory_order_relaxed);
-            shared_->sys->Close(index_, ev.accepted_fd);
-          }
-          continue;
-        }
-        ListenSource& src = sources_[si];
-        if (io_->accepts_inline()) {
-          // Readiness engine: the event only says "accept4 will succeed".
+        Prof(obs::hwprof::Phase::kServe);
+        DriveConn(handle, ev.events);
+        continue;
+      }
+      // Listen readiness: accept4 will succeed on that source.
+      int fd = io::FdOfListenToken(ev.token);
+      for (const ListenSource& src : sources_) {
+        if (src.fd == fd) {
           Prof(obs::hwprof::Phase::kAccept);
-          AcceptBatch(si);
-          continue;
-        }
-        // Completion engine: the CQE itself carries the accept. The watch
-        // generation gates the control bits (rewatch/error) of a canceled
-        // epoch's late CQEs; accepted fds are real regardless and are
-        // admitted even from a stale generation (dropping them would leak).
-        const bool current = io::GenOfToken(ev.token) == src.watch_gen;
-        if (ev.accepted_fd >= 0) {
-          int afd = ev.accepted_fd;
-          backoff_ms_ = 0;  // fds are flowing again: reset the exponential window
-          size_t qi = src.qi;
-          if (shared_->director != nullptr && src.listener != nullptr &&
-              src.listener->id == 0 && !src.listener->is_unix) {
-            // Steering key recovery: multishot accept delivers no peer
-            // address, so one getpeername (only when steering is on) finds
-            // the source port whose flow group owns this connection.
-            sockaddr_storage peer;
-            socklen_t peer_len = sizeof(peer);
-            if (getpeername(afd, reinterpret_cast<sockaddr*>(&peer), &peer_len) == 0 &&
-                peer.ss_family == AF_INET) {
-              CoreId owner = shared_->director->OwnerOfPort(
-                  ntohs(reinterpret_cast<const sockaddr_in*>(&peer)->sin_port));
-              if (owner >= 0 && owner < shared_->num_reactors) {
-                qi = static_cast<size_t>(owner);
-              }
-            }
-            if (qi == static_cast<size_t>(index_)) {
-              ++owner_accepts;
-            } else {
-              ++cross_accepts;
-            }
-          }
-          if (npend == 64) {
-            Prof(obs::hwprof::Phase::kAccept);
-            AdmitBatch(pending, npend, now);
-            npend = 0;
-          }
-          pending[npend].fd = afd;
-          pending[npend].qi = static_cast<uint32_t>(qi);
-          pending[npend].src = static_cast<uint32_t>(si);
-          ++npend;
-        } else if (ev.error != 0 && current) {
-          // The multishot accept terminated with an error: same per-class
-          // counters as the accept4 soft-skip path, and the same EMFILE
-          // rescue. The terminal CQE also sets rewatch below.
-          if (ev.error == EMFILE || ev.error == ENFILE) {
-            FdExhaustionRescue(src.fd);
-          } else if (ev.error == ECONNABORTED) {
-            hot_.accept_econnaborted->fetch_add(1, std::memory_order_relaxed);
-          } else if (ev.error == EPROTO) {
-            hot_.accept_eproto->fetch_add(1, std::memory_order_relaxed);
-          } else if (ev.error == EINTR) {
-            hot_.accept_eintr->fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        if (ev.rewatch && current) {
-          src.watching = false;  // RewatchSources re-arms once the gates allow
+          AcceptBatch(src);
+          break;
         }
       }
-      if (npend > 0) {
-        Prof(obs::hwprof::Phase::kAccept);
-        AdmitBatch(pending, npend, now);
-      }
-      if (owner_accepts > 0) {
-        hot_.steer_owner_accepts->fetch_add(owner_accepts, std::memory_order_relaxed);
-      }
-      if (cross_accepts > 0) {
-        hot_.steer_cross_accepts->fetch_add(cross_accepts, std::memory_order_relaxed);
-      }
-    } else if (n < 0) {
-      break;  // hard engine error (the backends swallow EINTR themselves)
     }
     Prof(obs::hwprof::Phase::kServe);
     int served = ServeBatch();
@@ -396,9 +272,6 @@ void Reactor::Run() {
                       [this](timer::TimerEntry* e) { OnDeadlineExpiry(e); });
     }
     auto now = std::chrono::steady_clock::now();
-    if (!io_->accepts_inline() && !drain_unwatched_) {
-      RewatchSources(now);
-    }
     if (migrate && now >= next_migrate) {
       // The paper's long-term balancer: every 100 ms each (non-busy) core
       // makes its own migration decision. The epoll timeout above bounds
@@ -426,8 +299,7 @@ void Reactor::Run() {
     close(reserve_fd_);
     reserve_fd_ = -1;
   }
-  io_->Shutdown();
-  io_.reset();
+  io_.Shutdown();
 }
 
 void Reactor::MigrationTick() {
@@ -517,11 +389,7 @@ void Reactor::TryFailover(int dead) {
       src.fd = lfd;
       src.qi = static_cast<uint32_t>(dead);
       src.listener = listener;
-      // A fresh generation even if this fd was adopted before: a previous
-      // adoption epoch's terminal CQE may still be in flight.
-      src.watch_gen = watch_gen_seed_++;
-      src.watching = io_->WatchListen(lfd, io::MakeListenToken(lfd, src.watch_gen));
-      if (src.watching) {
+      if (io_.WatchListen(lfd)) {
         sources_.push_back(src);
       }
     }
@@ -578,8 +446,7 @@ void Reactor::ReleaseRecoveredAdoptions() {
   }
   for (size_t i = sources_.size(); i-- > base_sources_;) {
     if (!shared_->domains->IsDead(static_cast<int>(sources_[i].qi))) {
-      io_->UnwatchListen(sources_[i].fd,
-                         io::MakeListenToken(sources_[i].fd, sources_[i].watch_gen));
+      io_.UnwatchListen(sources_[i].fd);
       sources_.erase(sources_.begin() + static_cast<long>(i));
     }
   }
@@ -672,8 +539,7 @@ void Reactor::FdExhaustionRescue(int listen_fd) {
   hot_.accept_backoff->fetch_add(1, std::memory_order_relaxed);
 }
 
-void Reactor::AcceptBatch(size_t src_idx) {
-  const ListenSource& src = sources_[src_idx];
+void Reactor::AcceptBatch(const ListenSource& src) {
   const size_t default_qi = src.qi;
   auto now = std::chrono::steady_clock::now();
   if (now < backoff_until_) {
@@ -750,7 +616,6 @@ void Reactor::AcceptBatch(size_t src_idx) {
     }
     batch[n].fd = fd;
     batch[n].qi = static_cast<uint32_t>(qi);
-    batch[n].src = static_cast<uint32_t>(src_idx);
     ++n;
   }
   if (eintr > 0) {
@@ -771,7 +636,7 @@ void Reactor::AcceptBatch(size_t src_idx) {
   if (n == 0) {
     return;
   }
-  AdmitBatch(batch, n, now);
+  AdmitBatch(batch, n, src.listener, now);
   if (owner_accepts > 0) {
     hot_.steer_owner_accepts->fetch_add(owner_accepts, std::memory_order_relaxed);
   }
@@ -780,7 +645,7 @@ void Reactor::AcceptBatch(size_t src_idx) {
   }
 }
 
-void Reactor::AdmitBatch(const Accepted* batch, int n,
+void Reactor::AdmitBatch(const Accepted* batch, int n, RtListener* listener,
                          std::chrono::steady_clock::time_point now) {
   // Stage 2: pool blocks + ring pushes, aggregating per-ring counts.
   // Connections that cannot be queued go through the admission policy:
@@ -788,12 +653,12 @@ void Reactor::AdmitBatch(const Accepted* batch, int n,
   uint32_t overflow_drops = 0;
   uint32_t admission_sheds = 0;
   uint32_t pool_drops = 0;
+  const uint8_t listener_id = listener != nullptr ? static_cast<uint8_t>(listener->id) : 0;
+  if (listener != nullptr) {
+    listener->accepted.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
+  }
   for (int i = 0; i < n; ++i) {
     const Accepted& a = batch[i];
-    ListenSource& src = sources_[a.src];
-    if (src.listener != nullptr) {
-      src.listener->accepted.fetch_add(1, std::memory_order_relaxed);
-    }
     size_t qi = a.qi;
     ConnHandle handle = shared_->pool->Alloc(index_);
     if (handle == kNullConn && shared_->pool_evict_batch > 0 &&
@@ -820,7 +685,7 @@ void Reactor::AdmitBatch(const Accepted* batch, int n,
     conn->accept_core = static_cast<int16_t>(index_);
     conn->serve_core = -1;
     conn->accepted_at = std::chrono::steady_clock::now();
-    conn->svc.Reset(src.listener != nullptr ? static_cast<uint8_t>(src.listener->id) : 0);
+    conn->svc.Reset(listener_id);
     size_t len_after = 0;
     if (!shared_->queues[qi]->Push(handle, &len_after)) {
       shared_->pool->Free(index_, handle);  // we just allocated it: local free
@@ -828,17 +693,6 @@ void Reactor::AdmitBatch(const Accepted* batch, int n,
         ++admission_sheds;
       } else {
         ++overflow_drops;
-      }
-      if (!io_->accepts_inline() && shared_->overload == OverloadPolicy::kLeaveInBacklog &&
-          src.watching) {
-        // A completion engine cannot stop draining mid-batch the way the
-        // accept4 gate does -- the kernel keeps accepting behind the
-        // multishot SQE. Going dormant is the equivalent backpressure:
-        // cancel the accept so later connections stay in the listen backlog
-        // until the ring has room again (RewatchSources).
-        io_->UnwatchListen(src.fd, io::MakeListenToken(src.fd, src.watch_gen));
-        ++src.watch_gen;
-        src.watching = false;
       }
       continue;
     }
@@ -867,26 +721,6 @@ void Reactor::AdmitBatch(const Accepted* batch, int n,
     entry.moved = 0;
   }
   enq_.touched.clear();
-}
-
-void Reactor::RewatchSources(std::chrono::steady_clock::time_point now) {
-  for (ListenSource& src : sources_) {
-    if (src.watching) {
-      continue;
-    }
-    if (now < backoff_until_) {
-      continue;  // fd-exhaustion window: stay dormant, the backlog holds
-    }
-    if (shared_->overload == OverloadPolicy::kLeaveInBacklog) {
-      const AcceptRing& ring = *shared_->queues[src.qi];
-      if (ring.size() >= ring.capacity()) {
-        continue;  // still full: keep the burst queued in the kernel
-      }
-    }
-    if (io_->WatchListen(src.fd, io::MakeListenToken(src.fd, src.watch_gen))) {
-      src.watching = true;
-    }
-  }
 }
 
 int Reactor::ServeBatch() {
@@ -1067,7 +901,8 @@ void Reactor::Serve(ConnHandle handle, bool local) {
       hot_.requests_dist[dist_bucket - 1]->fetch_add(1, std::memory_order_relaxed);
     }
     char byte = 'A';
-    (void)send(conn->fd, &byte, 1, MSG_NOSIGNAL);
+    iovec iov{&byte, 1};
+    (void)shared_->sys->Write(index_, conn->fd, &iov, 1);
     shared_->sys->Close(index_, conn->fd);
     // Return the block to the accepting core's pool -- the paper's remote
     // deallocation when this connection was stolen or re-steered here.
@@ -1176,17 +1011,10 @@ bool Reactor::Arm(ConnHandle handle, PendingConn* conn, uint32_t want) {
   svc::ConnState& st = conn->svc;
   if (st.armed == want) {
     return true;  // level-triggered epoll: the existing registration keeps
-                  // firing. (A one-shot backend cleared armed at delivery,
-                  // so a live uring poll is never spuriously skipped here.)
+                  // firing
   }
   uint64_t token = io::MakeConnToken(handle, conn->io_gen.load(std::memory_order_relaxed));
-  if (st.armed != 0 && io_->oneshot_arms()) {
-    // Direction change with a one-shot still in flight (defensive; the
-    // reactor only re-arms after a delivery): cancel it so the stale
-    // direction cannot wake this conversation.
-    io_->CancelConn(conn->fd, token);
-  }
-  if (!io_->ArmConn(conn->fd, want, token, st.armed == 0)) {
+  if (!io_.ArmConn(conn->fd, want, token, st.armed == 0)) {
     // A connection the engine cannot watch would be held forever: fail it
     // fast.
     CloseConn(handle, conn, /*rst=*/true);
@@ -1304,14 +1132,6 @@ void Reactor::CloseConn(ConnHandle handle, PendingConn* conn, bool rst,
   // now owns.
   wheel_->Cancel(&conn->phase_timer);
   wheel_->Cancel(&conn->life_timer);
-  if (st.armed != 0) {
-    // Withdraw any in-flight one-shot poll (no-op for epoll, whose close()
-    // drops the registration). A completion that raced the cancel is
-    // rejected by the io_gen bump in FreeConn below.
-    io_->CancelConn(conn->fd,
-                    io::MakeConnToken(handle, conn->io_gen.load(std::memory_order_relaxed)));
-    st.armed = 0;
-  }
   if (st.opened && handler != nullptr) {
     svc::ConnRef ref{&st, conn->fd, index_, shared_->sys};
     handler->OnClose(ref);

@@ -1,6 +1,6 @@
-// One reactor thread: pinned to a core, an event loop (io::IoBackend --
-// epoll readiness or io_uring completions) over its listen shard, serving
-// connections from per-core accept rings with optional stealing.
+// One reactor thread: pinned to a core, an epoll event loop (io::IoBackend)
+// over its listen shard, serving connections from per-core accept rings
+// with optional stealing.
 //
 // This is the live-socket counterpart of the simulator's accept paths in
 // src/stack/listen_socket.cc, in the same three arrangements:
@@ -92,8 +92,7 @@ const char* DeadlineKindName(DeadlineKind kind);
 
 // Event user-data tagging lives in src/io/io_backend.h (io::MakeConnToken /
 // io::MakeListenToken): bit 63 = connection handle + reuse generation,
-// otherwise a listen fd + watch generation. Both backends carry the token
-// verbatim (epoll_event.data.u64 / io_uring_sqe.user_data).
+// otherwise a listen fd.
 
 // One logical listening endpoint multiplexed onto the reactor set. The
 // primary TCP listener is id 0 (the only one the FlowDirector steers);
@@ -208,14 +207,6 @@ struct ReactorShared {
   int num_reactors = 1;
   int accept_batch = 64;
   bool pin_threads = true;
-  // Which event engine each reactor runs (src/io). The Runtime resolves
-  // this BEFORE threads start (probe + fallback with a recorded reason);
-  // reactors still fall back per-thread if their own ring setup fails.
-  io::IoBackendKind backend = io::IoBackendKind::kEpoll;
-  // uring only: register startup listen fds as fixed files (one fd-table
-  // lookup less per accept completion). Off lets tests/bench isolate the
-  // effect.
-  bool uring_fixed_files = true;
   // 1 entry (stock) or one per reactor (fine/affinity).
   std::vector<std::unique_ptr<AcceptRing>> queues;
   // Per-core PendingConn slab pool (owned by the Runtime; never null while
@@ -332,43 +323,26 @@ class Reactor {
     int fd = -1;
     uint32_t qi = 0;
     RtListener* listener = nullptr;
-    // Completion backends only: whether a multishot accept is currently
-    // live for this fd (epoll registrations are permanent, so epoll leaves
-    // this true). Cleared by the accept's terminal CQE or a deliberate
-    // unwatch (kLeaveInBacklog dormancy); the per-iteration rewatch pass
-    // re-arms it.
-    bool watching = true;
-    // Watch generation carried in this source's listen tokens: gates the
-    // rewatch/error bits of late CQEs from a canceled accept epoch.
-    // Accepted fds in stale-generation CQEs are still real connections and
-    // are admitted regardless.
-    uint16_t watch_gen = 0;
   };
 
   // One accepted-but-not-yet-admitted connection, staged on the stack
-  // between the kernel handing us the fd (accept4 drain or uring CQE) and
-  // AdmitBatch. `src` indexes sources_ (stable within one loop iteration).
+  // between accept4 handing us the fd and AdmitBatch.
   struct Accepted {
     int fd;
     uint32_t qi;
-    uint32_t src;
   };
 
-  // Readiness-backend accept path: drains accept4 on `sources_[src_idx]`
-  // until EAGAIN or the batch limit into a stack array (stage 1), then
-  // admits via AdmitBatch. A reactor normally drains only its own sources;
-  // after a failover it also drains adopted shards.
-  void AcceptBatch(size_t src_idx);
-  // Stages 2+3, shared by both engines: pool blocks + ring pushes per
-  // accepted connection (ShedOrDrop on a full ring or dry pool), then one
-  // flush per touched ring (gauges + policy EWMA) and the batch counters.
-  // Under a completion backend with kLeaveInBacklog, a full ring also
-  // unwatches the source (multishot accept would otherwise keep draining
-  // the backlog the policy wants to keep queued).
-  void AdmitBatch(const Accepted* batch, int n, std::chrono::steady_clock::time_point now);
-  // Completion backends: re-arm accepts on sources whose multishot
-  // terminated, once backoff and the kLeaveInBacklog ring gate allow.
-  void RewatchSources(std::chrono::steady_clock::time_point now);
+  // The accept path: drains accept4 on `src` until EAGAIN or the batch
+  // limit into a stack array (stage 1), then admits via AdmitBatch. A
+  // reactor normally drains only its own sources; after a failover it also
+  // drains adopted shards.
+  void AcceptBatch(const ListenSource& src);
+  // Stages 2+3: pool blocks + ring pushes per accepted connection
+  // (ShedOrDrop on a full ring or dry pool), then one flush per touched
+  // ring (gauges + policy EWMA) and the batch counters. Every connection in
+  // the batch came from `listener`.
+  void AdmitBatch(const Accepted* batch, int n, RtListener* listener,
+                  std::chrono::steady_clock::time_point now);
   // Serves up to accept_batch queued connections; returns how many.
   // Dequeue-side policy reporting is flushed once at the end of the batch.
   int ServeBatch();
@@ -381,7 +355,7 @@ class Reactor {
   // request/response conversation (OnAccept) and the connection joins this
   // reactor's open list + epoll set until a close verdict.
   void Serve(ConnHandle handle, bool local);
-  // Epoll readiness on a held connection: run the phase-appropriate handler
+  // Readiness on a held connection: run the phase-appropriate handler
   // callback and apply its verdict.
   void DriveConn(ConnHandle handle, uint32_t ev_events);
   // Applies a handler verdict: (re-)arm epoll or close the connection.
@@ -476,15 +450,9 @@ class Reactor {
   int index_;
   ReactorShared* shared_;
   uint64_t migrate_tick_ = 0;  // epochs elapsed on this reactor
-  // This reactor's event engine (Run() scope). Built from shared_->backend;
-  // a uring Init failure falls back to a private epoll engine so one
-  // reactor's seccomp/rlimit quirk never takes the runtime down.
-  std::unique_ptr<io::IoBackend> io_;
+  // This reactor's event engine; its epoll instance lives for one Run().
+  io::IoBackend io_;
   std::vector<ListenSource> sources_;
-  // Seeds watch_gen for each new ListenSource (startup and adoptions), so a
-  // re-adopted fd never reuses a generation whose terminal CQE may still be
-  // in flight.
-  uint16_t watch_gen_seed_ = 0;
   // How many of sources_ are startup sources; entries past this are
   // failover adoptions (released when the owner recovers).
   size_t base_sources_ = 0;

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "src/io/uring_backend.h"
 #include "src/rt/listener.h"
 
 namespace affinity {
@@ -28,34 +27,6 @@ std::string AutoUnixPath(int listener_id) {
 }  // namespace
 
 bool ValidateRtConfig(const RtConfig& config, std::string* error) {
-  // A chaos plan names concrete call sites; a rule pinned to the OTHER
-  // engine's blocking point would count calls that never happen and inject
-  // nothing. That is a misconfigured experiment, not a quiet no-op.
-  for (const fault::FaultRule& rule : config.fault_plan.rules) {
-    if (config.backend == io::IoBackendKind::kEpoll && fault::IsUringOnlySite(rule.site)) {
-      if (error != nullptr) {
-        *error = std::string("fault plan targets uring-only site '") +
-                 fault::CallSiteName(rule.site) + "' but backend=epoll; use kEpollWait/"
-                 "kEpollCtl rules or run with backend=uring";
-      }
-      return false;
-    }
-    if (config.backend == io::IoBackendKind::kUring && fault::IsEpollOnlySite(rule.site)) {
-      if (error != nullptr) {
-        *error = std::string("fault plan targets epoll-only site '") +
-                 fault::CallSiteName(rule.site) + "' but backend=uring; use kUringSubmit/"
-                 "kUringWait rules or run with backend=epoll";
-      }
-      return false;
-    }
-  }
-  if (config.uring_force_unavailable && config.backend != io::IoBackendKind::kUring) {
-    if (error != nullptr) {
-      *error = "uring_force_unavailable only makes sense with backend=uring "
-               "(an epoll run never consults the probe)";
-    }
-    return false;
-  }
   if (config.topo_source != nullptr && config.topo_mode == topo::TopoMode::kFlat) {
     if (error != nullptr) {
       *error = "topo_source set but topo_mode=flat discards it; a scripted "
@@ -267,27 +238,6 @@ bool Runtime::Start(std::string* error) {
   if (!ValidateRtConfig(config_, error)) {
     return false;
   }
-  // Resolve the event engine before any socket exists: one probe per
-  // Start(), and a refused ring degrades to epoll with the reason kept for
-  // callers (the bench prints it; tests assert on it).
-  resolved_backend_ = io::IoBackendKind::kEpoll;
-  backend_fallback_reason_.clear();
-  if (config_.backend == io::IoBackendKind::kUring) {
-    if (config_.uring_force_unavailable) {
-      backend_fallback_reason_ = "forced unavailable (uring_force_unavailable)";
-    } else {
-      io::UringProbe probe = io::ProbeUringSupport();
-      if (probe.available) {
-        resolved_backend_ = io::IoBackendKind::kUring;
-      } else {
-        backend_fallback_reason_ = probe.reason;
-      }
-    }
-    if (resolved_backend_ != io::IoBackendKind::kUring) {
-      std::fprintf(stderr, "rt: io_uring unavailable (%s); falling back to epoll\n",
-                   backend_fallback_reason_.c_str());
-    }
-  }
   // Reset per-run state (Stop() -> Start() reuse): metrics and the drained
   // counter are cumulative, everything else starts fresh.
   shared_.stop.store(false, std::memory_order_release);
@@ -376,8 +326,6 @@ bool Runtime::Start(std::string* error) {
   shared_.num_reactors = config_.num_threads;
   shared_.accept_batch = config_.accept_batch;
   shared_.pin_threads = config_.pin_threads;
-  shared_.backend = resolved_backend_;
-  shared_.uring_fixed_files = config_.uring_fixed_files;
   shared_.metrics = metrics_.get();
   shared_.ids = ids_;
   shared_.trace = trace_.get();

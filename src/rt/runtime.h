@@ -43,16 +43,6 @@ namespace rt {
 
 struct RtConfig {
   RtMode mode = RtMode::kAffinity;
-  // Which event engine the reactors run (src/io): epoll readiness (the
-  // default) or io_uring completions. kUring is probed at Start(); an
-  // unavailable ring falls back to epoll with the reason recorded in
-  // Runtime::backend_fallback_reason() -- degraded, never fatal.
-  io::IoBackendKind backend = io::IoBackendKind::kEpoll;
-  // Skip the probe and treat io_uring as unavailable (tests/CI exercise the
-  // fallback path deterministically). Only meaningful with backend=kUring.
-  bool uring_force_unavailable = false;
-  // uring only: register startup listen fds as fixed files.
-  bool uring_fixed_files = true;
   int num_threads = 4;
   uint16_t port = 0;  // 0 = kernel-chosen; read back via Runtime::port()
   // listen() backlog per shard; also split across cores as the max local
@@ -191,9 +181,8 @@ struct RtConfig {
 };
 
 // Rejects contradictory knob combinations BEFORE any socket is bound, with
-// an error naming the offending pair -- a chaos plan targeting the engine
-// the run is not using would otherwise never fire (silently), and a forced
-// uring-unavailable flag on an epoll run means the caller misread what they
+// an error naming the offending pair -- a scripted topology on a flat run,
+// or a deadline set that can never fire, means the caller misread what they
 // were testing. Called by Runtime::Start(); standalone for config parsers
 // and tests.
 bool ValidateRtConfig(const RtConfig& config, std::string* error);
@@ -363,12 +352,6 @@ class Runtime {
 
   const RtConfig& config() const { return config_; }
 
-  // The engine the reactors actually run (after Start()): config.backend,
-  // unless the uring probe refused -- then kEpoll, with the probe's reason
-  // in backend_fallback_reason(). Empty reason = no fallback happened.
-  io::IoBackendKind io_backend() const { return resolved_backend_; }
-  const std::string& backend_fallback_reason() const { return backend_fallback_reason_; }
-
   int max_local_queue_len() const { return max_local_len_; }
 
   // The per-core PendingConn slab pool; null before Start(). Stats are
@@ -422,8 +405,6 @@ class Runtime {
   RtConfig config_;
   uint16_t port_ = 0;
   int max_local_len_ = 0;
-  io::IoBackendKind resolved_backend_ = io::IoBackendKind::kEpoll;
-  std::string backend_fallback_reason_;
   std::vector<int> listen_fds_;  // every fd of every listener (closed by Stop)
   // Listener table (rebuilt each Start): the shared RtListener records the
   // reactors use, the handlers they point at, and the read-back port/path

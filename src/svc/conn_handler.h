@@ -31,8 +31,8 @@ namespace svc {
 // What the connection needs next. kWantRead/kWantWrite map 1:1 onto the
 // EPOLLIN/EPOLLOUT mask the reactor (re-)arms. The handler returns them
 // after the socket said EAGAIN, or kWantRead right after a completed round;
-// a request already buffered then is still reported, by level-triggered
-// epoll or by the re-armed one-shot poll, which completes at once.
+// a request already buffered then is still reported by level-triggered
+// epoll.
 enum class Verdict : uint8_t {
   kWantRead,
   kWantWrite,

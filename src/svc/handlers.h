@@ -118,9 +118,8 @@ class ThinkHandler : public RequestResponseHandler {
 // stream_chunks * stream_chunk_bytes payload bytes, framed with the total
 // up front but staged one chunk at a time through RestageChunk. The point
 // is depth in the WRITE half of the state machine: the response cannot fit
-// the socket buffer, so the connection must park on kWantWrite (and, under
-// the uring backend, re-arm a one-shot POLL_ADD) mid-response -- the
-// multi-buffer static-content shape of the paper's Figure 9 that the
+// the socket buffer, so the connection must park on kWantWrite mid-response
+// -- the multi-buffer static-content shape of the paper's Figure 9 that the
 // single-buffer handlers above never exercise.
 class StreamHandler : public RequestResponseHandler {
  public:

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <thread>
@@ -222,6 +223,42 @@ TEST(RtChaosTest, SoftAcceptErrnosAreSkippedNotFatal) {
   RtTotals totals = runtime.Totals();
   EXPECT_GE(totals.accept_econnaborted, 1u);
   EXPECT_EQ(totals.accept_emfile, 0u);
+  ExpectBooksBalance(runtime, client);
+}
+
+// The accept workload's one-byte reply must go through the fault seam like
+// every other reply: a kWrite rule counts one call per served connection.
+// The rule is armed past any reachable call count, so it only counts.
+TEST(RtChaosTest, AcceptWorkloadReplyGoesThroughTheWriteSeam) {
+  RtConfig config;
+  config.mode = RtMode::kAffinity;
+  config.num_threads = 2;
+  config.fault_plan = fault::FaultPlan::ErrnoBurst(fault::CallSite::kWrite, /*core=*/-1, EIO,
+                                                   /*after_calls=*/UINT64_MAX, /*count=*/1);
+  Runtime runtime(config);
+  std::string error;
+  ASSERT_TRUE(runtime.Start(&error)) << error;
+
+  constexpr uint64_t kConns = 200;
+  LoadClientConfig client_config;
+  client_config.port = runtime.port();
+  client_config.num_threads = 4;
+  client_config.max_conns = kConns;
+  LoadClient client(client_config);
+  client.Start();
+  client.WaitForMaxConns();
+  runtime.Stop();
+
+  EXPECT_GE(client.completed(), kConns);
+  ASSERT_NE(runtime.injector(), nullptr);
+  uint64_t writes = 0;
+  for (int c = 0; c < config.num_threads; ++c) {
+    writes += runtime.injector()->calls(fault::CallSite::kWrite, c);
+  }
+  RtTotals totals = runtime.Totals();
+  EXPECT_GE(totals.served(), kConns);
+  EXPECT_EQ(writes, totals.served());
+  EXPECT_EQ(totals.fault_injected, 0u);
   ExpectBooksBalance(runtime, client);
 }
 

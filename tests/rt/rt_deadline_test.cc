@@ -1,9 +1,9 @@
 // Connection-lifecycle deadline tests: per-reactor timer wheels under a
-// ScriptedClock (every timeout class staged and fired exactly once, on both
-// io backends), slowloris storms that must not exhaust the conn pool,
-// pool-pressure eviction, graceful drain, and the ValidateRtConfig
-// rejections for contradictory lifecycle knobs. The scripted-clock tests
-// are the determinism proof: time moves only when the test says so, so a
+// ScriptedClock (every timeout class staged and fired exactly once),
+// slowloris storms that must not exhaust the conn pool, pool-pressure
+// eviction, graceful drain, and the ValidateRtConfig rejections for
+// contradictory lifecycle knobs. The scripted-clock tests are the
+// determinism proof: time moves only when the test says so, so a
 // deadline firing is a statement about the wheel, not about scheduler luck.
 
 #include <arpa/inet.h>
@@ -166,16 +166,6 @@ bool ReadUntilPeerClose(int fd) {
   }
 }
 
-struct BackendCase {
-  io::IoBackendKind kind;
-  const char* name;
-};
-
-constexpr BackendCase kBackends[] = {
-    {io::IoBackendKind::kEpoll, "epoll"},
-    {io::IoBackendKind::kUring, "uring"},
-};
-
 // ---------------------------------------------------------------------------
 // Scripted clock: every deadline class staged once, fired exactly once.
 // ---------------------------------------------------------------------------
@@ -186,150 +176,132 @@ constexpr BackendCase kBackends[] = {
 // fires on a connection that keeps completing rounds -- every phase timer
 // keeps being re-armed, only the absolute cap can get it.
 TEST(RtDeadlineTest, StagedStallsFireEachClassExactlyOnceScripted) {
-  for (const BackendCase& backend : kBackends) {
-    SCOPED_TRACE(backend.name);
-    timer::ScriptedClock clock;
-    RtConfig config;
-    config.mode = RtMode::kAffinity;
-    config.backend = backend.kind;
-    config.num_threads = 2;
-    config.workload = svc::WorkloadKind::kEcho;
-    config.clock = &clock;
-    config.handshake_timeout_ms = 50;
-    config.read_timeout_ms = 60;
-    config.idle_timeout_ms = 70;
-    config.max_lifetime_ms = 500;
-    Runtime runtime(config);
-    std::string error;
-    ASSERT_TRUE(runtime.Start(&error)) << error;
-    if (backend.kind == io::IoBackendKind::kUring &&
-        runtime.io_backend() != io::IoBackendKind::kUring) {
-      runtime.Stop();
-      continue;  // kernel without io_uring: the epoll leg already ran
+  timer::ScriptedClock clock;
+  RtConfig config;
+  config.mode = RtMode::kAffinity;
+  config.num_threads = 2;
+  config.workload = svc::WorkloadKind::kEcho;
+  config.clock = &clock;
+  config.handshake_timeout_ms = 50;
+  config.read_timeout_ms = 60;
+  config.idle_timeout_ms = 70;
+  config.max_lifetime_ms = 500;
+  Runtime runtime(config);
+  std::string error;
+  ASSERT_TRUE(runtime.Start(&error)) << error;
+
+  int stall_handshake = ConnectTcp(runtime.port());
+  int stall_read = ConnectTcp(runtime.port());
+  int go_idle = ConnectTcp(runtime.port());
+  ASSERT_GE(stall_handshake, 0);
+  ASSERT_GE(stall_read, 0);
+  ASSERT_GE(go_idle, 0);
+  ASSERT_TRUE(SendAll(stall_read, "xxxx", 4));  // half a line: no newline
+  ASSERT_TRUE(EchoRound(go_idle));              // full round, then silence
+
+  ASSERT_TRUE(WaitFor([&] { return runtime.Totals().open_conns == 3; },
+                      std::chrono::seconds(10)));
+  // The reactors arm the phase deadline inside the same dispatch that
+  // opened the conn; this real-time pause only lets that dispatch finish.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  // Nothing may fire while the scripted clock stands still...
+  RtTotals quiet = runtime.Totals();
+  EXPECT_EQ(quiet.timed_out(), 0u);
+
+  // ...then one 100 ms jump carries all three staged phase deadlines
+  // (50/60/70 ms) past due while staying under the 500 ms lifetime cap.
+  clock.Advance(Ms(100));
+  EXPECT_TRUE(WaitFor(
+      [&] {
+        RtTotals t = runtime.Totals();
+        return t.timeouts_handshake == 1 && t.timeouts_read == 1 && t.timeouts_idle == 1;
+      },
+      std::chrono::seconds(10)))
+      << "staged phase deadlines did not fire";
+  EXPECT_TRUE(ReadUntilPeerClose(stall_handshake));
+  EXPECT_TRUE(ReadUntilPeerClose(stall_read));
+  EXPECT_TRUE(ReadUntilPeerClose(go_idle));
+  ::close(stall_handshake);
+  ::close(stall_read);
+  ::close(go_idle);
+
+  // Lifetime: a well-behaved connection that keeps completing rounds.
+  // Each 30 ms advance stays under the 70 ms idle deadline and every
+  // round re-arms the phase timer, so only the absolute cap can fire.
+  int long_lived = ConnectTcp(runtime.port());
+  ASSERT_GE(long_lived, 0);
+  for (int i = 0; i < 40 && runtime.Totals().timeouts_lifetime == 0; ++i) {
+    if (!EchoRound(long_lived)) {
+      break;  // reaped mid-round: the cap landed between rounds
     }
-
-    int stall_handshake = ConnectTcp(runtime.port());
-    int stall_read = ConnectTcp(runtime.port());
-    int go_idle = ConnectTcp(runtime.port());
-    ASSERT_GE(stall_handshake, 0);
-    ASSERT_GE(stall_read, 0);
-    ASSERT_GE(go_idle, 0);
-    ASSERT_TRUE(SendAll(stall_read, "xxxx", 4));  // half a line: no newline
-    ASSERT_TRUE(EchoRound(go_idle));              // full round, then silence
-
-    ASSERT_TRUE(WaitFor([&] { return runtime.Totals().open_conns == 3; },
-                        std::chrono::seconds(10)));
-    // The reactors arm the phase deadline inside the same dispatch that
-    // opened the conn; this real-time pause only lets that dispatch finish.
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-
-    // Nothing may fire while the scripted clock stands still...
-    RtTotals quiet = runtime.Totals();
-    EXPECT_EQ(quiet.timed_out(), 0u);
-
-    // ...then one 100 ms jump carries all three staged phase deadlines
-    // (50/60/70 ms) past due while staying under the 500 ms lifetime cap.
-    clock.Advance(Ms(100));
-    EXPECT_TRUE(WaitFor(
-        [&] {
-          RtTotals t = runtime.Totals();
-          return t.timeouts_handshake == 1 && t.timeouts_read == 1 && t.timeouts_idle == 1;
-        },
-        std::chrono::seconds(10)))
-        << "staged phase deadlines did not fire";
-    EXPECT_TRUE(ReadUntilPeerClose(stall_handshake));
-    EXPECT_TRUE(ReadUntilPeerClose(stall_read));
-    EXPECT_TRUE(ReadUntilPeerClose(go_idle));
-    ::close(stall_handshake);
-    ::close(stall_read);
-    ::close(go_idle);
-
-    // Lifetime: a well-behaved connection that keeps completing rounds.
-    // Each 30 ms advance stays under the 70 ms idle deadline and every
-    // round re-arms the phase timer, so only the absolute cap can fire.
-    int long_lived = ConnectTcp(runtime.port());
-    ASSERT_GE(long_lived, 0);
-    for (int i = 0; i < 40 && runtime.Totals().timeouts_lifetime == 0; ++i) {
-      if (!EchoRound(long_lived)) {
-        break;  // reaped mid-round: the cap landed between rounds
-      }
-      clock.Advance(Ms(30));
-      WaitFor([&] { return runtime.Totals().timeouts_lifetime >= 1; },
-              std::chrono::milliseconds(100));
-    }
-    EXPECT_TRUE(WaitFor([&] { return runtime.Totals().timeouts_lifetime == 1; },
-                        std::chrono::seconds(10)))
-        << "lifetime cap never fired";
-    EXPECT_TRUE(ReadUntilPeerClose(long_lived));
-    ::close(long_lived);
-
-    runtime.Stop();
-    RtTotals totals = runtime.Totals();
-    EXPECT_EQ(totals.timeouts_handshake, 1u);
-    EXPECT_EQ(totals.timeouts_read, 1u);
-    EXPECT_EQ(totals.timeouts_idle, 1u);
-    EXPECT_EQ(totals.timeouts_lifetime, 1u);
-    EXPECT_EQ(totals.timeouts_write, 0u);
-    EXPECT_EQ(totals.accepted, 4u);
-    EXPECT_EQ(totals.accepted, totals.accounted());
-    ASSERT_NE(runtime.conn_pool(), nullptr);
-    EXPECT_EQ(runtime.conn_pool()->live_objects(), 0u);
+    clock.Advance(Ms(30));
+    WaitFor([&] { return runtime.Totals().timeouts_lifetime >= 1; },
+            std::chrono::milliseconds(100));
   }
+  EXPECT_TRUE(WaitFor([&] { return runtime.Totals().timeouts_lifetime == 1; },
+                      std::chrono::seconds(10)))
+      << "lifetime cap never fired";
+  EXPECT_TRUE(ReadUntilPeerClose(long_lived));
+  ::close(long_lived);
+
+  runtime.Stop();
+  RtTotals totals = runtime.Totals();
+  EXPECT_EQ(totals.timeouts_handshake, 1u);
+  EXPECT_EQ(totals.timeouts_read, 1u);
+  EXPECT_EQ(totals.timeouts_idle, 1u);
+  EXPECT_EQ(totals.timeouts_lifetime, 1u);
+  EXPECT_EQ(totals.timeouts_write, 0u);
+  EXPECT_EQ(totals.accepted, 4u);
+  EXPECT_EQ(totals.accepted, totals.accounted());
+  ASSERT_NE(runtime.conn_pool(), nullptr);
+  EXPECT_EQ(runtime.conn_pool()->live_objects(), 0u);
 }
 
 // The write deadline needs a peer that jams its receive window: a 1 KiB
 // SO_RCVBUF against a 256 KiB streamed response parks the server on
 // kWantWrite, and only the scripted clock decides when that park expires.
 TEST(RtDeadlineTest, JammedReceiverFiresWriteDeadlineScripted) {
-  for (const BackendCase& backend : kBackends) {
-    SCOPED_TRACE(backend.name);
-    timer::ScriptedClock clock;
-    RtConfig config;
-    config.mode = RtMode::kAffinity;
-    config.backend = backend.kind;
-    config.num_threads = 2;
-    config.workload = svc::WorkloadKind::kStream;
-    // The response must overrun the kernel's send-buffer autotune ceiling
-    // (tcp_wmem[2], typically 4-6 MiB) or the write path never parks: 16 MiB
-    // of a single reused 1 KiB chunk guarantees the kWantWrite park that
-    // arms the write deadline.
-    config.handler.stream_chunk_bytes = 1024;
-    config.handler.stream_chunks = 16384;
-    config.clock = &clock;
-    config.write_timeout_ms = 80;
-    config.max_lifetime_ms = 10'000;
-    Runtime runtime(config);
-    std::string error;
-    ASSERT_TRUE(runtime.Start(&error)) << error;
-    if (backend.kind == io::IoBackendKind::kUring &&
-        runtime.io_backend() != io::IoBackendKind::kUring) {
-      runtime.Stop();
-      continue;
-    }
+  timer::ScriptedClock clock;
+  RtConfig config;
+  config.mode = RtMode::kAffinity;
+  config.num_threads = 2;
+  config.workload = svc::WorkloadKind::kStream;
+  // The response must overrun the kernel's send-buffer autotune ceiling
+  // (tcp_wmem[2], typically 4-6 MiB) or the write path never parks: 16 MiB
+  // of a single reused 1 KiB chunk guarantees the kWantWrite park that
+  // arms the write deadline.
+  config.handler.stream_chunk_bytes = 1024;
+  config.handler.stream_chunks = 16384;
+  config.clock = &clock;
+  config.write_timeout_ms = 80;
+  config.max_lifetime_ms = 10'000;
+  Runtime runtime(config);
+  std::string error;
+  ASSERT_TRUE(runtime.Start(&error)) << error;
 
-    int fd = ConnectTcp(runtime.port(), /*rcvbuf=*/1024);
-    ASSERT_GE(fd, 0);
-    ASSERT_TRUE(SendAll(fd, "go\n", 3));  // any line gets the stream
-    ASSERT_TRUE(WaitFor([&] { return runtime.Totals().open_conns == 1; },
-                        std::chrono::seconds(10)));
-    // Let the server fill both socket buffers and park on kWantWrite.
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
-    EXPECT_EQ(runtime.Totals().timed_out(), 0u);
+  int fd = ConnectTcp(runtime.port(), /*rcvbuf=*/1024);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(SendAll(fd, "go\n", 3));  // any line gets the stream
+  ASSERT_TRUE(WaitFor([&] { return runtime.Totals().open_conns == 1; },
+                      std::chrono::seconds(10)));
+  // Let the server fill both socket buffers and park on kWantWrite.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_EQ(runtime.Totals().timed_out(), 0u);
 
-    clock.Advance(Ms(100));
-    EXPECT_TRUE(WaitFor([&] { return runtime.Totals().timeouts_write == 1; },
-                        std::chrono::seconds(10)))
-        << "write deadline did not fire against a jammed receiver";
-    EXPECT_TRUE(ReadUntilPeerClose(fd));
-    ::close(fd);
+  clock.Advance(Ms(100));
+  EXPECT_TRUE(WaitFor([&] { return runtime.Totals().timeouts_write == 1; },
+                      std::chrono::seconds(10)))
+      << "write deadline did not fire against a jammed receiver";
+  EXPECT_TRUE(ReadUntilPeerClose(fd));
+  ::close(fd);
 
-    runtime.Stop();
-    RtTotals totals = runtime.Totals();
-    EXPECT_EQ(totals.timeouts_write, 1u);
-    EXPECT_EQ(totals.timed_out(), 1u);
-    EXPECT_EQ(totals.accepted, 1u);
-    EXPECT_EQ(totals.accepted, totals.accounted());
-  }
+  runtime.Stop();
+  RtTotals totals = runtime.Totals();
+  EXPECT_EQ(totals.timeouts_write, 1u);
+  EXPECT_EQ(totals.timed_out(), 1u);
+  EXPECT_EQ(totals.accepted, 1u);
+  EXPECT_EQ(totals.accepted, totals.accounted());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 // End-to-end service-layer tests: real reactors, real sockets, real
-// request/response conversations. These gate the three svc properties the
+// request/response conversations. These gate the four svc properties the
 // unit tests cannot: (1) the echo workload completes whole conversations
-// under every accept arrangement, (2) multiple listeners (TCP + UNIX)
-// multiplex onto one set of reactors with per-listener accounting that sums
-// to the global ledger, and (3) a connection stolen from a wedged core
-// completes its conversation on the thief -- the state machine travels with
-// the pooled block. This file runs under ThreadSanitizer in CI (rt_tests).
+// under every accept arrangement, (2) a response larger than the socket
+// buffer parks on kWantWrite and still arrives whole, (3) multiple
+// listeners (TCP + UNIX) multiplex onto one set of reactors with
+// per-listener accounting that sums to the global ledger, and (4) a
+// connection stolen from a wedged core completes its conversation on the
+// thief -- the state machine travels with the pooled block. This file runs
+// under ThreadSanitizer in CI (rt_tests).
 
 #include <gtest/gtest.h>
 
@@ -121,6 +123,44 @@ TEST(SvcE2eTest, StaticWorkloadServesObjectsEndToEnd) {
 
   EXPECT_GE(client.completed(), kConns);
   EXPECT_GE(client.requests(), kConns * 3);
+  ExpectBooksBalance(runtime);
+  ExpectClientLedgerBalances(client);
+}
+
+// 64 KiB responses cannot fit a loopback send buffer: every conversation
+// must park on kWantWrite mid-response and be re-armed for EPOLLOUT -- the
+// write half of the state machine the single-buffer workloads never reach.
+TEST(SvcE2eTest, StreamResponsesParkOnWriteAndComplete) {
+  RtConfig config;
+  config.mode = RtMode::kAffinity;
+  config.num_threads = 2;
+  config.workload = svc::WorkloadKind::kStream;
+  config.handler.stream_chunk_bytes = 4096;
+  config.handler.stream_chunks = 16;
+  Runtime runtime(config);
+  std::string error;
+  ASSERT_TRUE(runtime.Start(&error)) << error;
+
+  constexpr uint64_t kConns = 60;
+  constexpr int kRounds = 2;
+  LoadClientConfig client_config;
+  client_config.port = runtime.port();
+  client_config.num_threads = 4;
+  client_config.max_conns = kConns;
+  client_config.workload = svc::WorkloadKind::kStream;
+  client_config.requests_per_conn = kRounds;
+  client_config.payload_bytes = 16;
+  client_config.connect_timeout_ms = 4000;
+  LoadClient client(client_config);
+  client.Start();
+  client.WaitForMaxConns();
+  runtime.Stop();
+
+  // The client verifies framing: a completed request means all 64 KiB
+  // arrived, byte-counted against the header's promise.
+  EXPECT_GE(client.completed(), kConns);
+  EXPECT_GE(client.requests(), kConns * kRounds);
+  EXPECT_GE(runtime.Totals().requests, client.requests());
   ExpectBooksBalance(runtime);
   ExpectClientLedgerBalances(client);
 }
