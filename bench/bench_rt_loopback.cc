@@ -24,7 +24,9 @@
 //                                     N ms while the run is in flight and print
 //                                     per-interval conns/sec + steal rates;
 //                                     0 = off, the paper's balancer tick is 100)
-//   --json=FILE                      (write machine-readable results -- and the
+//   --json=FILE                      (write machine-readable results -- one row
+//                                     per run carrying the runtime's whole
+//                                     metrics-registry snapshot, plus the
 //                                     interval time series when --stats-interval
 //                                     is on -- via the shared bench JSON writer)
 //   --skew=G                         (flow-group steering experiment: G flow
@@ -126,8 +128,10 @@
 //                                     visible on any host. Each run prints the
 //                                     resolved model and the distance split of
 //                                     remote requests / steals / failover
-//                                     parks; --json rows carry the same block.
-//                                     Default auto)
+//                                     parks; --json rows carry the model and
+//                                     the park split, and the request and
+//                                     steal splits ride in each row's
+//                                     "metrics" snapshot. Default auto)
 
 #include <cstdio>
 #include <cstdlib>
@@ -141,6 +145,7 @@
 #include "bench/bench_common.h"
 #include "src/core/reporter.h"
 #include "src/fault/fault_plan.h"
+#include "src/obs/export.h"
 #include "src/obs/json_writer.h"
 #include "src/obs/stats_sampler.h"
 #include "src/rt/load_client.h"
@@ -409,6 +414,7 @@ struct RunResult {
   std::string hwprof_reason;  // why the PMU refused, when it did (core 0's story)
   uint64_t client_stalled_reaped = 0;  // stall lanes closed by the reaper
   double drain_window_ms = 0;          // measured Stop(drain) duration
+  std::string metrics_json;            // obs::ToJson of the registry after Stop()
   bool ok = false;
 };
 
@@ -444,18 +450,23 @@ bool HwAvailable(const RunResult& r) {
   return r.totals.hwprof_enabled && r.totals.hw_available_cores > 0;
 }
 
-// One hardware-rate table cell: counter total / requests, or "unavail" when
-// the event never counted -- either the whole group failed to open
-// (perf_event_paranoid, containers) or just this event did (VMs routinely
-// reject the hardware/LLC events while software events open fine; a live
-// cycles counter cannot read zero across thousands of requests). The
-// degraded path is a reported state, not a failure.
-std::string HwPerReqCell(const RunResult& r, uint64_t numer, int decimals) {
+// Counter total / requests, or 0 when the event never counted -- either the
+// whole group failed to open (perf_event_paranoid, containers) or just this
+// event did (VMs routinely reject the hardware/LLC events while software
+// events open fine; a live cycles counter cannot read zero across thousands
+// of requests). The degraded path is a reported state, not a failure.
+double HwPerReq(const RunResult& r, uint64_t numer) {
   uint64_t den = HwDenominator(r);
-  if (!HwAvailable(r) || den == 0 || numer == 0) {
-    return "unavail";
+  if (!HwAvailable(r) || den == 0) {
+    return 0;
   }
-  return TablePrinter::Num(static_cast<double>(numer) / static_cast<double>(den), decimals);
+  return static_cast<double>(numer) / static_cast<double>(den);
+}
+
+// One hardware-rate table cell: the rate, or "unavail" when it is 0.
+std::string HwPerReqCell(const RunResult& r, uint64_t numer, int decimals) {
+  double rate = HwPerReq(r, numer);
+  return rate > 0 ? TablePrinter::Num(rate, decimals) : "unavail";
 }
 
 // The locality ledger's score: % of requests served on their accept core.
@@ -463,42 +474,6 @@ std::string HwPerReqCell(const RunResult& r, uint64_t numer, int decimals) {
 std::string LocalityCell(const RunResult& r) {
   double f = r.totals.locality_fraction();
   return f >= 0 ? TablePrinter::Num(100.0 * f, 1) : "n/a";
-}
-
-// Shared JSON fill for the locality/hwprof block (mode rows and sweep rows).
-void FillLocalityRow(BenchJsonRow* row, const RunResult& r) {
-  row->has_locality = true;
-  double f = r.totals.locality_fraction();
-  row->locality_pct = f >= 0 ? 100.0 * f : 0;
-  row->conn_migrations = r.totals.conn_migrations;
-  row->hwprof_available = HwAvailable(r);
-  uint64_t den = HwDenominator(r);
-  if (row->hwprof_available && den > 0) {
-    row->cycles_per_req =
-        static_cast<double>(r.totals.hw_cycles) / static_cast<double>(den);
-    row->llc_miss_per_req =
-        static_cast<double>(r.totals.hw_llc_misses) / static_cast<double>(den);
-  }
-}
-
-// Shared JSON fill for the hardware-topology block (mode rows and sweep
-// rows): the resolved model plus the distance splits of remote requests,
-// steals, and failover parks.
-void FillTopoRow(BenchJsonRow* row, const RunResult& r) {
-  const RtTotals& t = r.totals;
-  row->has_topo = true;
-  row->topo_origin = topo::TopoOriginName(t.topo_origin);
-  row->numa_nodes = t.numa_nodes;
-  row->llc_domains = t.llc_domains;
-  row->req_same_llc = t.requests_same_llc;
-  row->req_cross_llc = t.requests_cross_llc;
-  row->req_cross_node = t.requests_cross_node;
-  row->steal_same_llc = t.steals_same_llc;
-  row->steal_cross_llc = t.steals_cross_llc;
-  row->steal_cross_node = t.steals_cross_node;
-  row->park_same_llc = t.park_same_llc;
-  row->park_cross_llc = t.park_cross_llc;
-  row->park_cross_node = t.park_cross_node;
 }
 
 // One line per run: the resolved topology and where the remote traffic
@@ -595,6 +570,56 @@ void PrintIntervalLine(const std::string& label, const obs::IntervalSample& s) {
     std::printf(" %.0f", local->per_core[c] + (remote != nullptr ? remote->per_core[c] : 0.0));
   }
   std::printf("\n");
+}
+
+// One --json results row. The registry snapshot rides along whole under
+// "metrics"; the keys before it are what the registry does not hold: run
+// labels, client-side numbers, the topology model and park distances, drain
+// timing, and the derived headline numbers. The row opens with "mode" then
+// "conns_per_sec", the pair ReadBaselineAffinityRate scans for.
+std::string RowJson(const std::string& label, const RunResult& r, const Options& opt) {
+  const RtTotals& t = r.totals;
+  obs::JsonWriter w;
+  w.BeginObject();
+  w.Key("mode").String(label);
+  w.Key("conns_per_sec").Double(r.conns_per_sec);
+  w.Key("p50_queue_wait_us").Double(r.p50_us);
+  w.Key("p90_queue_wait_us").Double(r.p90_us);
+  w.Key("p95_queue_wait_us").Double(r.p95_us);
+  w.Key("p99_queue_wait_us").Double(r.p99_us);
+  w.Key("workload").String(svc::WorkloadName(opt.workload));
+  w.Key("overload_policy").String(opt.sweep_policy);
+  w.Key("stall_mode").String(opt.stall);
+  w.Key("offered_clients").Int(opt.clients);
+  w.Key("client_errors").UInt(r.client_errors);
+  w.Key("requests_per_sec").Double(r.requests_per_sec);
+  w.Key("req_p50_us").Double(r.req_p50_us);
+  w.Key("req_p95_us").Double(r.req_p95_us);
+  w.Key("req_p99_us").Double(r.req_p99_us);
+  w.Key("refused").UInt(r.client_refused);
+  w.Key("timeouts").UInt(r.client_timeouts);
+  w.Key("connect_p95_us").Double(r.connect_p95_us);
+  w.Key("refused_connect_p95_us").Double(r.refused_connect_p95_us);
+  w.Key("stalled_reaped").UInt(r.client_stalled_reaped);
+  double f = t.locality_fraction();
+  w.Key("locality_pct").Double(f >= 0 ? 100.0 * f : 0);
+  w.Key("hwprof_available").Bool(HwAvailable(r));
+  w.Key("cycles_per_req").Double(HwPerReq(r, t.hw_cycles));
+  w.Key("llc_miss_per_req").Double(HwPerReq(r, t.hw_llc_misses));
+  w.Key("topo_origin").String(topo::TopoOriginName(t.topo_origin));
+  w.Key("numa_nodes").Int(t.numa_nodes);
+  w.Key("llc_domains").Int(t.llc_domains);
+  w.Key("park_same_llc").UInt(t.park_same_llc);
+  w.Key("park_cross_llc").UInt(t.park_cross_llc);
+  w.Key("park_cross_node").UInt(t.park_cross_node);
+  w.Key("drain_deadline_ms").Int(opt.drain_ms);
+  w.Key("drain_ms").Double(r.drain_window_ms);
+  if (!r.intervals.empty()) {
+    w.Key("intervals").Raw(IntervalsToJson(r.intervals));
+  }
+  w.Key("metrics").Raw(r.metrics_json);
+  w.EndObject();
+  return w.str();
 }
 
 RunResult RunMode(const RunSpec& spec, const Options& opt) {
@@ -704,6 +729,7 @@ RunResult RunMode(const RunSpec& spec, const Options& opt) {
   }
 
   result.totals = runtime.Totals();
+  result.metrics_json = obs::ToJson(runtime.metrics().Snapshot());
   if (runtime.hwprof() != nullptr && runtime.hwprof()->AvailableCores() == 0) {
     result.hwprof_reason = runtime.hwprof()->unavailable_reason(0);
   }
@@ -864,7 +890,7 @@ int main(int argc, char** argv) {
                          opt.sweep_policy + " shedding)");
     TablePrinter table({"offered clients", "conns/sec", "goodput req/s", "req p95 us",
                         "refused", "timeouts", "connect p95 us", "refused p95 us"});
-    std::vector<BenchJsonRow> json_rows;
+    std::vector<std::string> json_rows;
     bool sweep_ok = true;
     for (int step = 1; step <= opt.sweep; ++step) {
       Options step_opt = opt;
@@ -888,34 +914,7 @@ int main(int argc, char** argv) {
                     TablePrinter::Int(r.client_timeouts),
                     TablePrinter::Num(r.connect_p95_us, 1),
                     TablePrinter::Num(r.refused_connect_p95_us, 1)});
-      BenchJsonRow row;
-      row.mode = spec.label;
-      row.conns_per_sec = r.conns_per_sec;
-      row.p50_queue_wait_us = r.p50_us;
-      row.p90_queue_wait_us = r.p90_us;
-      row.p95_queue_wait_us = r.p95_us;
-      row.p99_queue_wait_us = r.p99_us;
-      row.served_local = r.totals.served_local;
-      row.served_remote = r.totals.served_remote;
-      row.steals = r.totals.steals;
-      row.overflow_drops = r.totals.overflow_drops;
-      row.client_errors = r.client_errors;
-      row.has_requests = true;
-      row.workload = svc::WorkloadName(opt.workload);
-      row.requests_per_sec = r.requests_per_sec;
-      row.req_p50_us = r.req_p50_us;
-      row.req_p95_us = r.req_p95_us;
-      row.req_p99_us = r.req_p99_us;
-      row.is_sweep = true;
-      row.offered_clients = step_opt.clients;
-      row.refused = r.client_refused;
-      row.timeouts = r.client_timeouts;
-      row.connect_p95_us = r.connect_p95_us;
-      row.refused_connect_p95_us = r.refused_connect_p95_us;
-      FillLocalityRow(&row, r);
-      row.overload_policy = opt.sweep_policy;
-      FillTopoRow(&row, r);
-      json_rows.push_back(std::move(row));
+      json_rows.push_back(RowJson(spec.label, r, step_opt));
     }
     table.Print();
     if (!opt.json_path.empty()) {
@@ -995,7 +994,7 @@ int main(int argc, char** argv) {
   double migrate_remote_frac = -1;
   std::string live_steering;
   std::string hwprof_reason;
-  std::vector<BenchJsonRow> json_rows;
+  std::vector<std::string> json_rows;
   for (const RunSpec& spec : specs) {
     RunResult r = RunMode(spec, opt);
     if (!r.ok) {
@@ -1024,8 +1023,8 @@ int main(int argc, char** argv) {
         served > 0 ? 100.0 * static_cast<double>(r.totals.served_local) / static_cast<double>(served)
                    : 0;
     if (opt.chaos != "none") {
-      // The failover ledger plus the conservation equation every chaos run
-      // must balance: accepted == served + drained + dropped + shed.
+      // The failover ledger plus the server law every chaos run must
+      // balance: accepted == RtTotals::accounted().
       std::printf("    [%s] chaos: injected=%llu failovers=%llu recoveries=%llu "
                   "group_moves=%llu shed=%llu | accepted=%llu accounted=%llu (%s)\n",
                   spec.label.c_str(),
@@ -1090,51 +1089,8 @@ int main(int argc, char** argv) {
     cells.push_back(TablePrinter::Int(r.totals.overflow_drops));
     cells.push_back(TablePrinter::Int(r.client_errors));
     table.AddRow(cells);
-    BenchJsonRow row;
-    row.mode = spec.label;
-    row.conns_per_sec = r.conns_per_sec;
-    row.p50_queue_wait_us = r.p50_us;
-    row.p90_queue_wait_us = r.p90_us;
-    row.p95_queue_wait_us = r.p95_us;
-    row.p99_queue_wait_us = r.p99_us;
-    row.served_local = r.totals.served_local;
-    row.served_remote = r.totals.served_remote;
-    row.steals = r.totals.steals;
-    row.overflow_drops = r.totals.overflow_drops;
-    row.client_errors = r.client_errors;
-    if (rr) {
-      row.has_requests = true;
-      row.workload = svc::WorkloadName(opt.workload);
-      row.requests_per_sec = r.requests_per_sec;
-      row.req_p50_us = r.req_p50_us;
-      row.req_p95_us = r.req_p95_us;
-      row.req_p99_us = r.req_p99_us;
-    }
-    FillLocalityRow(&row, r);
-    if (opt.sweep_policy != "rst") {
-      row.overload_policy = opt.sweep_policy;
-    }
-    FillTopoRow(&row, r);
-    if (opt.timeout_ms > 0 || opt.drain_ms > 0) {
-      row.has_lifecycle = true;
-      row.stall_mode = opt.stall;
-      row.timeouts_handshake = r.totals.timeouts_handshake;
-      row.timeouts_idle = r.totals.timeouts_idle;
-      row.timeouts_read = r.totals.timeouts_read;
-      row.timeouts_write = r.totals.timeouts_write;
-      row.timeouts_lifetime = r.totals.timeouts_lifetime;
-      row.pool_evictions = r.totals.pool_evictions;
-      row.stalled_reaped = r.client_stalled_reaped;
-      row.drained_gracefully = r.totals.drained_gracefully;
-      row.aborted_at_stop = r.totals.aborted_at_stop;
-      row.drain_deadline_ms = opt.drain_ms;
-      row.drain_ms = r.drain_window_ms;
-    }
     if (!r.hwprof_reason.empty()) hwprof_reason = r.hwprof_reason;
-    if (!r.intervals.empty()) {
-      row.series_json = IntervalsToJson(r.intervals);
-    }
-    json_rows.push_back(std::move(row));
+    json_rows.push_back(RowJson(spec.label, r, opt));
   }
   table.Print();
   if (opt.hwprof && !hwprof_reason.empty()) {

@@ -11,9 +11,9 @@
 // Robustness: every blocking call is bounded by connect_timeout_ms, and a
 // refused or timed-out connect enters capped exponential backoff with
 // jitter -- a restarting or overloaded server sees a decaying retry storm,
-// not a synchronized hammer. Outcomes are conserved: every attempt is
-// exactly one of completed, refused, timed out, port-busy, or error, so
-// chaos tests can balance the client ledger against the server's.
+// not a synchronized hammer. Outcomes are conserved: every attempt lands in
+// exactly one outcome counter (LoadClient::accounted()), so chaos tests can
+// balance the client ledger against the server's.
 //
 // All socket I/O (connect/read/write) routes through a fault::SysIface
 // keyed by the client THREAD index, so chaos plans can fault the client
@@ -118,10 +118,13 @@ class LoadClient {
   // Blocks until max_conns completions (requires max_conns > 0), then stops.
   void WaitForMaxConns();
 
-  // Outcome ledger: attempted() == completed + refused + timeouts +
-  // port_busy + errors + aborted_at_stop + stalled_reaped once the threads
-  // are joined.
+  // Outcome ledger: attempted() == accounted() once the threads are joined.
   uint64_t attempted() const { return attempted_.load(std::memory_order_relaxed); }
+  // The client conservation law: every attempt is exactly one outcome.
+  uint64_t accounted() const {
+    return completed() + refused() + timeouts() + port_busy() + errors() + aborted_at_stop() +
+           stalled_reaped();
+  }
   uint64_t completed() const { return completed_.load(std::memory_order_relaxed); }
   uint64_t refused() const { return refused_.load(std::memory_order_relaxed); }
   uint64_t timeouts() const { return timeouts_.load(std::memory_order_relaxed); }

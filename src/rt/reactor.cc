@@ -81,49 +81,28 @@ Reactor::Reactor(int index, ReactorShared* shared)
 void Reactor::ResolveHotCells() {
   obs::MetricsRegistry* m = shared_->metrics;
   const RtMetricIds& ids = shared_->ids;
-  hot_.accepted = m->Cell(ids.accepted, index_);
-  hot_.served_local = m->Cell(ids.served_local, index_);
-  hot_.served_remote = m->Cell(ids.served_remote, index_);
-  hot_.steals = m->Cell(ids.steals, index_);
-  hot_.overflow_drops = m->Cell(ids.overflow_drops, index_);
-  hot_.epoll_wakeups = m->Cell(ids.epoll_wakeups, index_);
-  hot_.conn_remote_frees = m->Cell(ids.conn_remote_frees, index_);
-  hot_.pool_exhausted = m->Cell(ids.pool_exhausted, index_);
-  hot_.accept_eintr = m->Cell(ids.accept_eintr, index_);
-  hot_.accept_econnaborted = m->Cell(ids.accept_econnaborted, index_);
-  hot_.accept_eproto = m->Cell(ids.accept_eproto, index_);
-  hot_.accept_emfile = m->Cell(ids.accept_emfile, index_);
-  hot_.accept_backoff = m->Cell(ids.accept_backoff, index_);
-  hot_.admission_shed = m->Cell(ids.admission_shed, index_);
-  hot_.requests = m->Cell(ids.requests, index_);
-  hot_.requests_local_core = m->Cell(ids.requests_local_core, index_);
-  hot_.requests_remote_core = m->Cell(ids.requests_remote_core, index_);
-  hot_.requests_dist[0] = m->Cell(ids.requests_same_llc, index_);
-  hot_.requests_dist[1] = m->Cell(ids.requests_cross_llc, index_);
-  hot_.requests_dist[2] = m->Cell(ids.requests_cross_node, index_);
-  hot_.steals_dist[0] = m->Cell(ids.steals_same_llc, index_);
-  hot_.steals_dist[1] = m->Cell(ids.steals_cross_llc, index_);
-  hot_.steals_dist[2] = m->Cell(ids.steals_cross_node, index_);
-  hot_.conn_migrations = m->Cell(ids.conn_migrations, index_);
-  hot_.aborted_at_stop = m->Cell(ids.aborted_at_stop, index_);
-  hot_.conn_open = m->Cell(ids.conn_open, index_);
-  hot_.timeouts[0] = m->Cell(ids.timeouts_handshake, index_);
-  hot_.timeouts[1] = m->Cell(ids.timeouts_idle, index_);
-  hot_.timeouts[2] = m->Cell(ids.timeouts_read, index_);
-  hot_.timeouts[3] = m->Cell(ids.timeouts_write, index_);
-  hot_.timeouts[4] = m->Cell(ids.timeouts_lifetime, index_);
-  hot_.pool_evictions = m->Cell(ids.pool_evictions, index_);
-  hot_.drained_gracefully = m->Cell(ids.drained_gracefully, index_);
-  hot_.queue_wait = m->HistCell(ids.queue_wait, index_);
-  hot_.request_latency = m->HistCell(ids.request_latency, index_);
-  if (shared_->director != nullptr) {
-    hot_.steer_owner_accepts = m->Cell(ids.steer_owner_accepts, index_);
-    hot_.steer_cross_accepts = m->Cell(ids.steer_cross_accepts, index_);
-  }
+#define AFFINITY_RT_RESOLVE(field, name, help) hot_.field = m->Cell(ids.field, index_);
+#define AFFINITY_RT_RESOLVE_HIST(field, name, help) hot_.field = m->HistCell(ids.field, index_);
+  AFFINITY_RT_COUNTERS(AFFINITY_RT_RESOLVE)
+  AFFINITY_RT_GAUGES(AFFINITY_RT_RESOLVE)
+  AFFINITY_RT_HISTOGRAMS(AFFINITY_RT_RESOLVE_HIST)
+#undef AFFINITY_RT_RESOLVE
+#undef AFFINITY_RT_RESOLVE_HIST
+  hot_.requests_dist[0] = hot_.requests_same_llc;
+  hot_.requests_dist[1] = hot_.requests_cross_llc;
+  hot_.requests_dist[2] = hot_.requests_cross_node;
+  hot_.steals_dist[0] = hot_.steals_same_llc;
+  hot_.steals_dist[1] = hot_.steals_cross_llc;
+  hot_.steals_dist[2] = hot_.steals_cross_node;
+  hot_.timeouts[0] = hot_.timeouts_handshake;
+  hot_.timeouts[1] = hot_.timeouts_idle;
+  hot_.timeouts[2] = hot_.timeouts_read;
+  hot_.timeouts[3] = hot_.timeouts_write;
+  hot_.timeouts[4] = hot_.timeouts_lifetime;
   size_t num_queues = shared_->queues.size();
-  hot_.queue_len.resize(num_queues);
+  hot_.ring_len.resize(num_queues);
   for (size_t qi = 0; qi < num_queues; ++qi) {
-    hot_.queue_len[qi] = m->Cell(ids.queue_len, static_cast<int>(qi));
+    hot_.ring_len[qi] = m->Cell(ids.queue_len, static_cast<int>(qi));
   }
   // Batch scratch state: sized once here, reused every batch.
   enq_.q.resize(num_queues);
@@ -316,9 +295,9 @@ void Reactor::MigrationTick() {
     return;
   }
   shared_->metrics->Add(shared_->ids.migrations, index_);
-  shared_->metrics->GaugeSet(shared_->ids.groups_owned, static_cast<int>(m.from_core),
+  shared_->metrics->GaugeSet(shared_->ids.steer_groups_owned, static_cast<int>(m.from_core),
                              static_cast<uint64_t>(shared_->director->table().OwnedBy(m.from_core)));
-  shared_->metrics->GaugeSet(shared_->ids.groups_owned, static_cast<int>(m.to_core),
+  shared_->metrics->GaugeSet(shared_->ids.steer_groups_owned, static_cast<int>(m.to_core),
                              static_cast<uint64_t>(shared_->director->table().OwnedBy(m.to_core)));
   if (shared_->trace != nullptr) {
     obs::TraceEvent event;
@@ -365,7 +344,7 @@ void Reactor::TryFailover(int dead) {
       shared_->metrics->Add(shared_->ids.failover_group_moves, index_,
                             static_cast<uint64_t>(moved));
       for (int c = 0; c < shared_->num_reactors; ++c) {
-        shared_->metrics->GaugeSet(shared_->ids.groups_owned, c,
+        shared_->metrics->GaugeSet(shared_->ids.steer_groups_owned, c,
                                    static_cast<uint64_t>(shared_->director->table().OwnedBy(c)));
       }
     }
@@ -422,7 +401,7 @@ void Reactor::SelfRecover() {
       shared_->metrics->Add(shared_->ids.failover_group_moves, index_,
                             static_cast<uint64_t>(returned));
       for (int c = 0; c < shared_->num_reactors; ++c) {
-        shared_->metrics->GaugeSet(shared_->ids.groups_owned, c,
+        shared_->metrics->GaugeSet(shared_->ids.steer_groups_owned, c,
                                    static_cast<uint64_t>(shared_->director->table().OwnedBy(c)));
       }
     }
@@ -454,9 +433,10 @@ void Reactor::ReleaseRecoveredAdoptions() {
 
 void Reactor::RecordBusyFlip(size_t queue, size_t len_after) {
   bool now_busy = shared_->policy->IsBusy(static_cast<CoreId>(queue));
-  shared_->metrics->Add(now_busy ? shared_->ids.to_busy : shared_->ids.to_nonbusy,
+  const RtMetricIds& ids = shared_->ids;
+  shared_->metrics->Add(now_busy ? ids.transitions_to_busy : ids.transitions_to_nonbusy,
                         static_cast<int>(queue));
-  shared_->metrics->GaugeSet(shared_->ids.busy, static_cast<int>(queue), now_busy ? 1 : 0);
+  shared_->metrics->GaugeSet(ids.busy, static_cast<int>(queue), now_busy ? 1 : 0);
   if (shared_->trace != nullptr) {
     obs::TraceEvent event;
     event.type = now_busy ? obs::TraceEventType::kBusyOn : obs::TraceEventType::kBusyOff;
@@ -655,7 +635,7 @@ void Reactor::AdmitBatch(const Accepted* batch, int n, RtListener* listener,
   uint32_t pool_drops = 0;
   const uint8_t listener_id = listener != nullptr ? static_cast<uint8_t>(listener->id) : 0;
   if (listener != nullptr) {
-    listener->accepted.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
+    listener->accepted->fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
   }
   for (int i = 0; i < n; ++i) {
     const Accepted& a = batch[i];
@@ -713,7 +693,7 @@ void Reactor::AdmitBatch(const Accepted* batch, int n, RtListener* listener,
   }
   for (uint32_t qi : enq_.touched) {
     QueueBatch::PerQueue& entry = enq_.q[qi];
-    hot_.queue_len[qi]->store(entry.last_len, std::memory_order_relaxed);
+    hot_.ring_len[qi]->store(entry.last_len, std::memory_order_relaxed);
     if (shared_->policy != nullptr &&
         shared_->policy->OnEnqueueBatch(static_cast<CoreId>(qi), entry.moved, entry.last_len)) {
       RecordBusyFlip(qi, entry.last_len);
@@ -744,7 +724,7 @@ bool Reactor::PopFrom(size_t qi, ConnHandle* out) {
 void Reactor::FlushDequeues() {
   for (uint32_t qi : deq_.touched) {
     QueueBatch::PerQueue& entry = deq_.q[qi];
-    hot_.queue_len[qi]->store(entry.last_len, std::memory_order_relaxed);
+    hot_.ring_len[qi]->store(entry.last_len, std::memory_order_relaxed);
     if (shared_->policy != nullptr &&
         shared_->policy->OnDequeueBatch(static_cast<CoreId>(qi), entry.moved, entry.last_len)) {
       RecordBusyFlip(qi, entry.last_len);
@@ -868,7 +848,7 @@ bool Reactor::ServeOne(bool idle) {
 
 void Reactor::Serve(ConnHandle handle, bool local) {
   PendingConn* conn = shared_->pool->Get(handle);
-  hot_.queue_wait->Add(ToNs(std::chrono::steady_clock::now() - conn->accepted_at));
+  hot_.queue_wait_ns->Add(ToNs(std::chrono::steady_clock::now() - conn->accepted_at));
   // The locality ledger's moment of truth: the first serving core is now
   // known. Core locality is a different fact from ring locality (`local`):
   // stock mode's one shared ring makes every pop ring-local, and steering
@@ -919,7 +899,7 @@ void Reactor::Serve(ConnHandle handle, bool local) {
   st.opened = true;
   OpenListAdd(handle, conn);
   ++open_count_;
-  hot_.conn_open->store(open_count_, std::memory_order_relaxed);
+  hot_.open_conns->store(open_count_, std::memory_order_relaxed);
   if (shared_->trace != nullptr) {
     obs::TraceEvent event;
     event.type = obs::TraceEventType::kConnOpen;
@@ -983,7 +963,7 @@ void Reactor::NoteRounds(PendingConn* conn, uint32_t prev_rounds) {
     hot_.requests_remote_core->fetch_add(1, std::memory_order_relaxed);
     hot_.requests_dist[conn->svc.accept_dist - 1]->fetch_add(1, std::memory_order_relaxed);
   }
-  hot_.request_latency->Add(conn->svc.last_request_ns);
+  hot_.request_latency_ns->Add(conn->svc.last_request_ns);
 }
 
 void Reactor::Finish(ConnHandle handle, PendingConn* conn, svc::Verdict verdict) {
@@ -1138,7 +1118,7 @@ void Reactor::CloseConn(ConnHandle handle, PendingConn* conn, bool rst,
   }
   OpenListRemove(handle, conn);
   --open_count_;
-  hot_.conn_open->store(open_count_, std::memory_order_relaxed);
+  hot_.open_conns->store(open_count_, std::memory_order_relaxed);
   if (shared_->trace != nullptr) {
     obs::TraceEvent event;
     event.type = obs::TraceEventType::kConnClose;
@@ -1234,7 +1214,7 @@ void Reactor::CloseAllOpen() {
     hot_.aborted_at_stop->fetch_add(aborted, std::memory_order_relaxed);
   }
   open_count_ = 0;
-  hot_.conn_open->store(0, std::memory_order_relaxed);
+  hot_.open_conns->store(0, std::memory_order_relaxed);
 }
 
 }  // namespace rt

@@ -45,7 +45,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace_ring.h"
 #include "src/rt/accept_ring.h"
-#include "src/sim/stats.h"
+#include "src/rt/rt_metrics.h"
 #include "src/steer/flow_director.h"
 #include "src/svc/conn_handler.h"
 #include "src/time/clock.h"
@@ -107,99 +107,15 @@ struct RtListener {
   // Null = the legacy accept workload (serve-and-close inline); otherwise
   // the pluggable request/response handler, shared by all reactors.
   svc::ConnHandler* handler = nullptr;
-  std::atomic<uint64_t> accepted{0};
+  // Connections accepted on this listener. Owned by the Runtime and
+  // cumulative across restarts, like the registry counters.
+  std::atomic<uint64_t>* accepted = nullptr;
 };
 
-// A point-in-time copy of one reactor's counters, built from the Runtime's
-// MetricsRegistry. Safe to take while the reactor is running: the backing
-// cells are relaxed atomics, so a live snapshot is merely slightly stale,
-// never racy.
-struct ReactorStats {
-  uint64_t accepted = 0;        // accept() returned a connection
-  uint64_t served_local = 0;    // served from this core's ring (or the shared one)
-  uint64_t served_remote = 0;   // served from another core's ring
-  uint64_t steals = 0;          // affinity-mode steals (subset of served_remote)
-  uint64_t overflow_drops = 0;  // local ring full: connection closed on arrival
-  uint64_t epoll_wakeups = 0;
-  Histogram queue_wait_ns;      // accept() -> service latency per connection
-};
-
-// Registry handles for the runtime's per-core metrics; registered once by
-// the Runtime before the reactor threads start.
-struct RtMetricIds {
-  obs::MetricsRegistry::MetricId accepted = 0;
-  obs::MetricsRegistry::MetricId served_local = 0;
-  obs::MetricsRegistry::MetricId served_remote = 0;
-  obs::MetricsRegistry::MetricId steals = 0;
-  obs::MetricsRegistry::MetricId overflow_drops = 0;
-  obs::MetricsRegistry::MetricId epoll_wakeups = 0;
-  obs::MetricsRegistry::MetricId to_busy = 0;
-  obs::MetricsRegistry::MetricId to_nonbusy = 0;
-  obs::MetricsRegistry::MetricId queue_len = 0;  // gauge, per accept ring
-  obs::MetricsRegistry::MetricId busy = 0;       // gauge, 0/1 busy bit mirror
-  obs::MetricsRegistry::MetricId queue_wait = 0;  // histogram
-  // Slab-pool discipline (paper Section 2.2 on live connection state):
-  obs::MetricsRegistry::MetricId conn_remote_frees = 0;  // blocks freed off-owner
-  obs::MetricsRegistry::MetricId pool_exhausted = 0;     // accepts dropped: no pool block
-  // Steering (registered only when the FlowDirector is on):
-  obs::MetricsRegistry::MetricId steer_owner_accepts = 0;  // accepted on the owning shard
-  obs::MetricsRegistry::MetricId steer_cross_accepts = 0;  // re-steered to the owner's queue
-  obs::MetricsRegistry::MetricId migrations = 0;           // flow groups pulled by this core
-  obs::MetricsRegistry::MetricId steer_cbpf = 0;     // gauge, 1 = cBPF attached (core 0)
-  obs::MetricsRegistry::MetricId groups_owned = 0;   // gauge, steering-table groups per core
-  // Accept-loop soft errors, one counter per errno class (skip-and-continue):
-  obs::MetricsRegistry::MetricId accept_eintr = 0;
-  obs::MetricsRegistry::MetricId accept_econnaborted = 0;  // also EPROTO's sibling
-  obs::MetricsRegistry::MetricId accept_eproto = 0;
-  obs::MetricsRegistry::MetricId accept_emfile = 0;    // EMFILE/ENFILE hits
-  obs::MetricsRegistry::MetricId accept_backoff = 0;   // backoff windows entered
-  // Shaped overload + failure domains:
-  obs::MetricsRegistry::MetricId admission_shed = 0;   // accepted then shed (RST)
-  obs::MetricsRegistry::MetricId fault_injected = 0;   // chaos-plan injections
-  obs::MetricsRegistry::MetricId failovers = 0;        // peer failovers won by this core
-  obs::MetricsRegistry::MetricId recoveries = 0;       // self-recoveries after failover
-  obs::MetricsRegistry::MetricId failover_group_moves = 0;  // groups moved by fail/recover
-  obs::MetricsRegistry::MetricId reactor_dead = 0;     // gauge, 1 = watchdog marked dead
-  // Request/response service layer (src/svc):
-  obs::MetricsRegistry::MetricId requests = 0;         // completed request rounds
-  obs::MetricsRegistry::MetricId request_latency = 0;  // histogram, per-request ns
-  obs::MetricsRegistry::MetricId conn_open = 0;        // gauge, held conns per core
-  obs::MetricsRegistry::MetricId aborted_at_stop = 0;  // held conns closed by Run() exit
-  // Connection-locality ledger (the paper's headline claim, live): requests
-  // -- or legacy one-shot conns -- served ON vs OFF their accepting core,
-  // and connections whose first serving core differed from the acceptor.
-  obs::MetricsRegistry::MetricId requests_local_core = 0;
-  obs::MetricsRegistry::MetricId requests_remote_core = 0;
-  obs::MetricsRegistry::MetricId conn_migrations = 0;
-  // Distance split of the remote half of the ledger (src/topo LedgerBucket):
-  // same_llc + cross_llc + cross_node == requests_remote_core, always. A
-  // flat topology folds every remote request into same_llc.
-  obs::MetricsRegistry::MetricId requests_same_llc = 0;
-  obs::MetricsRegistry::MetricId requests_cross_llc = 0;
-  obs::MetricsRegistry::MetricId requests_cross_node = 0;
-  // The same split for successful steals (thief vs victim distance).
-  obs::MetricsRegistry::MetricId steals_same_llc = 0;
-  obs::MetricsRegistry::MetricId steals_cross_llc = 0;
-  obs::MetricsRegistry::MetricId steals_cross_node = 0;
-  // Connection-lifecycle deadlines (src/time): classified expiry closes,
-  // one counter per DeadlineKind. Pool-pressure evictions are ALSO counted
-  // as idle timeouts (they close idle conns early), so the conservation
-  // equation needs only the one timed_out term; rt_pool_evictions is the
-  // informational subset.
-  obs::MetricsRegistry::MetricId timeouts_handshake = 0;
-  obs::MetricsRegistry::MetricId timeouts_idle = 0;
-  obs::MetricsRegistry::MetricId timeouts_read = 0;
-  obs::MetricsRegistry::MetricId timeouts_write = 0;
-  obs::MetricsRegistry::MetricId timeouts_lifetime = 0;
-  obs::MetricsRegistry::MetricId pool_evictions = 0;
-  // Graceful drain: conns that finished normally inside a drain window
-  // (subset of served), and the histogram of Stop(drain) wait durations.
-  obs::MetricsRegistry::MetricId drained_gracefully = 0;
-  obs::MetricsRegistry::MetricId drain_duration = 0;  // histogram, ns
-  // Migration hysteresis vetoed every candidate group of an otherwise-due
-  // migration (steering only).
-  obs::MetricsRegistry::MetricId migrations_suppressed = 0;
-};
+// Registry handles for every table metric (src/rt/rt_metrics.h);
+// registered once by the Runtime before the reactor threads start.
+using RtMetricIds =
+    RtMetricFields<obs::MetricsRegistry::MetricId, obs::MetricsRegistry::MetricId>;
 
 // State shared by every reactor of one Runtime.
 struct ReactorShared {
@@ -473,42 +389,17 @@ class Reactor {
   int backoff_ms_ = 0;
   std::unique_ptr<fault::TokenBucket> drop_bucket_;
 
-  // Pre-resolved per-core metric cells (see obs::MetricsRegistry::Cell).
-  struct HotCells {
-    std::atomic<uint64_t>* accepted = nullptr;
-    std::atomic<uint64_t>* served_local = nullptr;
-    std::atomic<uint64_t>* served_remote = nullptr;
-    std::atomic<uint64_t>* steals = nullptr;
-    std::atomic<uint64_t>* overflow_drops = nullptr;
-    std::atomic<uint64_t>* epoll_wakeups = nullptr;
-    std::atomic<uint64_t>* conn_remote_frees = nullptr;
-    std::atomic<uint64_t>* pool_exhausted = nullptr;
-    std::atomic<uint64_t>* steer_owner_accepts = nullptr;  // null: steering off
-    std::atomic<uint64_t>* steer_cross_accepts = nullptr;
-    std::atomic<uint64_t>* accept_eintr = nullptr;
-    std::atomic<uint64_t>* accept_econnaborted = nullptr;
-    std::atomic<uint64_t>* accept_eproto = nullptr;
-    std::atomic<uint64_t>* accept_emfile = nullptr;
-    std::atomic<uint64_t>* accept_backoff = nullptr;
-    std::atomic<uint64_t>* admission_shed = nullptr;
-    std::atomic<uint64_t>* requests = nullptr;
-    std::atomic<uint64_t>* requests_local_core = nullptr;
-    std::atomic<uint64_t>* requests_remote_core = nullptr;
+  // This core's pre-resolved cell of every table metric (see
+  // obs::MetricsRegistry::Cell), plus index views over some of them.
+  struct HotCells : RtMetricFields<std::atomic<uint64_t>*, obs::AtomicHistogram*> {
     // Distance ledger cells, indexed by LedgerBucket - 1 (0 = same LLC,
     // 1 = cross LLC, 2 = cross node).
     std::atomic<uint64_t>* requests_dist[3] = {nullptr, nullptr, nullptr};
     std::atomic<uint64_t>* steals_dist[3] = {nullptr, nullptr, nullptr};
-    std::atomic<uint64_t>* conn_migrations = nullptr;
-    std::atomic<uint64_t>* aborted_at_stop = nullptr;
     // Classified deadline-expiry closes, indexed by DeadlineKind - 1.
-    std::atomic<uint64_t>* timeouts[5] = {nullptr, nullptr, nullptr, nullptr,
-                                          nullptr};
-    std::atomic<uint64_t>* pool_evictions = nullptr;
-    std::atomic<uint64_t>* drained_gracefully = nullptr;
-    std::atomic<uint64_t>* conn_open = nullptr;  // gauge cell
-    obs::AtomicHistogram* queue_wait = nullptr;
-    obs::AtomicHistogram* request_latency = nullptr;
-    std::vector<std::atomic<uint64_t>*> queue_len;  // gauge cells, per ring
+    std::atomic<uint64_t>* timeouts[5] = {nullptr, nullptr, nullptr, nullptr, nullptr};
+    // rt_queue_len is labeled by ring, not by reactor: one cell per ring.
+    std::vector<std::atomic<uint64_t>*> ring_len;
   };
   HotCells hot_;
   QueueBatch enq_;

@@ -95,7 +95,9 @@ bool ValidateRtConfig(const RtConfig& config, std::string* error) {
   return true;
 }
 
-Runtime::Runtime(const RtConfig& config) : config_(config) {
+Runtime::Runtime(const RtConfig& config)
+    : config_(config),
+      listener_accepted_(new std::atomic<uint64_t>[1 + config.extra_listeners.size()]()) {
   if (config_.num_threads < 1) {
     config_.num_threads = 1;
   }
@@ -112,109 +114,18 @@ Runtime::Runtime(const RtConfig& config) : config_(config) {
   // Register everything up front: registration is the only non-thread-safe
   // registry operation, and the reactor threads don't exist yet.
   metrics_.reset(new obs::MetricsRegistry(config_.num_threads));
-  ids_.accepted = metrics_->RegisterCounter("rt_accepted", "connections returned by accept()");
-  ids_.served_local =
-      metrics_->RegisterCounter("rt_served_local", "connections served from the core's own queue");
-  ids_.served_remote =
-      metrics_->RegisterCounter("rt_served_remote", "connections served from another core's queue");
-  ids_.steals = metrics_->RegisterCounter("rt_steals", "affinity-mode connection steals");
-  ids_.overflow_drops =
-      metrics_->RegisterCounter("rt_overflow_drops", "connections dropped on a full local queue");
-  ids_.epoll_wakeups = metrics_->RegisterCounter("rt_epoll_wakeups", "epoll_wait returns with work");
-  ids_.to_busy =
-      metrics_->RegisterCounter("rt_transitions_to_busy", "high-watermark busy-bit sets");
-  ids_.to_nonbusy =
-      metrics_->RegisterCounter("rt_transitions_to_nonbusy", "low-watermark busy-bit clears");
-  ids_.conn_remote_frees = metrics_->RegisterCounter(
-      "rt_conn_remote_frees", "PendingConn blocks freed by a core other than their owner");
-  ids_.pool_exhausted = metrics_->RegisterCounter(
-      "rt_pool_exhausted", "connections dropped because the conn pool had no free block");
-  ids_.accept_eintr =
-      metrics_->RegisterCounter("rt_accept_eintr", "accept4 EINTR skip-and-continue");
-  ids_.accept_econnaborted = metrics_->RegisterCounter(
-      "rt_accept_econnaborted", "accept4 ECONNABORTED: connection gone before accept");
-  ids_.accept_eproto =
-      metrics_->RegisterCounter("rt_accept_eproto", "accept4 EPROTO skip-and-continue");
-  ids_.accept_emfile =
-      metrics_->RegisterCounter("rt_accept_emfile", "accept4 EMFILE/ENFILE: out of fds");
-  ids_.accept_backoff = metrics_->RegisterCounter(
-      "rt_accept_backoff", "capped exponential accept backoff windows entered");
-  ids_.admission_shed = metrics_->RegisterCounter(
-      "rt_admission_shed", "connections accepted then shed (RST) by the admission policy");
-  ids_.fault_injected =
-      metrics_->RegisterCounter("rt_fault_injected", "faults injected by the chaos plan");
-  ids_.failovers =
-      metrics_->RegisterCounter("rt_failovers", "watchdog failovers won by this core");
-  ids_.recoveries =
-      metrics_->RegisterCounter("rt_recoveries", "reactors recovered after failover");
-  ids_.failover_group_moves = metrics_->RegisterCounter(
-      "rt_failover_group_moves", "flow groups mass-moved by failover/recovery");
-  ids_.reactor_dead =
-      metrics_->RegisterGauge("rt_reactor_dead", "1 = this reactor is marked dead");
-  ids_.queue_len = metrics_->RegisterGauge("rt_queue_len", "accept-queue length at last update");
-  ids_.busy = metrics_->RegisterGauge("rt_busy", "busy bit (1 = over high watermark)");
-  ids_.queue_wait =
-      metrics_->RegisterHistogram("rt_queue_wait_ns", "accept() -> service latency per connection");
-  ids_.requests =
-      metrics_->RegisterCounter("rt_requests", "completed request/response rounds (svc handlers)");
-  ids_.aborted_at_stop = metrics_->RegisterCounter(
-      "rt_aborted_at_stop", "held connections closed by a reactor's Run() exit");
-  ids_.conn_open =
-      metrics_->RegisterGauge("rt_conn_open", "connections currently mid-conversation");
-  ids_.request_latency = metrics_->RegisterHistogram(
-      "rt_request_latency_ns", "per-request service time, first byte to response flushed");
-  ids_.requests_local_core = metrics_->RegisterCounter(
-      "rt_requests_local_core", "requests served on the core that accepted the connection");
-  ids_.requests_remote_core = metrics_->RegisterCounter(
-      "rt_requests_remote_core", "requests served on a core other than the acceptor");
-  ids_.conn_migrations = metrics_->RegisterCounter(
-      "rt_conn_migrations", "connections first served by a core other than their acceptor");
-  ids_.requests_same_llc = metrics_->RegisterCounter(
-      "rt_requests_same_llc", "remote-core requests where both cores share the LLC");
-  ids_.requests_cross_llc = metrics_->RegisterCounter(
-      "rt_requests_cross_llc", "remote-core requests crossing LLCs on one node");
-  ids_.requests_cross_node = metrics_->RegisterCounter(
-      "rt_requests_cross_node", "remote-core requests crossing NUMA nodes");
-  ids_.steals_same_llc = metrics_->RegisterCounter(
-      "rt_steals_same_llc", "steals where thief and victim share the LLC");
-  ids_.steals_cross_llc = metrics_->RegisterCounter(
-      "rt_steals_cross_llc", "steals crossing LLCs on one node");
-  ids_.steals_cross_node = metrics_->RegisterCounter(
-      "rt_steals_cross_node", "steals crossing NUMA nodes");
-  ids_.timeouts_handshake = metrics_->RegisterCounter(
-      "rt_timeouts_handshake", "conns closed by the accept-to-first-byte deadline");
-  ids_.timeouts_idle = metrics_->RegisterCounter(
-      "rt_timeouts_idle",
-      "conns closed by the between-requests idle deadline (incl. pool evictions)");
-  ids_.timeouts_read = metrics_->RegisterCounter(
-      "rt_timeouts_read", "conns closed by the per-request read deadline");
-  ids_.timeouts_write = metrics_->RegisterCounter(
-      "rt_timeouts_write", "conns closed by the per-response write deadline");
-  ids_.timeouts_lifetime = metrics_->RegisterCounter(
-      "rt_timeouts_lifetime", "conns closed by the absolute max-lifetime cap");
-  ids_.pool_evictions = metrics_->RegisterCounter(
-      "rt_pool_evictions",
-      "idle conns reaped under pool pressure (subset of rt_timeouts_idle)");
-  ids_.drained_gracefully = metrics_->RegisterCounter(
-      "rt_drained_gracefully",
-      "conns that finished normally inside a drain window (subset of served)");
-  ids_.drain_duration = metrics_->RegisterHistogram(
-      "rt_drain_duration_ns", "wall duration of each Stop() drain window");
-  if (config_.steer && config_.mode == RtMode::kAffinity) {
-    ids_.migrations_suppressed = metrics_->RegisterCounter(
-        "rt_migrations_suppressed",
-        "balancer epochs where hysteresis held back every candidate group");
-    ids_.steer_owner_accepts = metrics_->RegisterCounter(
-        "rt_steer_owner_accepts", "connections accepted on the shard owning their flow group");
-    ids_.steer_cross_accepts = metrics_->RegisterCounter(
-        "rt_steer_cross_accepts", "connections re-steered in user space to their owner's queue");
-    ids_.migrations =
-        metrics_->RegisterCounter("rt_migrations", "flow groups pulled by the long-term balancer");
-    ids_.steer_cbpf =
-        metrics_->RegisterGauge("rt_steer_cbpf", "1 = SO_ATTACH_REUSEPORT_CBPF program attached");
-    ids_.groups_owned =
-        metrics_->RegisterGauge("rt_steer_groups_owned", "steering-table flow groups per core");
-  }
+#define AFFINITY_RT_REGISTER_COUNTER(field, name, help) \
+  ids_.field = metrics_->RegisterCounter(name, help);
+#define AFFINITY_RT_REGISTER_GAUGE(field, name, help) \
+  ids_.field = metrics_->RegisterGauge(name, help);
+#define AFFINITY_RT_REGISTER_HISTOGRAM(field, name, help) \
+  ids_.field = metrics_->RegisterHistogram(name, help);
+  AFFINITY_RT_COUNTERS(AFFINITY_RT_REGISTER_COUNTER)
+  AFFINITY_RT_GAUGES(AFFINITY_RT_REGISTER_GAUGE)
+  AFFINITY_RT_HISTOGRAMS(AFFINITY_RT_REGISTER_HISTOGRAM)
+#undef AFFINITY_RT_REGISTER_COUNTER
+#undef AFFINITY_RT_REGISTER_GAUGE
+#undef AFFINITY_RT_REGISTER_HISTOGRAM
   if (config_.trace_capacity > 0) {
     trace_.reset(new obs::TraceRing(config_.num_threads, config_.trace_capacity));
   }
@@ -271,6 +182,7 @@ bool Runtime::Start(std::string* error) {
   {
     std::unique_ptr<RtListener> primary(new RtListener);
     primary->id = 0;
+    primary->accepted = &listener_accepted_[0];
     for (int i = 0; i < num_sockets; ++i) {
       // The first bind may pick the port; later shards must reuse it.
       int fd = CreateListenSocket(&port_, config_.backlog, /*reuseport=*/!stock, error);
@@ -294,6 +206,7 @@ bool Runtime::Start(std::string* error) {
     std::unique_ptr<RtListener> listener(new RtListener);
     listener->id = static_cast<int>(1 + e);
     listener->is_unix = extra.is_unix;
+    listener->accepted = &listener_accepted_[1 + e];
     uint16_t lport = 0;
     std::string lpath;
     if (extra.is_unix) {
@@ -451,7 +364,7 @@ bool Runtime::Start(std::string* error) {
     metrics_->GaugeSet(ids_.steer_cbpf, 0,
                        director_->kernel_steering() == steer::KernelSteering::kAttached ? 1 : 0);
     for (int i = 0; i < config_.num_threads; ++i) {
-      metrics_->GaugeSet(ids_.groups_owned, i,
+      metrics_->GaugeSet(ids_.steer_groups_owned, i,
                          static_cast<uint64_t>(director_->table().OwnedBy(i)));
     }
   }
@@ -486,7 +399,7 @@ void Runtime::Stop(int drain_deadline_ms) {
     auto deadline = start + std::chrono::milliseconds(drain_deadline_ms);
     shared_.draining.store(true, std::memory_order_release);
     for (;;) {
-      bool quiet = metrics_->Total(ids_.conn_open) == 0;
+      bool quiet = metrics_->Total(ids_.open_conns) == 0;
       if (quiet) {
         for (const auto& queue : shared_.queues) {
           if (queue->size() != 0) {
@@ -500,7 +413,7 @@ void Runtime::Stop(int drain_deadline_ms) {
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    metrics_->Observe(ids_.drain_duration, 0,
+    metrics_->Observe(ids_.drain_duration_ns, 0,
                       static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                                 std::chrono::steady_clock::now() - start)
                                                 .count()));
@@ -539,66 +452,19 @@ void Runtime::Stop(int drain_deadline_ms) {
   started_ = false;
 }
 
-ReactorStats Runtime::reactor_stats(int i) const {
-  ReactorStats s;
-  s.accepted = metrics_->Value(ids_.accepted, i);
-  s.served_local = metrics_->Value(ids_.served_local, i);
-  s.served_remote = metrics_->Value(ids_.served_remote, i);
-  s.steals = metrics_->Value(ids_.steals, i);
-  s.overflow_drops = metrics_->Value(ids_.overflow_drops, i);
-  s.epoll_wakeups = metrics_->Value(ids_.epoll_wakeups, i);
-  s.queue_wait_ns = metrics_->HistogramSnapshot(ids_.queue_wait, i);
-  return s;
-}
-
 RtTotals Runtime::Totals() const {
   RtTotals totals;
-  totals.accepted = metrics_->Total(ids_.accepted);
-  totals.served_local = metrics_->Total(ids_.served_local);
-  totals.served_remote = metrics_->Total(ids_.served_remote);
-  totals.steals = metrics_->Total(ids_.steals);
-  totals.overflow_drops = metrics_->Total(ids_.overflow_drops);
-  totals.transitions_to_busy = metrics_->Total(ids_.to_busy);
-  totals.transitions_to_nonbusy = metrics_->Total(ids_.to_nonbusy);
-  totals.conn_remote_frees = metrics_->Total(ids_.conn_remote_frees);
-  totals.pool_exhausted = metrics_->Total(ids_.pool_exhausted);
-  totals.accept_eintr = metrics_->Total(ids_.accept_eintr);
-  totals.accept_econnaborted = metrics_->Total(ids_.accept_econnaborted);
-  totals.accept_eproto = metrics_->Total(ids_.accept_eproto);
-  totals.accept_emfile = metrics_->Total(ids_.accept_emfile);
-  totals.accept_backoff = metrics_->Total(ids_.accept_backoff);
-  totals.admission_shed = metrics_->Total(ids_.admission_shed);
-  totals.fault_injected = metrics_->Total(ids_.fault_injected);
-  totals.failovers = metrics_->Total(ids_.failovers);
-  totals.recoveries = metrics_->Total(ids_.recoveries);
-  totals.failover_group_moves = metrics_->Total(ids_.failover_group_moves);
+#define AFFINITY_RT_TOTAL(field, name, help) totals.field = metrics_->Total(ids_.field);
+#define AFFINITY_RT_MERGED(field, name, help) \
+  totals.field = metrics_->HistogramMerged(ids_.field);
+  AFFINITY_RT_COUNTERS(AFFINITY_RT_TOTAL)
+  AFFINITY_RT_GAUGES(AFFINITY_RT_TOTAL)
+  AFFINITY_RT_HISTOGRAMS(AFFINITY_RT_MERGED)
+#undef AFFINITY_RT_TOTAL
+#undef AFFINITY_RT_MERGED
   if (pool_ != nullptr) {
     totals.pool = pool_->StatsSnapshot();
   }
-  if (director_ != nullptr) {
-    totals.steer_owner_accepts = metrics_->Total(ids_.steer_owner_accepts);
-    totals.steer_cross_accepts = metrics_->Total(ids_.steer_cross_accepts);
-    totals.migrations = metrics_->Total(ids_.migrations);
-    totals.migrations_suppressed = metrics_->Total(ids_.migrations_suppressed);
-  }
-  totals.timeouts_handshake = metrics_->Total(ids_.timeouts_handshake);
-  totals.timeouts_idle = metrics_->Total(ids_.timeouts_idle);
-  totals.timeouts_read = metrics_->Total(ids_.timeouts_read);
-  totals.timeouts_write = metrics_->Total(ids_.timeouts_write);
-  totals.timeouts_lifetime = metrics_->Total(ids_.timeouts_lifetime);
-  totals.pool_evictions = metrics_->Total(ids_.pool_evictions);
-  totals.drained_gracefully = metrics_->Total(ids_.drained_gracefully);
-  totals.drain_duration_ns = metrics_->HistogramMerged(ids_.drain_duration);
-  totals.requests = metrics_->Total(ids_.requests);
-  totals.requests_local_core = metrics_->Total(ids_.requests_local_core);
-  totals.requests_remote_core = metrics_->Total(ids_.requests_remote_core);
-  totals.conn_migrations = metrics_->Total(ids_.conn_migrations);
-  totals.requests_same_llc = metrics_->Total(ids_.requests_same_llc);
-  totals.requests_cross_llc = metrics_->Total(ids_.requests_cross_llc);
-  totals.requests_cross_node = metrics_->Total(ids_.requests_cross_node);
-  totals.steals_same_llc = metrics_->Total(ids_.steals_same_llc);
-  totals.steals_cross_llc = metrics_->Total(ids_.steals_cross_llc);
-  totals.steals_cross_node = metrics_->Total(ids_.steals_cross_node);
   if (director_ != nullptr) {
     steer::ParkDistances park = director_->park_distances();
     totals.park_same_llc = park.same_llc;
@@ -625,23 +491,18 @@ RtTotals Runtime::Totals() const {
     totals.hw_context_switches =
         hwprof_->EstimatedTotal(obs::hwprof::HwEvent::kContextSwitches);
   }
-  totals.aborted_at_stop = metrics_->Total(ids_.aborted_at_stop);
-  totals.open_conns = metrics_->Total(ids_.conn_open);
-  totals.per_listener_accepted.reserve(rt_listeners_.size());
-  for (const std::unique_ptr<RtListener>& listener : rt_listeners_) {
-    totals.per_listener_accepted.push_back(listener->accepted.load(std::memory_order_relaxed));
+  for (size_t id = 0; id <= config_.extra_listeners.size(); ++id) {
+    totals.per_listener_accepted.push_back(listener_accepted(static_cast<int>(id)));
   }
-  totals.queue_wait_ns = metrics_->HistogramMerged(ids_.queue_wait);
-  totals.request_latency_ns = metrics_->HistogramMerged(ids_.request_latency);
   totals.drained_at_stop = drained_at_stop_.load(std::memory_order_acquire);
   return totals;
 }
 
 uint64_t Runtime::listener_accepted(int id) const {
-  if (id < 0 || id >= static_cast<int>(rt_listeners_.size())) {
+  if (id < 0 || static_cast<size_t>(id) > config_.extra_listeners.size()) {
     return 0;
   }
-  return rt_listeners_[static_cast<size_t>(id)]->accepted.load(std::memory_order_relaxed);
+  return listener_accepted_[static_cast<size_t>(id)].load(std::memory_order_relaxed);
 }
 
 }  // namespace rt

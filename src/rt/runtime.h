@@ -5,13 +5,12 @@
 // Lifecycle: construct -> Start() -> traffic -> Stop() -> Totals().
 //
 // Observability: all reactor stats live in an obs::MetricsRegistry with
-// per-core relaxed-atomic shards, so Totals(), reactor_stats() and
-// metrics().Snapshot() are safe to call from ANY thread WHILE the reactors
-// run -- a live snapshot is merely slightly stale (counters are monotone),
-// never racy. `drained_at_stop` is the one field that only settles after
-// Stop() returns. Balancer decisions (steals, busy flips, overflow drops)
-// are additionally recorded into an obs::TraceRing for per-decision
-// debugging.
+// per-core relaxed-atomic shards, so Totals() and metrics().Snapshot() are
+// safe to call from ANY thread WHILE the reactors run -- a live snapshot is
+// merely slightly stale (counters are monotone), never racy.
+// `drained_at_stop` is the one field that only settles after Stop() returns.
+// Balancer decisions (steals, busy flips, overflow drops) are additionally
+// recorded into an obs::TraceRing for per-decision debugging.
 
 #ifndef AFFINITY_SRC_RT_RUNTIME_H_
 #define AFFINITY_SRC_RT_RUNTIME_H_
@@ -32,6 +31,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace_ring.h"
 #include "src/rt/reactor.h"
+#include "src/rt/rt_metrics.h"
 #include "src/sim/stats.h"
 #include "src/steer/flow_director.h"
 #include "src/svc/conn_handler.h"
@@ -188,74 +188,14 @@ struct RtConfig {
 bool ValidateRtConfig(const RtConfig& config, std::string* error);
 
 // Aggregated over all reactors. Valid at any time (live snapshot); see the
-// header comment for the mid-run semantics.
-struct RtTotals {
-  uint64_t accepted = 0;
-  uint64_t served_local = 0;
-  uint64_t served_remote = 0;
-  uint64_t steals = 0;
-  uint64_t overflow_drops = 0;
+// header comment for the mid-run semantics. One field per table metric
+// (src/rt/rt_metrics.h): counters and gauges summed over their labels,
+// histograms merged. The fields below are what the registry does not hold.
+struct RtTotals : RtMetricFields<uint64_t, Histogram> {
   uint64_t drained_at_stop = 0;  // queued but unserved when Stop() ran
-  uint64_t transitions_to_busy = 0;
-  uint64_t transitions_to_nonbusy = 0;
-  // Slab-pool discipline (paper Section 2.2 on live connection state):
-  uint64_t conn_remote_frees = 0;  // PendingConn blocks freed off their owner core
-  uint64_t pool_exhausted = 0;     // accepts dropped for want of a pool block
-  SlabStats pool;                  // the ConnPool's own per-core accounting
-  // Steering (0 when config.steer is off):
-  uint64_t steer_owner_accepts = 0;  // accepted directly on the owning shard
-  uint64_t steer_cross_accepts = 0;  // accepted elsewhere, re-steered in user space
-  uint64_t migrations = 0;           // flow groups moved by the 100 ms balancer
-  // Robustness (fault injection, failure domains, shaped overload):
-  uint64_t accept_eintr = 0;
-  uint64_t accept_econnaborted = 0;
-  uint64_t accept_eproto = 0;
-  uint64_t accept_emfile = 0;      // EMFILE/ENFILE hits in the accept loop
-  uint64_t accept_backoff = 0;     // exponential backoff windows entered
-  uint64_t admission_shed = 0;     // accepted then shed (RST) by admission
-  uint64_t fault_injected = 0;     // chaos-plan injections that fired
-  uint64_t failovers = 0;          // watchdog failovers won
-  uint64_t recoveries = 0;         // reactors that came back
-  uint64_t failover_group_moves = 0;  // flow groups mass-moved by fail/recover
-  // Request/response service layer (0 under the kAccept workload):
-  uint64_t requests = 0;         // completed request/response rounds
-  uint64_t aborted_at_stop = 0;  // held conns closed by a reactor's Run() exit
-  uint64_t open_conns = 0;       // conns currently mid-conversation (gauge)
-  // Connection-lifecycle deadlines (0 with no deadline configured): expiry
-  // closes by class. Their sum is the conservation equation's timed_out
-  // term -- a timed-out connection is neither served nor aborted.
-  uint64_t timeouts_handshake = 0;
-  uint64_t timeouts_idle = 0;
-  uint64_t timeouts_read = 0;
-  uint64_t timeouts_write = 0;
-  uint64_t timeouts_lifetime = 0;
-  // Idle conns reaped by pool-pressure eviction; informational subset of
-  // timeouts_idle (an eviction is accounted as an idle timeout).
-  uint64_t pool_evictions = 0;
-  // Conns that finished normally while a drain was in progress;
-  // informational subset of served(), NOT a separate conservation term.
-  uint64_t drained_gracefully = 0;
-  // Balancer epoch decisions damped by migrate_min_epochs.
-  uint64_t migrations_suppressed = 0;
-  // Connection-locality ledger: requests (legacy workload: connections)
-  // served on vs off their ACCEPTING core, and connections whose first
-  // serving core differed from the acceptor. This is the paper's headline
-  // number made live -- affinity mode should hold locality_fraction near 1
-  // while stock/fine sit near 1/num_threads.
-  uint64_t requests_local_core = 0;
-  uint64_t requests_remote_core = 0;
-  uint64_t conn_migrations = 0;
-  // Distance split of the remote half (src/topo LedgerBucket): same_llc +
-  // cross_llc + cross_node == requests_remote_core in every mode (flat
-  // folds all remote traffic into same_llc).
-  uint64_t requests_same_llc = 0;
-  uint64_t requests_cross_llc = 0;
-  uint64_t requests_cross_node = 0;
-  // Steals by thief-to-victim distance (sums to steals).
-  uint64_t steals_same_llc = 0;
-  uint64_t steals_cross_llc = 0;
-  uint64_t steals_cross_node = 0;
-  // Failover parking moves by dead-owner-to-target distance.
+  SlabStats pool;                // the ConnPool's own per-core accounting
+  // Failover parking moves by dead-owner-to-target distance (0 unless
+  // steering is on).
   uint64_t park_same_llc = 0;
   uint64_t park_cross_llc = 0;
   uint64_t park_cross_node = 0;
@@ -276,9 +216,6 @@ struct RtTotals {
   uint64_t hw_task_clock_ns = 0;
   uint64_t hw_context_switches = 0;
   std::vector<uint64_t> per_listener_accepted;  // indexed by listener id
-  Histogram queue_wait_ns;
-  Histogram request_latency_ns;  // per-request service time (svc handlers)
-  Histogram drain_duration_ns;   // one sample per Stop() that ran a drain
   uint64_t served() const { return served_local + served_remote; }
   // Deadline-expired closes across all five classes: the timed_out term of
   // the conservation equation.
@@ -287,7 +224,8 @@ struct RtTotals {
            timeouts_lifetime;
   }
   // The locality score: fraction of requests served on their accepting
-  // core. Negative when nothing has been served yet.
+  // core (affinity mode should hold it near 1, stock/fine near
+  // 1/num_threads). Negative when nothing has been served yet.
   double locality_fraction() const {
     uint64_t den = requests_local_core + requests_remote_core;
     return den > 0 ? static_cast<double>(requests_local_core) / static_cast<double>(den) : -1.0;
@@ -394,9 +332,6 @@ class Runtime {
   // is positive. Valid while the reactors run.
   const fault::FailureDomains* domains() const { return domains_.get(); }
 
-  // Live per-reactor snapshot; callable while the reactors run.
-  ReactorStats reactor_stats(int i) const;
-
   // Live aggregate snapshot; callable while the reactors run.
   // `drained_at_stop` is 0 until Stop() completes.
   RtTotals Totals() const;
@@ -410,6 +345,10 @@ class Runtime {
   // reactors use, the handlers they point at, and the read-back port/path
   // per listener id.
   std::vector<std::unique_ptr<RtListener>> rt_listeners_;
+  // Per-listener accept counts, indexed by listener id. Allocated once: the
+  // config fixes the listener set, and the counts accumulate across
+  // restarts like the registry's.
+  std::unique_ptr<std::atomic<uint64_t>[]> listener_accepted_;
   std::vector<std::unique_ptr<svc::ConnHandler>> handlers_;
   std::vector<uint16_t> listener_ports_;
   std::vector<std::string> listener_paths_;

@@ -1,9 +1,9 @@
 // Concurrency hammer for src/obs/ -- run under ThreadSanitizer in CI (the
 // rt_tests target). N writer threads pound the registry and trace ring
 // while a reader thread continuously snapshots and exports; afterwards the
-// totals must be exact. Also the regression test for the ReactorStats /
-// RtTotals validity hazard: Runtime stats are read in a tight loop WHILE
-// reactors serve real loopback connections.
+// totals must be exact. Also the regression test for the RtTotals validity
+// hazard: Runtime stats are read in a tight loop WHILE reactors serve real
+// loopback connections.
 
 #include <gtest/gtest.h>
 
@@ -138,10 +138,9 @@ TEST(ObsHammerTest, SamplerRunsWhileWritersHammer) {
   EXPECT_TRUE(saw_rate);
 }
 
-// Satellite (a) regression: Totals(), reactor_stats() and metrics()
-// snapshots/exports must be valid while reactor threads are serving real
-// connections. Under TSan this fails loudly if any stat is a plain field
-// mutated by a reactor.
+// Satellite (a) regression: Totals() and metrics() snapshots/exports must
+// be valid while reactor threads are serving real connections. Under TSan
+// this fails loudly if any stat is a plain field mutated by a reactor.
 TEST(ObsHammerTest, RuntimeStatsReadableWhileServing) {
   rt::RtConfig config;
   config.mode = rt::RtMode::kAffinity;
@@ -175,13 +174,17 @@ TEST(ObsHammerTest, RuntimeStatsReadableWhileServing) {
                          ? 0
                          : totals.queue_wait_ns.CumulativeCounts().back().cumulative;
       EXPECT_EQ(cum, totals.queue_wait_ns.count());
+      MetricsSnapshot snapshot = runtime.metrics().Snapshot();
+      const SeriesSnap* accepted = snapshot.Find("rt_accepted");
+      ASSERT_NE(accepted, nullptr);
+      ASSERT_EQ(accepted->values.size(), static_cast<size_t>(config.num_threads));
       uint64_t per_core_accepted = 0;
-      for (int i = 0; i < config.num_threads; ++i) {
-        per_core_accepted += runtime.reactor_stats(i).accepted;
+      for (uint64_t v : accepted->values) {
+        per_core_accepted += v;
       }
       // Same counter read twice: the later (fresh) read can only be larger.
       EXPECT_LE(per_core_accepted, runtime.Totals().accepted);
-      std::string text = ToPrometheusText(runtime.metrics().Snapshot());
+      std::string text = ToPrometheusText(snapshot);
       EXPECT_NE(text.find("affinity_rt_accepted_total"), std::string::npos);
       if (runtime.trace() != nullptr) {
         (void)runtime.trace()->Dump();
@@ -198,7 +201,8 @@ TEST(ObsHammerTest, RuntimeStatsReadableWhileServing) {
   EXPECT_GE(client.completed(), kConns);
   EXPECT_EQ(client.errors(), 0u);
   rt::RtTotals totals = runtime.Totals();
-  EXPECT_EQ(totals.accepted, totals.served() + totals.drained_at_stop + totals.overflow_drops);
+  EXPECT_EQ(totals.accepted, totals.accounted());
+  EXPECT_EQ(totals.admission_shed, 0u);
 }
 
 }  // namespace

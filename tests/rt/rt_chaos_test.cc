@@ -47,9 +47,7 @@ void ExpectBooksBalance(const Runtime& runtime, const LoadClient& client) {
       << " shed=" << totals.admission_shed << " timed_out=" << totals.timed_out();
   ASSERT_NE(runtime.conn_pool(), nullptr);
   EXPECT_EQ(runtime.conn_pool()->live_objects(), 0u);
-  EXPECT_EQ(client.attempted(), client.completed() + client.refused() + client.timeouts() +
-                                    client.port_busy() + client.errors() +
-                                    client.aborted_at_stop() + client.stalled_reaped());
+  EXPECT_EQ(client.attempted(), client.accounted());
 }
 
 RtConfig ChaosConfig(int threads) {

@@ -172,9 +172,7 @@ TEST(RtLifecycleTest, StopRacesLiveLoad) {
   ASSERT_NE(runtime.conn_pool(), nullptr);
   EXPECT_EQ(runtime.conn_pool()->live_objects(), 0u);
   // Client ledger: every attempt landed in exactly one outcome bucket.
-  EXPECT_EQ(client.attempted(), client.completed() + client.refused() + client.timeouts() +
-                                    client.port_busy() + client.errors() +
-                                    client.aborted_at_stop());
+  EXPECT_EQ(client.attempted(), client.accounted());
 }
 
 TEST(RtLifecycleTest, DoubleStopIsIdempotent) {
@@ -213,8 +211,11 @@ TEST(RtLifecycleTest, StartAfterStopServesAgain) {
     runtime.Stop();
     RtTotals totals = runtime.Totals();
     EXPECT_GE(client.completed(), 50u) << "round " << round;
-    // Metrics accumulate across restarts; conservation holds cumulatively.
+    // Metrics accumulate across restarts; conservation holds cumulatively,
+    // and so do the per-listener accept counts.
     EXPECT_EQ(totals.accepted, totals.accounted()) << "round " << round;
+    ASSERT_EQ(totals.per_listener_accepted.size(), 1u);
+    EXPECT_EQ(totals.per_listener_accepted[0], totals.accepted) << "round " << round;
     if (round == 0) {
       served_after_first = totals.served();
     } else {

@@ -405,7 +405,8 @@ TEST(SteerEndToEndTest, CbpfDeliversConnectionsToTheOwningShard) {
   EXPECT_EQ(totals.steer_owner_accepts + totals.steer_cross_accepts, totals.accepted);
   EXPECT_EQ(totals.steer_cross_accepts, 0u);
   EXPECT_GT(totals.accepted, 0u);
-  EXPECT_EQ(totals.accepted, totals.served() + totals.drained_at_stop + totals.overflow_drops);
+  EXPECT_EQ(totals.accepted, totals.accounted());
+  EXPECT_EQ(totals.admission_shed, 0u);
 }
 
 // Forced fallback: SYNs spread by the kernel's default reuseport hash and the
@@ -423,7 +424,8 @@ TEST(SteerEndToEndTest, FallbackServesCorrectly) {
 
   rt::RtTotals totals = runtime.Totals();
   EXPECT_EQ(totals.steer_owner_accepts + totals.steer_cross_accepts, totals.accepted);
-  EXPECT_EQ(totals.accepted, totals.served() + totals.drained_at_stop + totals.overflow_drops);
+  EXPECT_EQ(totals.accepted, totals.accounted());
+  EXPECT_EQ(totals.admission_shed, 0u);
   EXPECT_EQ(totals.migrations, 0u);
   EXPECT_EQ(runtime.director()->cbpf_updates(), 0u);
 }

@@ -36,9 +36,8 @@ bool WaitFor(const std::function<bool()>& cond, std::chrono::milliseconds timeou
   return cond();
 }
 
-// The conservation equation with the service-layer terms: every accepted
-// connection is served, aborted by a stopping reactor, drained, dropped, or
-// shed -- and after Stop() none can still be open.
+// The server conservation law (RtTotals::accounted()) balances, and after
+// Stop() no connection can still be open.
 void ExpectBooksBalance(const Runtime& runtime) {
   RtTotals totals = runtime.Totals();
   EXPECT_EQ(totals.open_conns, 0u);
@@ -52,9 +51,7 @@ void ExpectBooksBalance(const Runtime& runtime) {
 }
 
 void ExpectClientLedgerBalances(const LoadClient& client) {
-  EXPECT_EQ(client.attempted(), client.completed() + client.refused() + client.timeouts() +
-                                    client.port_busy() + client.errors() +
-                                    client.aborted_at_stop());
+  EXPECT_EQ(client.attempted(), client.accounted());
 }
 
 TEST(SvcE2eTest, EchoConversationsCompleteInEveryMode) {
