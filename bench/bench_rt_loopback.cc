@@ -66,9 +66,9 @@
 //                                     runs with injection disabled regardless)
 //   --workload=accept|echo|static|think|stream
 //                                    (what each connection carries: "accept"
-//                                     is the legacy connection-per-request
-//                                     cycle; the others run the src/svc/
-//                                     request/response handlers -- persistent
+//                                     is the connection-per-request cycle
+//                                     (one byte, then close); the others run
+//                                     the request/response handlers -- persistent
 //                                     connections, --rpc requests each, with
 //                                     per-request p50/p95 latency columns and
 //                                     a requests/sec rate. --check under these
@@ -439,28 +439,21 @@ double SteadyRemoteFrac(const RunResult& r) {
   return local + remote > 0 ? remote / (local + remote) : 0.0;
 }
 
-// Denominator for the per-request hardware rates: completed requests for
-// the request/response workloads, served connections for the legacy
-// connection-per-request cycle (there, the connection IS the request).
-uint64_t HwDenominator(const RunResult& r) {
-  return r.totals.requests > 0 ? r.totals.requests : r.totals.served();
-}
-
 bool HwAvailable(const RunResult& r) {
   return r.totals.hwprof_enabled && r.totals.hw_available_cores > 0;
 }
 
-// Counter total / requests, or 0 when the event never counted -- either the
-// whole group failed to open (perf_event_paranoid, containers) or just this
-// event did (VMs routinely reject the hardware/LLC events while software
-// events open fine; a live cycles counter cannot read zero across thousands
-// of requests). The degraded path is a reported state, not a failure.
+// Counter total / requests (an accept-workload connection is one request),
+// or 0 when the event never counted -- either the whole group failed to
+// open (perf_event_paranoid, containers) or just this event did (VMs
+// routinely reject the hardware/LLC events while software events open fine;
+// a live cycles counter cannot read zero across thousands of requests). The
+// degraded path is a reported state, not a failure.
 double HwPerReq(const RunResult& r, uint64_t numer) {
-  uint64_t den = HwDenominator(r);
-  if (!HwAvailable(r) || den == 0) {
+  if (!HwAvailable(r) || r.totals.requests == 0) {
     return 0;
   }
-  return static_cast<double>(numer) / static_cast<double>(den);
+  return static_cast<double>(numer) / static_cast<double>(r.totals.requests);
 }
 
 // One hardware-rate table cell: the rate, or "unavail" when it is 0.

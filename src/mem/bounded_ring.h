@@ -20,8 +20,11 @@
 // `len_after` values are exact when a single thread uses the ring and a
 // bounded-staleness approximation under concurrency (reads of the opposite
 // index may trail by in-flight operations) -- exactly the tolerance the
-// balance policy's EWMA smoothing is built for. DrainAll is for quiescent
-// shutdown (no concurrent producers/consumers).
+// balance policy's EWMA smoothing is built for. Push refuses below
+// capacity in one case only: a consumer preempted between claiming a slot
+// and releasing it still holds that slot when producers lap the ring back
+// to it. DrainAll is for quiescent shutdown (no concurrent
+// producers/consumers).
 
 #ifndef AFFINITY_SRC_MEM_BOUNDED_RING_H_
 #define AFFINITY_SRC_MEM_BOUNDED_RING_H_
@@ -63,7 +66,10 @@ class BoundedRing {
   bool Push(const T& value, size_t* len_after) {
     size_t pos = tail_.load(std::memory_order_relaxed);
     for (;;) {
-      if (pos - head_.load(std::memory_order_relaxed) >= capacity_) {
+      // `pos` may trail a head that other threads pushed and popped past
+      // since it was read; Length clamps that to empty (the slot check below
+      // then reloads the tail) instead of wrapping to "full".
+      if (Length(pos, head_.load(std::memory_order_relaxed)) >= capacity_) {
         return false;
       }
       Slot& slot = slots_[pos & mask_];

@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -17,10 +18,6 @@ namespace affinity {
 namespace rt {
 
 namespace {
-
-// Stack-array cap for one accept4 drain. accept_batch is clamped to this so
-// a batch's bookkeeping never leaves the stack.
-constexpr int kMaxAcceptBatch = 256;
 
 // Capped exponential accept backoff after EMFILE/ENFILE: first window 1 ms,
 // doubling to at most 100 ms -- long enough for fds to free up, short
@@ -494,10 +491,8 @@ void Reactor::FdExhaustionRescue(int listen_fd) {
     // drain, and the backlog keeps moving.
     close(reserve_fd_);
     reserve_fd_ = -1;
-    sockaddr_storage peer;
-    socklen_t peer_len = sizeof(peer);
-    int fd = shared_->sys->Accept4(index_, listen_fd, reinterpret_cast<sockaddr*>(&peer),
-                                   &peer_len, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    int fd = shared_->sys->Accept4(index_, listen_fd, nullptr, nullptr,
+                                   SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd >= 0) {
       RstClose(fd);
       hot_.accepted->fetch_add(1, std::memory_order_relaxed);
@@ -525,17 +520,34 @@ void Reactor::AcceptBatch(const ListenSource& src) {
   if (now < backoff_until_) {
     return;  // fd-exhaustion backoff window: leave the backlog queued
   }
-  int limit = shared_->accept_batch < kMaxAcceptBatch ? shared_->accept_batch : kMaxAcceptBatch;
+  // Stage 0: how many connections wait. A TCP listener reports its accept
+  // queue's depth in tcpi_unacked (what `ss -lt` shows as Recv-Q), so the
+  // drain takes exactly that many and never pays for an accept4 that
+  // returns EAGAIN -- on Linux the dearest call of a drain, because accept
+  // sets up the new socket's file before it looks at the queue. A UNIX
+  // listener has no TCP_INFO; it, and a failed query, drain until EAGAIN.
+  int limit = kReactorBatch;
+  if (!src.listener->is_unix) {
+    tcp_info info{};
+    socklen_t info_len = sizeof(info);
+    if (getsockopt(src.fd, IPPROTO_TCP, TCP_INFO, &info, &info_len) == 0) {
+      if (info.tcpi_unacked == 0) {
+        return;  // a peer polling the same fd took them (stock mode, failover)
+      }
+      limit = static_cast<int>(std::min<uint32_t>(info.tcpi_unacked, kReactorBatch));
+    }
+  }
   // Steering decisions apply only to the primary TCP listener: its source
   // ports are the flow-group key. Extra ports and UNIX sockets keep plain
-  // accepting-core affinity.
-  const bool steer = shared_->director != nullptr && src.listener != nullptr &&
-                     src.listener->id == 0 && !src.listener->is_unix;
+  // accepting-core affinity. Only a steering drain reads peer addresses.
+  const bool steer =
+      shared_->director != nullptr && src.listener->id == 0 && !src.listener->is_unix;
 
-  // Stage 1: drain the kernel queue until EAGAIN (or the cap) into a stack
-  // array -- no bookkeeping between accept4 calls, so the kernel side is
-  // drained as fast as the syscall allows.
-  Accepted batch[kMaxAcceptBatch];
+  // Stage 1: drain the kernel queue into a stack array -- no bookkeeping
+  // between accept4 calls, so the kernel side is drained as fast as the
+  // syscall allows. EAGAIN still ends it early: reactors that poll one
+  // shared fd (stock mode) race for the same connections.
+  Accepted batch[kReactorBatch];
   int n = 0;
   uint32_t owner_accepts = 0;
   uint32_t cross_accepts = 0;
@@ -555,8 +567,9 @@ void Reactor::AcceptBatch(const ListenSource& src) {
     }
     sockaddr_storage peer;
     socklen_t peer_len = sizeof(peer);
-    int fd = shared_->sys->Accept4(index_, src.fd, reinterpret_cast<sockaddr*>(&peer),
-                                   &peer_len, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    int fd = shared_->sys->Accept4(index_, src.fd,
+                                   steer ? reinterpret_cast<sockaddr*>(&peer) : nullptr,
+                                   steer ? &peer_len : nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
       // Soft errors are skip-and-continue with a per-class counter: the
       // connection behind an ECONNABORTED/EPROTO is gone, and EINTR aborted
@@ -564,13 +577,13 @@ void Reactor::AcceptBatch(const ListenSource& src) {
       // bounds an injected errno burst to one batch's worth of retries.
       if (errno == EINTR) {
         ++eintr;
-        if (++soft_skips <= limit) continue;
+        if (++soft_skips <= kReactorBatch) continue;
       } else if (errno == ECONNABORTED) {
         ++aborted;
-        if (++soft_skips <= limit) continue;
+        if (++soft_skips <= kReactorBatch) continue;
       } else if (errno == EPROTO) {
         ++eproto;
-        if (++soft_skips <= limit) continue;
+        if (++soft_skips <= kReactorBatch) continue;
       } else if (errno == EMFILE || errno == ENFILE) {
         fd_exhausted = true;
       }
@@ -633,10 +646,8 @@ void Reactor::AdmitBatch(const Accepted* batch, int n, RtListener* listener,
   uint32_t overflow_drops = 0;
   uint32_t admission_sheds = 0;
   uint32_t pool_drops = 0;
-  const uint8_t listener_id = listener != nullptr ? static_cast<uint8_t>(listener->id) : 0;
-  if (listener != nullptr) {
-    listener->accepted->fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
-  }
+  const uint8_t listener_id = static_cast<uint8_t>(listener->id);
+  listener->accepted->fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
   for (int i = 0; i < n; ++i) {
     const Accepted& a = batch[i];
     size_t qi = a.qi;
@@ -705,7 +716,7 @@ void Reactor::AdmitBatch(const Accepted* batch, int n, RtListener* listener,
 
 int Reactor::ServeBatch() {
   int served = 0;
-  while (served < shared_->accept_batch && ServeOne(/*idle=*/false)) {
+  while (served < kReactorBatch && ServeOne(/*idle=*/false)) {
     ++served;
   }
   FlushDequeues();
@@ -864,42 +875,34 @@ void Reactor::Serve(ConnHandle handle, bool local) {
   if (!core_local) {
     hot_.conn_migrations->fetch_add(1, std::memory_order_relaxed);
   }
-  svc::ConnHandler* handler = shared_->listeners[conn->svc.listener]->handler;
-  if (handler == nullptr) {
-    // The legacy accept workload: one byte, then an orderly close. Enough
-    // for the load client to observe end-to-end completion; per-connection
-    // application work is what the handlers above this path add.
-    if (local) {
-      ++batch_served_local_;
-    } else {
-      ++batch_served_remote_;
-    }
-    if (core_local) {
-      hot_.requests_local_core->fetch_add(1, std::memory_order_relaxed);
-    } else {
-      hot_.requests_remote_core->fetch_add(1, std::memory_order_relaxed);
-      hot_.requests_dist[dist_bucket - 1]->fetch_add(1, std::memory_order_relaxed);
-    }
-    char byte = 'A';
-    iovec iov{&byte, 1};
-    (void)shared_->sys->Write(index_, conn->fd, &iov, 1);
-    shared_->sys->Close(index_, conn->fd);
-    // Return the block to the accepting core's pool -- the paper's remote
-    // deallocation when this connection was stolen or re-steered here.
-    FreeConn(handle);
-    return;
-  }
-  // Request/response: the connection enters service on THIS reactor and
-  // stays here until a close verdict -- the locality decision was made at
-  // the pop, so it is recorded now and accounted at close.
+  // The connection enters service on THIS reactor and stays here until a
+  // close verdict -- the locality decision was made at the pop, so it is
+  // recorded now and accounted per round and at close.
   svc::ConnState& st = conn->svc;
   st.remote_served = !local;
   st.accept_local = core_local;
   st.accept_dist = static_cast<uint8_t>(dist_bucket);
   st.opened = true;
-  OpenListAdd(handle, conn);
+  // Open from here on: the client can see OnAccept's reply before the call
+  // returns, and a graceful drain ends once rt_conn_open and the rings read
+  // empty.
   ++open_count_;
   hot_.open_conns->store(open_count_, std::memory_order_relaxed);
+  svc::ConnHandler* handler = shared_->listeners[st.listener]->handler;
+  svc::ConnRef ref{&st, conn->fd, index_, shared_->sys};
+  svc::Verdict verdict = handler->OnAccept(ref);
+  NoteRounds(conn, /*prev_rounds=*/0);
+  if (verdict == svc::Verdict::kClose || verdict == svc::Verdict::kRstClose) {
+    // Over in one call (every accept-workload connection): no open-list
+    // entry, no timer, no open/close trace -- only the shared release,
+    // whose pool free is the paper's remote deallocation when this
+    // connection was stolen or re-steered here.
+    --open_count_;
+    hot_.open_conns->store(open_count_, std::memory_order_relaxed);
+    ReleaseConn(handle, conn, verdict == svc::Verdict::kRstClose, DeadlineKind::kNone);
+    return;
+  }
+  OpenListAdd(handle, conn);
   if (shared_->trace != nullptr) {
     obs::TraceEvent event;
     event.type = obs::TraceEventType::kConnOpen;
@@ -907,18 +910,14 @@ void Reactor::Serve(ConnHandle handle, bool local) {
     event.src = static_cast<int16_t>(st.listener);
     shared_->trace->Record(index_, event);
   }
-  // The absolute lifetime cap starts at first service touch and never
-  // re-arms; it rides in the pool block like the phase timer, on THIS
-  // reactor's wheel (the conn is pinned here until close).
+  // The absolute lifetime cap starts once the connection outlives OnAccept
+  // and never re-arms; it rides in the pool block like the phase timer, on
+  // THIS reactor's wheel (the conn is pinned here until close).
   if (shared_->max_lifetime_ns > 0) {
     wheel_->Arm(&conn->life_timer, shared_->clock->NowNs() + shared_->max_lifetime_ns,
                 static_cast<uint8_t>(DeadlineKind::kLifetime),
                 static_cast<uint64_t>(handle));
   }
-  svc::ConnRef ref{&st, conn->fd, index_, shared_->sys};
-  uint32_t prev = st.rounds_done;
-  svc::Verdict verdict = handler->OnAccept(ref);
-  NoteRounds(conn, prev);
   Finish(handle, conn, verdict);
 }
 
@@ -1105,17 +1104,11 @@ int Reactor::EvictIdleConns(int max_evict) {
 
 void Reactor::CloseConn(ConnHandle handle, PendingConn* conn, bool rst,
                         DeadlineKind timeout) {
-  svc::ConnState& st = conn->svc;
-  svc::ConnHandler* handler = shared_->listeners[st.listener]->handler;
   // Retire both deadline entries BEFORE the block can recycle: a dangling
   // armed entry would leave the wheel pointing into a block another core
   // now owns.
   wheel_->Cancel(&conn->phase_timer);
   wheel_->Cancel(&conn->life_timer);
-  if (st.opened && handler != nullptr) {
-    svc::ConnRef ref{&st, conn->fd, index_, shared_->sys};
-    handler->OnClose(ref);
-  }
   OpenListRemove(handle, conn);
   --open_count_;
   hot_.open_conns->store(open_count_, std::memory_order_relaxed);
@@ -1123,9 +1116,19 @@ void Reactor::CloseConn(ConnHandle handle, PendingConn* conn, bool rst,
     obs::TraceEvent event;
     event.type = obs::TraceEventType::kConnClose;
     event.core = static_cast<int16_t>(index_);
-    event.src = static_cast<int16_t>(st.listener);
-    event.qlen = st.rounds_done;
+    event.src = static_cast<int16_t>(conn->svc.listener);
+    event.qlen = conn->svc.rounds_done;
     shared_->trace->Record(index_, event);
+  }
+  ReleaseConn(handle, conn, rst, timeout);
+}
+
+void Reactor::ReleaseConn(ConnHandle handle, PendingConn* conn, bool rst,
+                          DeadlineKind timeout) {
+  svc::ConnState& st = conn->svc;
+  if (st.opened) {
+    svc::ConnRef ref{&st, conn->fd, index_, shared_->sys};
+    shared_->listeners[st.listener]->handler->OnClose(ref);
   }
   if (rst) {
     RstClose(conn->fd);
@@ -1198,10 +1201,9 @@ void Reactor::CloseAllOpen() {
     ConnHandle handle = open_head_;
     PendingConn* conn = shared_->pool->Get(handle);
     svc::ConnState& st = conn->svc;
-    svc::ConnHandler* handler = shared_->listeners[st.listener]->handler;
-    if (st.opened && handler != nullptr) {
+    if (st.opened) {
       svc::ConnRef ref{&st, conn->fd, index_, shared_->sys};
-      handler->OnClose(ref);
+      shared_->listeners[st.listener]->handler->OnClose(ref);
     }
     wheel_->Cancel(&conn->phase_timer);
     wheel_->Cancel(&conn->life_timer);

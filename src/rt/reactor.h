@@ -16,10 +16,12 @@
 //
 // Hot-path discipline (the Table 3 refactor): the reactor loop is batched
 // and allocation-free in steady state --
-//  - accept4 is drained until EAGAIN (or the batch cap) into a stack
-//    array; each connection gets a PendingConn block from the accepting
-//    core's slab pool and its 32-bit handle is pushed onto the target
-//    ring (no mutex, no heap),
+//  - each listen wakeup asks the shard for its accept-queue depth
+//    (TCP_INFO) and calls accept4 that many times, capped at kReactorBatch,
+//    into a stack array, so no accept4 on a TCP shard returns EAGAIN; each
+//    connection gets a PendingConn block from the accepting core's slab
+//    pool and its 32-bit handle is pushed onto the target ring (no mutex,
+//    no heap),
 //  - queue lengths / EWMA updates are reported to the BalancePolicy once
 //    per touched queue per batch (OnEnqueueBatch/OnDequeueBatch), not per
 //    connection, so the policy's shared state is touched per batch,
@@ -58,6 +60,11 @@ namespace rt {
 enum class RtMode : uint8_t { kStock, kFine, kAffinity };
 
 const char* RtModeName(RtMode mode);
+
+// The most connections one listen wakeup accepts, and the most one serve
+// batch pops. The kernel's queue depth sizes each drain; this bounds the
+// drain's stack array and how long one pass keeps the loop from epoll.
+inline constexpr int kReactorBatch = 64;
 
 // What to do with an accepted connection that cannot be queued (its target
 // ring is full or the conn pool is dry):
@@ -104,8 +111,8 @@ struct RtListener {
   int id = 0;
   bool is_unix = false;
   std::vector<int> fds;
-  // Null = the legacy accept workload (serve-and-close inline); otherwise
-  // the pluggable request/response handler, shared by all reactors.
+  // The listener's handler (svc::AcceptHandler for the accept workload),
+  // shared by all reactors; never null while reactors run.
   svc::ConnHandler* handler = nullptr;
   // Connections accepted on this listener. Owned by the Runtime and
   // cumulative across restarts, like the registry counters.
@@ -121,7 +128,6 @@ using RtMetricIds =
 struct ReactorShared {
   RtMode mode = RtMode::kAffinity;
   int num_reactors = 1;
-  int accept_batch = 64;
   bool pin_threads = true;
   // 1 entry (stock) or one per reactor (fine/affinity).
   std::vector<std::unique_ptr<AcceptRing>> queues;
@@ -248,10 +254,12 @@ class Reactor {
     uint32_t qi;
   };
 
-  // The accept path: drains accept4 on `src` until EAGAIN or the batch
-  // limit into a stack array (stage 1), then admits via AdmitBatch. A
-  // reactor normally drains only its own sources; after a failover it also
-  // drains adopted shards.
+  // The accept path: reads the depth of `src`'s accept queue once, calls
+  // accept4 that many times (capped at kReactorBatch) into a stack array
+  // (stage 1), then admits via AdmitBatch. A UNIX listener, or a TCP one
+  // whose depth query fails, drains until EAGAIN instead. A reactor
+  // normally drains only its own sources; after a failover it also drains
+  // adopted shards.
   void AcceptBatch(const ListenSource& src);
   // Stages 2+3: pool blocks + ring pushes per accepted connection
   // (ShedOrDrop on a full ring or dry pool), then one flush per touched
@@ -259,17 +267,17 @@ class Reactor {
   // the batch came from `listener`.
   void AdmitBatch(const Accepted* batch, int n, RtListener* listener,
                   std::chrono::steady_clock::time_point now);
-  // Serves up to accept_batch queued connections; returns how many.
+  // Serves up to kReactorBatch queued connections; returns how many.
   // Dequeue-side policy reporting is flushed once at the end of the batch.
   int ServeBatch();
   // Picks and pops one connection per the mode's service discipline.
   // `idle` marks the pre-sleep pass, where affinity mode widens its scan
   // (the paper's polling path). Returns false when nothing was available.
   bool ServeOne(bool idle);
-  // First touch of a popped connection. Without a handler this is the
-  // legacy inline accept workload (1 byte + close); with one it opens the
-  // request/response conversation (OnAccept) and the connection joins this
-  // reactor's open list + epoll set until a close verdict.
+  // First touch of a popped connection: records its locality and runs the
+  // handler's OnAccept. A close verdict there (the accept workload's only
+  // verdict) releases the connection at once; any other verdict makes it
+  // join this reactor's open list + epoll set until a close verdict.
   void Serve(ConnHandle handle, bool local);
   // Readiness on a held connection: run the phase-appropriate handler
   // callback and apply its verdict.
@@ -281,13 +289,17 @@ class Reactor {
   // reset -- a conn epoll cannot see would be held forever -- and returns
   // false; deadline arming must not touch the conn after that.
   bool Arm(ConnHandle handle, PendingConn* conn, uint32_t want);
-  // Every close path for an opened connection: OnClose hook, open-list
-  // removal, timer cancel, trace, close (RST on protocol violations and
-  // timeouts), served/timed-out accounting, pool free. `timeout` != kNone
-  // marks a deadline-expiry (or eviction) close: it counts into the
-  // classified rt_timeouts_* instead of served.
+  // Every close path for a connection on the open list: timer cancel,
+  // open-list removal, trace, then ReleaseConn. `timeout` != kNone marks a
+  // deadline-expiry (or eviction) close: it counts into the classified
+  // rt_timeouts_* instead of served.
   void CloseConn(ConnHandle handle, PendingConn* conn, bool rst,
                  DeadlineKind timeout = DeadlineKind::kNone);
+  // The end every closed conversation shares, including one that OnAccept
+  // closed before it joined the open list: OnClose hook, close (RST on
+  // protocol violations and timeouts), served/timed-out accounting, pool
+  // free.
+  void ReleaseConn(ConnHandle handle, PendingConn* conn, bool rst, DeadlineKind timeout);
   // Returns the block to its owner's pool, counting remote frees.
   void FreeConn(ConnHandle handle);
   void OpenListAdd(ConnHandle handle, PendingConn* conn);

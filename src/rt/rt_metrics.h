@@ -42,11 +42,12 @@
   X(recoveries, "rt_recoveries", "reactors recovered after failover")                              \
   X(failover_group_moves, "rt_failover_group_moves",                                               \
     "flow groups mass-moved by failover/recovery")                                                 \
-  /* Request/response service layer (0 under the kAccept workload). */                             \
-  X(requests, "rt_requests", "completed request/response rounds (svc handlers)")                   \
+  /* Service rounds: one per request/response round, and one per                                   \
+     accept-workload connection (its one-byte reply). */                                           \
+  X(requests, "rt_requests", "completed service rounds (an accept-workload connection is one)")    \
   X(aborted_at_stop, "rt_aborted_at_stop", "held connections closed by a reactor's Run() exit")    \
-  /* Connection-locality ledger: requests (legacy workload: connections)                           \
-     served on vs off their accepting core, and connections whose first                            \
+  /* Connection-locality ledger: rounds served on vs off their accepting                           \
+     core (the two sum to rt_requests), and connections whose first                                \
      serving core differed from the acceptor. */                                                   \
   X(requests_local_core, "rt_requests_local_core",                                                 \
     "requests served on the core that accepted the connection")                                    \
@@ -102,7 +103,7 @@
 #define AFFINITY_RT_HISTOGRAMS(X)                                                                  \
   X(queue_wait_ns, "rt_queue_wait_ns", "accept() -> service latency per connection")               \
   X(request_latency_ns, "rt_request_latency_ns",                                                   \
-    "per-request service time, first byte to response flushed")                                    \
+    "per-round service time, first request byte to response flushed (accept workload: 0)")         \
   X(drain_duration_ns, "rt_drain_duration_ns", "wall duration of each Stop() drain window")
 
 namespace affinity {

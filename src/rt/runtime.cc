@@ -104,9 +104,6 @@ Runtime::Runtime(const RtConfig& config)
   if (config_.num_threads > kMaxCores) {
     config_.num_threads = kMaxCores;  // pool handles encode the core id
   }
-  if (config_.accept_batch < 1) {
-    config_.accept_batch = 1;
-  }
   // Same split as ListenSocket: the backlog is divided evenly across the
   // per-core queues, and that share is the busy-tracking reference length.
   max_local_len_ = std::max(1, config_.backlog / config_.num_threads);
@@ -237,7 +234,6 @@ bool Runtime::Start(std::string* error) {
 
   shared_.mode = config_.mode;
   shared_.num_reactors = config_.num_threads;
-  shared_.accept_batch = config_.accept_batch;
   shared_.pin_threads = config_.pin_threads;
   shared_.metrics = metrics_.get();
   shared_.ids = ids_;
@@ -329,7 +325,7 @@ bool Runtime::Start(std::string* error) {
       config_.pool_blocks_per_core > 0
           ? config_.pool_blocks_per_core
           : static_cast<uint32_t>(static_cast<size_t>(num_queues) * queue_cap +
-                                  static_cast<size_t>(config_.accept_batch) + 1);
+                                  static_cast<size_t>(kReactorBatch) + 1);
   pool_.reset(new ConnPool(config_.num_threads, blocks_per_core, topo_.get()));
   shared_.pool = pool_.get();
   if (config_.mode == RtMode::kAffinity) {

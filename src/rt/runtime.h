@@ -48,7 +48,6 @@ struct RtConfig {
   // listen() backlog per shard; also split across cores as the max local
   // accept queue length, exactly like ListenConfig::backlog.
   int backlog = 1024;
-  int accept_batch = 64;
   bool pin_threads = true;
   // Balancer decision trace ring slots per core; 0 disables tracing.
   size_t trace_capacity = 1024;
@@ -157,9 +156,9 @@ struct RtConfig {
 
   // --- request/response service layer (src/svc) ---
 
-  // The primary listener's workload. kAccept keeps the legacy inline
-  // 1-byte-and-close hot path; anything else installs the matching
-  // ConnHandler and connections live across epoll rounds.
+  // The primary listener's workload, served by the matching ConnHandler.
+  // kAccept's handler closes every connection in OnAccept, so those never
+  // join the epoll set; the others hold connections across epoll rounds.
   svc::WorkloadKind workload = svc::WorkloadKind::kAccept;
   svc::HandlerParams handler;
 

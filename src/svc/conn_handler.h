@@ -60,7 +60,9 @@ class ConnHandler {
 
   // First touch after the pop: the state is Reset, the fd is nonblocking.
   // May complete the first round immediately (the request often arrived
-  // while the connection sat in the ring). Each of the three calls below
+  // while the connection sat in the ring). A close verdict here ends the
+  // conversation in this call: the reactor never watches the fd, arms no
+  // deadline, and closes it at once. Each of the three calls below
   // completes at most one round; the reactor's request ledger relies on it.
   virtual Verdict OnAccept(const ConnRef& c) = 0;
   virtual Verdict OnReadable(const ConnRef& c) = 0;
@@ -75,7 +77,7 @@ class ConnHandler {
 // The workload axis shared by the runtime, the load client, and the bench:
 // which handler fronts the listener / what traffic the client offers.
 enum class WorkloadKind : uint8_t {
-  kAccept,  // no handler: the legacy 1-byte-write-and-close accept workload
+  kAccept,  // one connection per request: 1 byte, then close (AcceptHandler)
   kEcho,    // echo-N: mirror each request line back, N rounds per connection
   kStatic,  // in-memory object table keyed by the request line
   kThink,   // CPU burn before echoing (app::ComputeJob-style think time)
@@ -104,8 +106,7 @@ struct HandlerParams {
   int stream_chunks = 64;
 };
 
-// Builds the built-in handler for `kind` (nullptr for kAccept: the reactor
-// keeps its inline accept-workload hot path).
+// Builds the built-in handler for `kind`; never null.
 std::unique_ptr<ConnHandler> MakeHandler(WorkloadKind kind, const HandlerParams& params);
 
 }  // namespace svc

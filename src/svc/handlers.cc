@@ -83,6 +83,29 @@ void BurnCpuUs(uint64_t us) {
   }
 }
 
+Verdict AcceptHandler::OnAccept(const ConnRef& c) {
+  // One byte is enough for the client to observe end-to-end completion. The
+  // close follows whatever the write returned: a peer that already left has
+  // nothing more to be told.
+  char byte = 'A';
+  iovec iov{&byte, 1};
+  (void)c.sys->Write(c.core, c.fd, &iov, 1);
+  ++c.st->rounds_done;
+  return Verdict::kClose;
+}
+
+Verdict AcceptHandler::OnReadable(const ConnRef& c) {
+  (void)c;
+  return Verdict::kClose;
+}
+
+Verdict AcceptHandler::OnWritable(const ConnRef& c) {
+  (void)c;
+  return Verdict::kClose;
+}
+
+void AcceptHandler::OnClose(const ConnRef& c) { (void)c; }
+
 void RequestResponseHandler::StageHead(ConnState* st, uint32_t payload_len) {
   int n = std::snprintf(st->head_buf, sizeof(st->head_buf), "%u\n", payload_len);
   st->head_len = n > 0 ? static_cast<uint32_t>(n) : 0;
@@ -312,7 +335,7 @@ bool StreamHandler::RestageChunk(const ConnRef& c) {
 std::unique_ptr<ConnHandler> MakeHandler(WorkloadKind kind, const HandlerParams& params) {
   switch (kind) {
     case WorkloadKind::kAccept:
-      return nullptr;
+      break;
     case WorkloadKind::kEcho:
       return std::unique_ptr<ConnHandler>(new EchoHandler(params.echo_rounds));
     case WorkloadKind::kStatic:
@@ -325,7 +348,7 @@ std::unique_ptr<ConnHandler> MakeHandler(WorkloadKind kind, const HandlerParams&
       return std::unique_ptr<ConnHandler>(new StreamHandler(
           params.stream_chunk_bytes, params.stream_chunks, params.echo_rounds));
   }
-  return nullptr;
+  return std::unique_ptr<ConnHandler>(new AcceptHandler());
 }
 
 }  // namespace svc

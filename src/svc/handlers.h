@@ -1,5 +1,6 @@
-// The built-in request/response handlers mirroring the paper's Section 6
-// workload mix:
+// The built-in handlers mirroring the paper's Section 6 workload mix:
+//  - AcceptHandler:  one connection per request, the paper's accept-bound
+//                    load (one byte, then a close verdict from OnAccept),
 //  - EchoHandler:    echo-N, the request-reuse axis of Figure 7 (N rounds
 //                    per connection amortize the accept),
 //  - StaticHandler:  in-memory object table keyed by the request line, the
@@ -7,14 +8,15 @@
 //  - ThinkHandler:   CPU burn before the reply, the think-time axis of
 //                    Figure 8 (app::ComputeJob's busy-loop, live).
 //
-// Protocol (shared with rt::LoadClient): a request is one newline-
-// terminated line; a response is "<payload-len>\n" followed by exactly
-// payload-len bytes. Requests are not pipelined -- bytes after the
-// terminator are a protocol violation (RST).
+// Protocol of the request/response handlers (shared with rt::LoadClient): a
+// request is one newline-terminated line; a response is "<payload-len>\n"
+// followed by exactly payload-len bytes. Requests are not pipelined -- bytes
+// after the terminator are a protocol violation (RST).
 //
-// All of them share one state machine (RequestResponseHandler::Pump) that
-// serves at most one round per call: it reads until a full request line,
-// builds the response, and sends header plus payload in one gather write.
+// The request/response handlers share one state machine
+// (RequestResponseHandler::Pump) that serves at most one round per call: it
+// reads until a full request line, builds the response, and sends header
+// plus payload in one gather write.
 // A verdict always means "the readiness engine must wake us", never "try
 // again immediately": kWantRead follows EAGAIN and also a completed round,
 // so the next request is reported by epoll instead of costing a read that
@@ -31,6 +33,19 @@
 
 namespace affinity {
 namespace svc {
+
+// The accept workload: OnAccept writes one byte, completes one round and
+// returns kClose, so the conversation ends in the call that opened it. The
+// round has no request to time; it adds 0 to the service-time histogram.
+class AcceptHandler : public ConnHandler {
+ public:
+  const char* name() const override { return "accept"; }
+  Verdict OnAccept(const ConnRef& c) override;
+  // OnAccept always closes, so readiness never reaches these two.
+  Verdict OnReadable(const ConnRef& c) override;
+  Verdict OnWritable(const ConnRef& c) override;
+  void OnClose(const ConnRef& c) override;
+};
 
 class RequestResponseHandler : public ConnHandler {
  public:

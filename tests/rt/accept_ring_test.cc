@@ -162,6 +162,42 @@ TEST(AcceptRingTest, ConcurrentPushStealDrainConservesEveryValue) {
   }
 }
 
+// Stock mode's shape: every thread both pushes and pops one shared ring,
+// and at most one item per thread is ever queued, far below capacity. A
+// producer's tail snapshot can fall behind the head by the time it reads
+// the head (others pushed and popped in between); that must read as "not
+// full", never as a refused push. The ring is larger than the whole run, so
+// no slot is reused: a consumer preempted between claiming a slot and
+// releasing it (which does hold that slot's next lap) cannot refuse a push
+// here.
+TEST(AcceptRingTest, SharedRingNeverRefusesAPushBelowCapacity) {
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 25000;
+  BoundedRing<uint32_t> ring(static_cast<size_t>(kThreads) * kRounds);
+  std::atomic<uint64_t> refused{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&ring, &refused, t] {
+      size_t len = 0;
+      uint32_t out = 0;
+      for (int i = 0; i < kRounds; ++i) {
+        if (!ring.Push(static_cast<uint32_t>(t), &len)) {
+          refused.fetch_add(1, std::memory_order_relaxed);
+          continue;
+        }
+        // A pop can miss an item whose producer is mid-write; retry.
+        while (!ring.TryPop(&out, &len)) {
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(refused.load(), 0u);
+  EXPECT_EQ(ring.size(), 0u);
+}
+
 // The runtime's actual flow, concurrently: the owner core allocs blocks
 // and pushes handles through a ring; "serving" threads pop them and free
 // remotely; the owner reclaims its remote-free stack when the freelist

@@ -145,6 +145,7 @@ TEST_P(RtAllocFreeTest, SteadyStateServesConnectionsWithZeroHeapAllocations) {
   EXPECT_EQ(client.errors(), 0u);
   RtTotals totals = runtime.Totals();
   EXPECT_GE(totals.served(), kWarmup + kWindow);
+  EXPECT_EQ(totals.requests_local_core + totals.requests_remote_core, totals.requests);
   EXPECT_EQ(totals.pool.frees, totals.pool.allocs);
 }
 

@@ -226,38 +226,58 @@ TEST(RtChaosTest, SoftAcceptErrnosAreSkippedNotFatal) {
 
 // The accept workload's one-byte reply must go through the fault seam like
 // every other reply: a kWrite rule counts one call per served connection.
-// The rule is armed past any reachable call count, so it only counts.
+// A kAccept4 rule counts the drain: each listen wakeup accepts exactly the
+// queue depth the kernel reports, so every accept4 returns a connection (no
+// EAGAIN probe ends the drain). The rules are armed past any reachable call
+// count, so they only count. At 16 clients the backlog is deeper than one,
+// and one wakeup must still drain more than one connection.
 TEST(RtChaosTest, AcceptWorkloadReplyGoesThroughTheWriteSeam) {
-  RtConfig config;
-  config.mode = RtMode::kAffinity;
-  config.num_threads = 2;
-  config.fault_plan = fault::FaultPlan::ErrnoBurst(fault::CallSite::kWrite, /*core=*/-1, EIO,
-                                                   /*after_calls=*/UINT64_MAX, /*count=*/1);
-  Runtime runtime(config);
-  std::string error;
-  ASSERT_TRUE(runtime.Start(&error)) << error;
+  for (int clients : {4, 16}) {
+    SCOPED_TRACE("clients=" + std::to_string(clients));
+    RtConfig config;
+    config.mode = RtMode::kAffinity;
+    config.num_threads = 2;
+    config.fault_plan = fault::FaultPlan::ErrnoBurst(fault::CallSite::kWrite, /*core=*/-1, EIO,
+                                                     /*after_calls=*/UINT64_MAX, /*count=*/1);
+    config.fault_plan.rules.push_back(
+        fault::FaultPlan::ErrnoBurst(fault::CallSite::kAccept4, /*core=*/-1, EIO,
+                                     /*after_calls=*/UINT64_MAX, /*count=*/1)
+            .rules[0]);
+    Runtime runtime(config);
+    std::string error;
+    ASSERT_TRUE(runtime.Start(&error)) << error;
 
-  constexpr uint64_t kConns = 200;
-  LoadClientConfig client_config;
-  client_config.port = runtime.port();
-  client_config.num_threads = 4;
-  client_config.max_conns = kConns;
-  LoadClient client(client_config);
-  client.Start();
-  client.WaitForMaxConns();
-  runtime.Stop();
+    const uint64_t conns = clients == 4 ? 200 : 2000;
+    LoadClientConfig client_config;
+    client_config.port = runtime.port();
+    client_config.num_threads = clients;
+    client_config.max_conns = conns;
+    LoadClient client(client_config);
+    client.Start();
+    client.WaitForMaxConns();
+    runtime.Stop();
 
-  EXPECT_GE(client.completed(), kConns);
-  ASSERT_NE(runtime.injector(), nullptr);
-  uint64_t writes = 0;
-  for (int c = 0; c < config.num_threads; ++c) {
-    writes += runtime.injector()->calls(fault::CallSite::kWrite, c);
+    EXPECT_GE(client.completed(), conns);
+    ASSERT_NE(runtime.injector(), nullptr);
+    uint64_t writes = 0;
+    uint64_t accepts = 0;
+    for (int c = 0; c < config.num_threads; ++c) {
+      writes += runtime.injector()->calls(fault::CallSite::kWrite, c);
+      accepts += runtime.injector()->calls(fault::CallSite::kAccept4, c);
+    }
+    RtTotals totals = runtime.Totals();
+    EXPECT_GE(totals.served(), conns);
+    EXPECT_EQ(writes, totals.served());
+    EXPECT_EQ(accepts, totals.accepted);
+    EXPECT_EQ(totals.accept_eintr, 0u);
+    EXPECT_EQ(totals.accept_econnaborted, 0u);
+    EXPECT_EQ(totals.accept_eproto, 0u);
+    if (clients == 16) {
+      EXPECT_LT(totals.epoll_wakeups, totals.accepted);
+    }
+    EXPECT_EQ(totals.fault_injected, 0u);
+    ExpectBooksBalance(runtime, client);
   }
-  RtTotals totals = runtime.Totals();
-  EXPECT_GE(totals.served(), kConns);
-  EXPECT_EQ(writes, totals.served());
-  EXPECT_EQ(totals.fault_injected, 0u);
-  ExpectBooksBalance(runtime, client);
 }
 
 TEST(RtChaosTest, PoolExhaustionShedsWithRst) {

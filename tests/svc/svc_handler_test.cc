@@ -139,6 +139,30 @@ TEST(SvcHandlerTest, EchoCompletesAWholeRoundInOnAccept) {
   EXPECT_GT(st.last_request_ns, 0u);
 }
 
+TEST(SvcHandlerTest, AcceptWritesOneByteAndClosesInOnAccept) {
+  ScriptedSys sys;
+  AcceptHandler handler;
+  ConnState st;
+  ConnRef c = MakeConn(&st, &sys);
+
+  // The whole conversation is OnAccept: one byte through the write seam,
+  // one round with no request to time, then the close verdict. Nothing is
+  // read.
+  EXPECT_EQ(handler.OnAccept(c), Verdict::kClose);
+  EXPECT_EQ(sys.written, "A");
+  EXPECT_EQ(sys.writes_issued, 1);
+  EXPECT_EQ(sys.reads_issued, 0);
+  EXPECT_EQ(st.rounds_done, 1u);
+  EXPECT_EQ(st.last_request_ns, 0u);
+
+  // A peer that already left changes nothing: still one round, still close.
+  ScriptedSys gone;
+  gone.writes = {ScriptedSys::WriteStep{0, EPIPE}};
+  ConnState st2;
+  EXPECT_EQ(handler.OnAccept(MakeConn(&st2, &gone)), Verdict::kClose);
+  EXPECT_EQ(st2.rounds_done, 1u);
+}
+
 TEST(SvcHandlerTest, PartialRequestSurvivesEpollRounds) {
   ScriptedSys sys;
   sys.reads = {ScriptedSys::Data("hel")};
@@ -431,7 +455,9 @@ TEST(SvcHandlerTest, WorkloadNamesRoundTrip) {
 
 TEST(SvcHandlerTest, MakeHandlerMatchesWorkloads) {
   HandlerParams params;
-  EXPECT_EQ(MakeHandler(WorkloadKind::kAccept, params), nullptr);
+  auto accept = MakeHandler(WorkloadKind::kAccept, params);
+  ASSERT_NE(accept, nullptr);
+  EXPECT_STREQ(accept->name(), "accept");
   auto echo = MakeHandler(WorkloadKind::kEcho, params);
   ASSERT_NE(echo, nullptr);
   EXPECT_STREQ(echo->name(), "echo");
