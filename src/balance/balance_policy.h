@@ -2,6 +2,8 @@
 // (paper Section 3.3.1), extracted so the discrete-event simulator
 // (src/stack/listen_socket.cc) and the real-socket runtime (src/rt/) drive
 // byte-for-byte identical watermark / EWMA / proportional-share logic.
+// ServeAffinityOrder (below) is the order both sides consult it in when
+// they take a connection, so that sequence exists once too.
 //
 // Two adapters are provided:
 //  - WatermarkBalancePolicy: the paper's policy (BusyTracker + StealPolicy),
@@ -197,6 +199,56 @@ class LockedBalancePolicy : public BalancePolicy {
   mutable std::mutex mu_;
   WatermarkBalancePolicy inner_;
 };
+
+// The Section 3.3.1 service order, the one copy that both the simulator's
+// ListenSocket::Accept and the runtime's Reactor::ServeOne run. A non-busy
+// core with stealing on and a busy core in sight goes remote first when its
+// own queue is empty or the 5:1 share says so; otherwise it takes its own
+// queue, then a busy victim's. Only on the way to sleep (`idle`) does it
+// poll every other queue, nearest first ("Polling"). A busy core takes only
+// its own queue.
+//
+// `pop(q)` dequeues one connection from core q's queue into the caller's
+// slot and returns whether it got one; `has_connections(q)` is the polling
+// scan's queue-nonempty test; `local_empty` is the caller's reading of its
+// own queue. A remote pop is reported to the policy (OnSteal). Returns the
+// queue the connection came from (`core` for a local one), or kNoCore.
+template <typename Pop, typename HasConnections>
+CoreId ServeAffinityOrder(BalancePolicy* policy, CoreId core, bool stealing, bool idle,
+                          bool local_empty, Pop&& pop, HasConnections&& has_connections) {
+  const bool self_busy = policy->IsBusy(core);
+  const bool may_steal = stealing && !self_busy && policy->AnyBusy();
+  const bool steal_first = may_steal && (local_empty || policy->ShouldStealThisTime(core));
+  auto steal_from = [&](CoreId victim) {
+    if (victim == kNoCore || !pop(victim)) {
+      return false;
+    }
+    policy->OnSteal(core, victim);
+    return true;
+  };
+  if (steal_first) {
+    CoreId victim = policy->PickBusyVictim(core);
+    if (steal_from(victim)) {
+      return victim;
+    }
+  }
+  if (pop(core)) {
+    return core;
+  }
+  if (may_steal && !steal_first) {
+    CoreId victim = policy->PickBusyVictim(core);
+    if (steal_from(victim)) {
+      return victim;
+    }
+  }
+  if (idle && stealing && !self_busy) {
+    CoreId victim = policy->PickAnyVictim(core, has_connections);
+    if (steal_from(victim)) {
+      return victim;
+    }
+  }
+  return kNoCore;
+}
 
 }  // namespace affinity
 

@@ -6,46 +6,27 @@ FlowGroupMigrator::FlowGroupMigrator(SimNic* nic, std::function<int(CoreId)> rin
                                      uint32_t min_epochs)
     : nic_(nic),
       ring_of_core_(std::move(ring_of_core)),
-      hysteresis_(nic->config().num_flow_groups, min_epochs) {}
+      picker_(nic->config().num_flow_groups, min_epochs) {}
 
 bool FlowGroupMigrator::PickGroupOnRing(int victim_ring, uint32_t* group) {
-  bool had_ineligible = false;
-  return PickEligibleGroupOnRing(victim_ring, epoch_tick_, group, &had_ineligible);
-}
-
-bool FlowGroupMigrator::PickEligibleGroupOnRing(int victim_ring, uint64_t tick,
-                                                uint32_t* group, bool* had_ineligible) {
-  uint32_t num_groups = nic_->config().num_flow_groups;
-  for (uint32_t i = 0; i < num_groups; ++i) {
-    uint32_t candidate = (scan_cursor_ + i) % num_groups;
-    if (nic_->RingOfFlowGroup(candidate) != victim_ring) {
-      continue;
-    }
-    if (!hysteresis_.Eligible(candidate, tick)) {
-      // Cooling off after a recent move; leave the cursor so the next epoch
-      // revisits it -- the same skip FlowDirector::PickGroupOwnedByLocked
-      // makes, keeping the two sides decision-identical.
-      *had_ineligible = true;
-      continue;
-    }
-    scan_cursor_ = (candidate + 1) % num_groups;
-    *group = candidate;
-    return true;
-  }
-  return false;
+  return picker_.Pick(
+      epoch_tick_, [&](uint32_t g) { return nic_->RingOfFlowGroup(g) == victim_ring; }, group);
 }
 
 Cycles FlowGroupMigrator::RunEpoch(Cycles now, BalancePolicy* policy, int num_cores) {
   Cycles total_cost = 0;
   uint64_t tick = epoch_tick_++;
   RunMigrationEpoch(policy, num_cores, [&](CoreId core, CoreId victim) {
+    int victim_ring = ring_of_core_(victim);
     uint32_t group = 0;
-    bool had_ineligible = false;
-    if (PickEligibleGroupOnRing(ring_of_core_(victim), tick, &group, &had_ineligible)) {
+    bool damped = false;
+    if (picker_.Pick(
+            tick, [&](uint32_t g) { return nic_->RingOfFlowGroup(g) == victim_ring; }, &group,
+            &damped)) {
       total_cost += nic_->MigrateFlowGroup(group, ring_of_core_(core));
-      hysteresis_.NoteMove(group, tick);
+      picker_.NoteMove(group, tick);
       history_.push_back(MigrationRecord{now, group, victim, core});
-    } else if (had_ineligible) {
+    } else if (damped) {
       ++migrations_suppressed_;
     }
   });

@@ -31,9 +31,9 @@ class FlowGroupMigrator {
  public:
   // `ring_of_core` maps a core to its RX DMA ring (identity in this repo, but
   // kept explicit for partial-ring configurations). `min_epochs` is the
-  // shared MigrationHysteresis damping (0 = off): a group that migrated may
-  // not migrate again for that many RunEpoch calls, matching the runtime
-  // FlowDirector's min_epochs_between_moves knob decision-for-decision.
+  // FlowGroupPicker's hysteresis (0 = off): a group that migrated may not
+  // migrate again for that many RunEpoch calls, like the runtime
+  // FlowDirector's min_epochs_between_moves knob.
   FlowGroupMigrator(SimNic* nic, std::function<int(CoreId)> ring_of_core,
                     uint32_t min_epochs = 0);
 
@@ -43,9 +43,9 @@ class FlowGroupMigrator {
   // attributed by the caller to the initiating cores.
   Cycles RunEpoch(Cycles now, BalancePolicy* policy, int num_cores);
 
-  // Picks a flow group currently steered at `victim_ring`, rotating through
-  // the group space so repeated migrations move different groups. Returns
-  // false if the victim serves no groups.
+  // Picks a flow group currently steered at `victim_ring` through the shared
+  // FlowGroupPicker, so repeated picks move different groups. Returns false
+  // if the victim serves no eligible group.
   bool PickGroupOnRing(int victim_ring, uint32_t* group);
 
   const std::vector<MigrationRecord>& history() const { return history_; }
@@ -58,16 +58,10 @@ class FlowGroupMigrator {
   static constexpr Cycles kDefaultPeriod = MsToCycles(100);
 
  private:
-  // PickGroupOnRing plus hysteresis: skips groups still cooling off at
-  // epoch `tick`, reporting whether any were skipped.
-  bool PickEligibleGroupOnRing(int victim_ring, uint64_t tick, uint32_t* group,
-                               bool* had_ineligible);
-
   SimNic* nic_;
   std::function<int(CoreId)> ring_of_core_;
-  uint32_t scan_cursor_ = 0;
-  MigrationHysteresis hysteresis_;
-  // Monotonic RunEpoch counter feeding the hysteresis. Eligibility compares
+  FlowGroupPicker picker_;
+  // Monotonic RunEpoch counter feeding the picker. Eligibility compares
   // tick DIFFERENCES, so parity with the director holds for any two tick
   // sequences that advance by one per epoch, whatever their bases.
   uint64_t epoch_tick_ = 0;

@@ -15,36 +15,9 @@ StealPolicy::StealPolicy(int num_cores, int local_ratio, const topo::Topology* t
   assert(local_ratio >= 1);
   assert(topo == nullptr || topo->num_cores() >= num_cores);
   for (int thief = 0; thief < num_cores; ++thief) {
-    std::vector<std::vector<CoreId>>& classes = classes_[static_cast<size_t>(thief)];
-    if (topo != nullptr) {
-      // Nearest distance class first (SMT sibling, same LLC, same node,
-      // cross node); the topology may describe more cores than we run, so
-      // clamp members to [0, num_cores).
-      for (const std::vector<CoreId>& members : topo->PeerClasses(thief)) {
-        std::vector<CoreId> kept;
-        for (CoreId peer : members) {
-          if (peer < num_cores) {
-            kept.push_back(peer);
-          }
-        }
-        if (!kept.empty()) {
-          classes.push_back(std::move(kept));
-        }
-      }
-    } else {
-      // No topology: one class of every other core, ascending -- the
-      // paper's plain round-robin.
-      std::vector<CoreId> all;
-      for (int peer = 0; peer < num_cores; ++peer) {
-        if (peer != thief) {
-          all.push_back(peer);
-        }
-      }
-      if (!all.empty()) {
-        classes.push_back(std::move(all));
-      }
-    }
-    cursors_[static_cast<size_t>(thief)].assign(classes.size(), 0);
+    size_t t = static_cast<size_t>(thief);
+    classes_[t] = topo::NearestFirstPeers(topo, thief, num_cores);
+    cursors_[t].assign(classes_[t].size(), 0);
   }
 }
 

@@ -296,17 +296,11 @@ void Reactor::MigrationTick() {
                              static_cast<uint64_t>(shared_->director->table().OwnedBy(m.from_core)));
   shared_->metrics->GaugeSet(shared_->ids.steer_groups_owned, static_cast<int>(m.to_core),
                              static_cast<uint64_t>(shared_->director->table().OwnedBy(m.to_core)));
-  if (shared_->trace != nullptr) {
-    obs::TraceEvent event;
-    event.type = obs::TraceEventType::kMigrate;
-    event.core = static_cast<int16_t>(index_);
-    event.src = static_cast<int16_t>(m.from_core);
-    event.dst = static_cast<int16_t>(m.to_core);
-    event.group = m.group;
-    event.tick = static_cast<uint32_t>(m.tick);
-    event.qlen = static_cast<uint32_t>(m.victim_steals);
-    shared_->trace->Record(index_, event);
-  }
+  Trace({.type = obs::TraceEventType::kMigrate,
+         .src = static_cast<int16_t>(m.from_core),
+         .dst = static_cast<int16_t>(m.to_core),
+         .qlen = static_cast<uint32_t>(m.victim_steals),
+         .group = m.group});
 }
 
 void Reactor::WatchdogTick(fault::WatchdogMonitor* monitor) {
@@ -370,14 +364,7 @@ void Reactor::TryFailover(int dead) {
       }
     }
   }
-  if (shared_->trace != nullptr) {
-    obs::TraceEvent event;
-    event.type = obs::TraceEventType::kReactorDead;
-    event.core = static_cast<int16_t>(index_);
-    event.src = static_cast<int16_t>(dead);
-    event.tick = static_cast<uint32_t>(migrate_tick_);
-    shared_->trace->Record(index_, event);
-  }
+  Trace({.type = obs::TraceEventType::kReactorDead, .src = static_cast<int16_t>(dead)});
 }
 
 void Reactor::SelfRecover() {
@@ -406,14 +393,7 @@ void Reactor::SelfRecover() {
   // The adopter still holds our listen fd in its epoll until its next
   // watchdog tick (ReleaseRecoveredAdoptions); the brief double-drain is
   // harmless -- accept4 hands each connection to exactly one caller.
-  if (shared_->trace != nullptr) {
-    obs::TraceEvent event;
-    event.type = obs::TraceEventType::kReactorRecover;
-    event.core = static_cast<int16_t>(index_);
-    event.src = static_cast<int16_t>(index_);
-    event.tick = static_cast<uint32_t>(migrate_tick_);
-    shared_->trace->Record(index_, event);
-  }
+  Trace({.type = obs::TraceEventType::kReactorRecover, .src = static_cast<int16_t>(index_)});
 }
 
 void Reactor::ReleaseRecoveredAdoptions() {
@@ -434,15 +414,10 @@ void Reactor::RecordBusyFlip(size_t queue, size_t len_after) {
   shared_->metrics->Add(now_busy ? ids.transitions_to_busy : ids.transitions_to_nonbusy,
                         static_cast<int>(queue));
   shared_->metrics->GaugeSet(ids.busy, static_cast<int>(queue), now_busy ? 1 : 0);
-  if (shared_->trace != nullptr) {
-    obs::TraceEvent event;
-    event.type = now_busy ? obs::TraceEventType::kBusyOn : obs::TraceEventType::kBusyOff;
-    event.core = static_cast<int16_t>(index_);
-    event.src = static_cast<int16_t>(queue);
-    event.ewma = shared_->policy->EwmaValue(static_cast<CoreId>(queue));
-    event.qlen = static_cast<uint32_t>(len_after);
-    shared_->trace->Record(index_, event);
-  }
+  Trace({.type = now_busy ? obs::TraceEventType::kBusyOn : obs::TraceEventType::kBusyOff,
+         .src = static_cast<int16_t>(queue),
+         .ewma = shared_->policy->EwmaValue(static_cast<CoreId>(queue)),
+         .qlen = static_cast<uint32_t>(len_after)});
 }
 
 void Reactor::RstClose(int fd) {
@@ -459,27 +434,17 @@ void Reactor::RstClose(int fd) {
 bool Reactor::ShedOrDrop(int fd, size_t qi, std::chrono::steady_clock::time_point now) {
   if (shared_->overload == OverloadPolicy::kAcceptThenRst && drop_bucket_->TryTake(now)) {
     RstClose(fd);
-    if (shared_->trace != nullptr) {
-      obs::TraceEvent event;
-      event.type = obs::TraceEventType::kAdmissionShed;
-      event.core = static_cast<int16_t>(index_);
-      event.src = static_cast<int16_t>(qi);
-      event.qlen = static_cast<uint32_t>(shared_->queues[qi]->size());
-      shared_->trace->Record(index_, event);
-    }
+    Trace({.type = obs::TraceEventType::kAdmissionShed,
+           .src = static_cast<int16_t>(qi),
+           .qlen = static_cast<uint32_t>(shared_->queues[qi]->size())});
     return true;
   }
   // kLeaveInBacklog, or the RST budget is dry: orderly close, counted as an
   // overflow drop -- the stage-1 backlog gate does the actual pushing back.
   shared_->sys->Close(index_, fd);
-  if (shared_->trace != nullptr) {
-    obs::TraceEvent event;
-    event.type = obs::TraceEventType::kOverflowDrop;
-    event.core = static_cast<int16_t>(index_);
-    event.src = static_cast<int16_t>(qi);
-    event.qlen = static_cast<uint32_t>(shared_->queues[qi]->capacity());
-    shared_->trace->Record(index_, event);
-  }
+  Trace({.type = obs::TraceEventType::kOverflowDrop,
+         .src = static_cast<int16_t>(qi),
+         .qlen = static_cast<uint32_t>(shared_->queues[qi]->capacity())});
   return false;
 }
 
@@ -497,13 +462,7 @@ void Reactor::FdExhaustionRescue(int listen_fd) {
       RstClose(fd);
       hot_.accepted->fetch_add(1, std::memory_order_relaxed);
       hot_.admission_shed->fetch_add(1, std::memory_order_relaxed);
-      if (shared_->trace != nullptr) {
-        obs::TraceEvent event;
-        event.type = obs::TraceEventType::kAdmissionShed;
-        event.core = static_cast<int16_t>(index_);
-        event.src = static_cast<int16_t>(index_);
-        shared_->trace->Record(index_, event);
-      }
+      Trace({.type = obs::TraceEventType::kAdmissionShed, .src = static_cast<int16_t>(index_)});
     }
     reserve_fd_ = open("/dev/null", O_RDONLY | O_CLOEXEC);
   }
@@ -754,21 +713,15 @@ void Reactor::FlushDequeues() {
 }
 
 void Reactor::RecordSteal(CoreId victim, size_t victim_len_after) {
-  shared_->policy->OnSteal(index_, victim);
   hot_.steals->fetch_add(1, std::memory_order_relaxed);
   // Distance ledger: how far this steal reached. LedgerBucket is never 0
   // here (a core does not steal from itself).
   int bucket = topo::LedgerBucket(shared_->topo->Between(index_, victim));
   hot_.steals_dist[bucket - 1]->fetch_add(1, std::memory_order_relaxed);
-  if (shared_->trace != nullptr) {
-    obs::TraceEvent event;
-    event.type = obs::TraceEventType::kSteal;
-    event.core = static_cast<int16_t>(index_);
-    event.src = static_cast<int16_t>(victim);
-    event.dst = static_cast<int16_t>(index_);
-    event.qlen = static_cast<uint32_t>(victim_len_after);
-    shared_->trace->Record(index_, event);
-  }
+  Trace({.type = obs::TraceEventType::kSteal,
+         .src = static_cast<int16_t>(victim),
+         .dst = static_cast<int16_t>(index_),
+         .qlen = static_cast<uint32_t>(victim_len_after)});
 }
 
 bool Reactor::ServeOne(bool idle) {
@@ -800,58 +753,27 @@ bool Reactor::ServeOne(bool idle) {
     }
 
     case RtMode::kAffinity: {
-      // Same decision sequence as ListenSocket::Accept, driven by the same
-      // BalancePolicy: proportional-share steal-first check, local ring,
-      // late steal, then (only before sleeping) the widened scan. Dequeue
-      // reporting is deferred to the end of the batch, so decisions within
-      // one batch see busy bits at most one batch stale.
-      BalancePolicy* policy = shared_->policy;
-      CoreId me = index_;
-      bool self_busy = policy->IsBusy(me);
-      bool may_steal = !self_busy && policy->AnyBusy();
-      size_t local_len = shared_->queues[static_cast<size_t>(me)]->size();
-      bool steal_first = false;
-      if (may_steal) {
-        steal_first = local_len == 0 || policy->ShouldStealThisTime(me);
+      // The simulator's ListenSocket::Accept order, by the same code
+      // (ServeAffinityOrder) and the same BalancePolicy. Dequeue reporting
+      // is deferred to the end of the batch, so decisions within one batch
+      // see busy bits at most one batch stale.
+      CoreId from = ServeAffinityOrder(
+          shared_->policy, index_, /*stealing=*/true, idle,
+          shared_->queues[static_cast<size_t>(index_)]->size() == 0,
+          [&](CoreId q) { return PopFrom(static_cast<size_t>(q), &conn); },
+          [this](CoreId q) { return shared_->queues[static_cast<size_t>(q)]->size() > 0; });
+      if (from == kNoCore) {
+        return false;
       }
-
-      if (steal_first) {
-        CoreId victim = policy->PickBusyVictim(me);
-        if (victim != kNoCore && PopFrom(static_cast<size_t>(victim), &conn)) {
-          Prof(obs::hwprof::Phase::kSteal);
-          RecordSteal(victim, shared_->queues[static_cast<size_t>(victim)]->size());
-          Serve(conn, /*local=*/false);
-          Prof(obs::hwprof::Phase::kServe);
-          return true;
-        }
-      }
-      if (PopFrom(static_cast<size_t>(me), &conn)) {
+      if (from == index_) {
         Serve(conn, /*local=*/true);
         return true;
       }
-      if (may_steal && !steal_first) {
-        CoreId victim = policy->PickBusyVictim(me);
-        if (victim != kNoCore && PopFrom(static_cast<size_t>(victim), &conn)) {
-          Prof(obs::hwprof::Phase::kSteal);
-          RecordSteal(victim, shared_->queues[static_cast<size_t>(victim)]->size());
-          Serve(conn, /*local=*/false);
-          Prof(obs::hwprof::Phase::kServe);
-          return true;
-        }
-      }
-      if (idle && !self_busy) {
-        CoreId victim = policy->PickAnyVictim(me, [this](CoreId c) {
-          return shared_->queues[static_cast<size_t>(c)]->size() > 0;
-        });
-        if (victim != kNoCore && PopFrom(static_cast<size_t>(victim), &conn)) {
-          Prof(obs::hwprof::Phase::kSteal);
-          RecordSteal(victim, shared_->queues[static_cast<size_t>(victim)]->size());
-          Serve(conn, /*local=*/false);
-          Prof(obs::hwprof::Phase::kServe);
-          return true;
-        }
-      }
-      return false;
+      Prof(obs::hwprof::Phase::kSteal);
+      RecordSteal(from, shared_->queues[static_cast<size_t>(from)]->size());
+      Serve(conn, /*local=*/false);
+      Prof(obs::hwprof::Phase::kServe);
+      return true;
     }
   }
   return false;
@@ -903,13 +825,7 @@ void Reactor::Serve(ConnHandle handle, bool local) {
     return;
   }
   OpenListAdd(handle, conn);
-  if (shared_->trace != nullptr) {
-    obs::TraceEvent event;
-    event.type = obs::TraceEventType::kConnOpen;
-    event.core = static_cast<int16_t>(index_);
-    event.src = static_cast<int16_t>(st.listener);
-    shared_->trace->Record(index_, event);
-  }
+  Trace({.type = obs::TraceEventType::kConnOpen, .src = static_cast<int16_t>(st.listener)});
   // The absolute lifetime cap starts once the connection outlives OnAccept
   // and never re-arms; it rides in the pool block like the phase timer, on
   // THIS reactor's wheel (the conn is pinned here until close).
@@ -1112,14 +1028,9 @@ void Reactor::CloseConn(ConnHandle handle, PendingConn* conn, bool rst,
   OpenListRemove(handle, conn);
   --open_count_;
   hot_.open_conns->store(open_count_, std::memory_order_relaxed);
-  if (shared_->trace != nullptr) {
-    obs::TraceEvent event;
-    event.type = obs::TraceEventType::kConnClose;
-    event.core = static_cast<int16_t>(index_);
-    event.src = static_cast<int16_t>(conn->svc.listener);
-    event.qlen = conn->svc.rounds_done;
-    shared_->trace->Record(index_, event);
-  }
+  Trace({.type = obs::TraceEventType::kConnClose,
+         .src = static_cast<int16_t>(conn->svc.listener),
+         .qlen = conn->svc.rounds_done});
   ReleaseConn(handle, conn, rst, timeout);
 }
 

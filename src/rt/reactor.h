@@ -144,7 +144,8 @@ struct ReactorShared {
   // Live metrics (owned by the Runtime; never null while reactors run).
   obs::MetricsRegistry* metrics = nullptr;
   RtMetricIds ids;
-  // Balancer decision trace; null when tracing is disabled.
+  // Balancer decision trace (owned by the Runtime; never null while
+  // reactors run).
   obs::TraceRing* trace = nullptr;
   // Flow-group steering table + long-term balancer; null when steering is
   // off (affinity mode only). Owned by the Runtime.
@@ -271,8 +272,10 @@ class Reactor {
   // Dequeue-side policy reporting is flushed once at the end of the batch.
   int ServeBatch();
   // Picks and pops one connection per the mode's service discipline.
-  // `idle` marks the pre-sleep pass, where affinity mode widens its scan
-  // (the paper's polling path). Returns false when nothing was available.
+  // Affinity mode runs ServeAffinityOrder (src/balance/balance_policy.h),
+  // the simulator's accept order by the same code; `idle` marks the
+  // pre-sleep pass, where that order widens to the polling scan. Returns
+  // false when nothing was available.
   bool ServeOne(bool idle);
   // First touch of a popped connection: records its locality and runs the
   // handler's OnAccept. A close verdict there (the accept workload's only
@@ -322,7 +325,8 @@ class Reactor {
   // Resolves the hot-path metric cells for this core (after registration,
   // before traffic).
   void ResolveHotCells();
-  // Metrics + trace bookkeeping for a successful steal from `victim`.
+  // Metrics + trace bookkeeping for a successful steal from `victim` (the
+  // policy already heard of it from ServeAffinityOrder).
   void RecordSteal(CoreId victim, size_t victim_len_after);
   // Busy-bit flip bookkeeping after a policy enqueue/dequeue hook fired.
   void RecordBusyFlip(size_t queue, size_t len_after);
@@ -426,6 +430,14 @@ class Reactor {
     if (prof_ != nullptr) {
       prof_->EnterPhase(phase);
     }
+  }
+
+  // Records a decision into this core's trace ring, stamped with the core
+  // and its current migration epoch.
+  void Trace(obs::TraceEvent event) {
+    event.core = static_cast<int16_t>(index_);
+    event.tick = static_cast<uint32_t>(migrate_tick_);
+    shared_->trace->Record(index_, event);
   }
 };
 

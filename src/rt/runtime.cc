@@ -12,6 +12,9 @@ namespace rt {
 
 namespace {
 
+// Balancer decision trace slots per core: the trailing window a dump shows.
+constexpr size_t kTraceSlotsPerCore = 1024;
+
 // Autogenerated abstract-namespace socket name for a UNIX listener: unique
 // per process AND per Start() (the counter), so restarts and parallel test
 // binaries never collide, and nothing needs unlinking.
@@ -123,9 +126,7 @@ Runtime::Runtime(const RtConfig& config)
 #undef AFFINITY_RT_REGISTER_COUNTER
 #undef AFFINITY_RT_REGISTER_GAUGE
 #undef AFFINITY_RT_REGISTER_HISTOGRAM
-  if (config_.trace_capacity > 0) {
-    trace_.reset(new obs::TraceRing(config_.num_threads, config_.trace_capacity));
-  }
+  trace_.reset(new obs::TraceRing(config_.num_threads, kTraceSlotsPerCore));
   if (config_.hwprof) {
     // Constructed here because HwProf registers its metric series, and
     // registration must finish before any writer thread exists.
@@ -329,8 +330,7 @@ bool Runtime::Start(std::string* error) {
   pool_.reset(new ConnPool(config_.num_threads, blocks_per_core, topo_.get()));
   shared_.pool = pool_.get();
   if (config_.mode == RtMode::kAffinity) {
-    policy_.reset(new LockedBalancePolicy(config_.num_threads,
-                                          static_cast<size_t>(max_local_len_), config_.tuning,
+    policy_.reset(new LockedBalancePolicy(config_.num_threads, max_local_len_, BalanceTuning{},
                                           topo_.get()));
     shared_.policy = policy_.get();
   }

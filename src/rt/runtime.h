@@ -49,9 +49,6 @@ struct RtConfig {
   // accept queue length, exactly like ListenConfig::backlog.
   int backlog = 1024;
   bool pin_threads = true;
-  // Balancer decision trace ring slots per core; 0 disables tracing.
-  size_t trace_capacity = 1024;
-  BalanceTuning tuning;  // the paper's 5:1 / 75% / 10% defaults
 
   // Flow-group steering (affinity mode only): route each connection to the
   // core owning its source port's flow group, via a cBPF program on the
@@ -304,7 +301,9 @@ class Runtime {
   // (topology()->flat_reason() says why).
   const topo::Topology* topology() const { return topo_.get(); }
 
-  // Balancer decision trace; null when config.trace_capacity == 0.
+  // Balancer decision trace: each core's trailing window of decisions
+  // (steals, busy flips, drops, migrations, failovers, conn open/close),
+  // capacity_per_core() slots deep. Never null.
   const obs::TraceRing* trace() const { return trace_.get(); }
 
   // The hardware profiler; null unless config.hwprof. Availability and the

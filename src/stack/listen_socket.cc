@@ -420,71 +420,34 @@ Connection* ListenSocket::Accept(ExecCtx& ctx, Thread* thread, bool park_on_empt
     return nullptr;
   }
 
-  // --- Affinity-Accept ---
-  bool self_busy = balance_.IsBusy(core);
+  // --- Affinity-Accept: the shared Section 3.3.1 order. Only a blocking
+  // accept (on its way to sleep) runs the polling scan; a non-blocking one
+  // (batch draining) stops short of it so it does not strip other cores. ---
   ctx.MemLine(busy_bits_line_, kRead);  // one read tells us who is busy
-  bool may_steal = config_.connection_stealing && !self_busy && balance_.AnyBusy();
-
-  size_t local_len = queues_[static_cast<size_t>(core)].connections.size();
-  bool steal_first = false;
-  if (may_steal) {
-    // With local connections available, proportional share decides (5:1);
-    // with an empty local queue, go remote immediately.
-    steal_first = local_len == 0 || balance_.ShouldStealThisTime(core);
-  }
-
   Connection* conn = nullptr;
-  if (steal_first) {
-    CoreId victim = balance_.PickBusyVictim(core);
-    if (victim != kNoCore) {
-      conn = DequeueFrom(ctx, static_cast<size_t>(victim), LockContext::kProcess);
-      if (conn != nullptr) {
-        balance_.OnSteal(core, victim);
-        ++stats_.accepted_remote;
-      }
-    }
-  }
-  if (conn == nullptr) {
-    conn = DequeueFrom(ctx, static_cast<size_t>(core), LockContext::kProcess);
-    if (conn != nullptr) {
-      ++stats_.accepted_local;
-    }
-  }
-  if (conn == nullptr && may_steal && !steal_first) {
-    // Local was empty after all; try busy cores before giving up.
-    CoreId victim = balance_.PickBusyVictim(core);
-    if (victim != kNoCore) {
-      conn = DequeueFrom(ctx, static_cast<size_t>(victim), LockContext::kProcess);
-      if (conn != nullptr) {
-        balance_.OnSteal(core, victim);
-        ++stats_.accepted_remote;
-      }
-    }
-  }
-  if (conn == nullptr && park_on_empty && config_.connection_stealing && !self_busy) {
-    // Section 3.3.1 "Polling": local queue, then busy remotes, then non-busy
-    // remotes -- but only on the way to sleep. A non-blocking accept (batch
-    // draining) stops at the local queue so it does not strip other cores.
-    CoreId victim = balance_.PickAnyVictim(core, [&](CoreId c) {
-      ctx.MemLine(queues_[static_cast<size_t>(c)].head_line, kRead);
-      return !queues_[static_cast<size_t>(c)].connections.empty();
-    });
-    if (victim != kNoCore) {
-      conn = DequeueFrom(ctx, static_cast<size_t>(victim), LockContext::kProcess);
-      if (conn != nullptr) {
-        balance_.OnSteal(core, victim);
-        ++stats_.accepted_remote;
-      }
-    }
-  }
-
-  if (conn == nullptr) {
+  CoreId from = ServeAffinityOrder(
+      &balance_, core, config_.connection_stealing, /*idle=*/park_on_empty,
+      queues_[static_cast<size_t>(core)].connections.empty(),
+      [&](CoreId q) {
+        conn = DequeueFrom(ctx, static_cast<size_t>(q), LockContext::kProcess);
+        return conn != nullptr;
+      },
+      [&](CoreId q) {
+        ctx.MemLine(queues_[static_cast<size_t>(q)].head_line, kRead);
+        return !queues_[static_cast<size_t>(q)].connections.empty();
+      });
+  if (from == kNoCore) {
     if (park_on_empty) {
       queues_[static_cast<size_t>(core)].waiters.push_back(Waiter{thread, false});
       thread->Block();
       ++stats_.parked_accepts;
     }
     return nullptr;
+  }
+  if (from == core) {
+    ++stats_.accepted_local;
+  } else {
+    ++stats_.accepted_remote;
   }
   FinishAccept(ctx, conn);
   return conn;

@@ -10,7 +10,10 @@
 //    across all clones, so there is no connection affinity.
 //  - Affinity-Accept: like Fine-Accept, but accept() prefers the local core's
 //    queue, non-busy cores steal from busy cores at a proportional-share
-//    ratio, and busy status is tracked per Section 3.3.1.
+//    ratio, and busy status is tracked per Section 3.3.1. The order accept()
+//    tries the queues in is ServeAffinityOrder (src/balance/balance_policy.h),
+//    the same code the runtime's reactors serve through; this class supplies
+//    only the dequeue, the queue-head reads it charges, and the parking.
 //
 // Wakeup policy (Section 4.1): a new connection wakes one accept() sleeper;
 // for poll() sleepers, Stock/Fine wake every poller on the socket (the

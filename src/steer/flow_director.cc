@@ -18,7 +18,7 @@ const char* KernelSteeringName(KernelSteering steering) {
 FlowDirector::FlowDirector(const FlowDirectorConfig& config)
     : config_(config),
       table_(config.num_groups, config.num_cores),
-      hysteresis_(config.num_groups, config.min_epochs_between_moves),
+      picker_(config.num_groups, config.min_epochs_between_moves),
       failed_over_(static_cast<size_t>(config.num_cores)) {}
 
 bool FlowDirector::Attach(int fd, std::string* error) {
@@ -33,27 +33,6 @@ bool FlowDirector::Attach(int fd, std::string* error) {
   status_.store(1, std::memory_order_release);
   ++cbpf_updates_;
   return true;
-}
-
-bool FlowDirector::PickGroupOwnedByLocked(CoreId victim, uint64_t tick, uint32_t* group,
-                                          bool* had_ineligible) {
-  uint32_t num_groups = table_.num_groups();
-  for (uint32_t i = 0; i < num_groups; ++i) {
-    uint32_t candidate = (scan_cursor_ + i) % num_groups;
-    if (table_.OwnerOf(candidate) != victim) {
-      continue;
-    }
-    if (!hysteresis_.Eligible(candidate, tick)) {
-      // Recently migrated: skip without advancing the cursor, so the next
-      // epoch's scan revisits it once it cools off.
-      *had_ineligible = true;
-      continue;
-    }
-    scan_cursor_ = (candidate + 1) % num_groups;
-    *group = candidate;
-    return true;
-  }
-  return false;
 }
 
 void FlowDirector::ReprogramLocked() {
@@ -88,12 +67,13 @@ bool FlowDirector::MigrateForCore(CoreId core, BalancePolicy* policy, uint64_t t
   MigrateForCoreThisEpoch(policy, core, [&](CoreId thief, CoreId victim) {
     std::lock_guard<std::mutex> lock(mu_);
     uint32_t group = 0;
-    bool had_ineligible = false;
-    if (!PickGroupOwnedByLocked(victim, tick, &group, &had_ineligible)) {
+    bool damped = false;
+    if (!picker_.Pick(
+            tick, [&](uint32_t g) { return table_.OwnerOf(g) == victim; }, &group, &damped)) {
       // Either the victim owns no groups (all already migrated away) or
       // everything it owns is still cooling off from a recent move -- only
       // the latter counts as a suppression.
-      if (had_ineligible) {
+      if (damped) {
         ++migrations_suppressed_;
         if (suppressed != nullptr) {
           *suppressed = true;
@@ -108,7 +88,7 @@ bool FlowDirector::MigrateForCore(CoreId core, BalancePolicy* policy, uint64_t t
     m.tick = tick;
     m.victim_steals = policy->EpochSteals(thief, victim);
     table_.Set(group, thief);
-    hysteresis_.NoteMove(group, tick);
+    picker_.NoteMove(group, tick);
     ReprogramLocked();
     history_.push_back(m);
     if (out != nullptr) {
@@ -133,28 +113,7 @@ size_t FlowDirector::FailOverCore(CoreId dead, BalancePolicy* policy, uint64_t t
   // non-empty class takes them anyway -- a dead owner is worse than a
   // loaded one. Without a topology both passes degrade to the ascending
   // all-survivors scan. Lock order: director mutex, then policy mutex.
-  std::vector<std::vector<CoreId>> classes;
-  if (config_.topo != nullptr) {
-    for (const std::vector<CoreId>& members : config_.topo->PeerClasses(dead)) {
-      std::vector<CoreId> kept;
-      for (CoreId peer : members) {
-        if (peer < num_cores) {
-          kept.push_back(peer);
-        }
-      }
-      if (!kept.empty()) {
-        classes.push_back(std::move(kept));
-      }
-    }
-  } else {
-    std::vector<CoreId> all;
-    for (CoreId c = 0; c < num_cores; ++c) {
-      if (c != dead) {
-        all.push_back(c);
-      }
-    }
-    classes.push_back(std::move(all));
-  }
+  std::vector<std::vector<CoreId>> classes = topo::NearestFirstPeers(config_.topo, dead, num_cores);
   std::vector<CoreId> targets;
   for (const std::vector<CoreId>& members : classes) {
     for (CoreId c : members) {

@@ -79,8 +79,8 @@ struct FlowDirectorConfig {
   // Migration hysteresis: a group that just migrated may not migrate again
   // for this many balancer epochs (0 = off, the pre-hysteresis behavior).
   // Damps ping-pong between near-balanced cores; failover/recovery moves
-  // ignore and do not stamp it. Mirrored by the simulator's
-  // FlowGroupMigrator so the parity test holds with hysteresis on.
+  // ignore and do not stamp it. The simulator's FlowGroupMigrator runs the
+  // same FlowGroupPicker, so the two agree with hysteresis on.
   uint32_t min_epochs_between_moves = 0;
 };
 
@@ -171,12 +171,6 @@ class FlowDirector {
   uint64_t migrations_suppressed() const;
 
  private:
-  // Same scan as FlowGroupMigrator::PickGroupOnRing: rotate from the shared
-  // cursor so repeated migrations move different groups. Skips groups the
-  // hysteresis holds ineligible at `tick`; *had_ineligible reports whether
-  // any victim-owned group was skipped that way.
-  bool PickGroupOwnedByLocked(CoreId victim, uint64_t tick, uint32_t* group,
-                              bool* had_ineligible);
   void ReprogramLocked();
 
   FlowDirectorConfig config_;
@@ -184,8 +178,9 @@ class FlowDirector {
   std::atomic<int> status_{0};  // 0 = kFallback, 1 = kAttached
   mutable std::mutex mu_;
   int attach_fd_ = -1;
-  uint32_t scan_cursor_ = 0;
-  MigrationHysteresis hysteresis_;
+  // The shared Section 3.3.2 group choice (migration_epoch.h); guarded by
+  // mu_ like the table it reads.
+  FlowGroupPicker picker_;
   uint64_t migrations_suppressed_ = 0;
   std::vector<Migration> history_;
   uint64_t cbpf_updates_ = 0;

@@ -171,5 +171,34 @@ void Topology::BuildDerived() {
   }
 }
 
+std::vector<std::vector<CoreId>> NearestFirstPeers(const Topology* topo, CoreId core,
+                                                   int num_cores) {
+  std::vector<std::vector<CoreId>> classes;
+  if (topo == nullptr) {
+    std::vector<CoreId> all;
+    for (CoreId peer = 0; peer < num_cores; ++peer) {
+      if (peer != core) {
+        all.push_back(peer);
+      }
+    }
+    if (!all.empty()) {
+      classes.push_back(std::move(all));
+    }
+    return classes;
+  }
+  for (const std::vector<CoreId>& members : topo->PeerClasses(core)) {
+    std::vector<CoreId> kept;
+    for (CoreId peer : members) {
+      if (peer < num_cores) {
+        kept.push_back(peer);
+      }
+    }
+    if (!kept.empty()) {
+      classes.push_back(std::move(kept));
+    }
+  }
+  return classes;
+}
+
 }  // namespace topo
 }  // namespace affinity

@@ -177,6 +177,15 @@ class Topology {
   std::vector<std::vector<std::vector<CoreId>>> peer_classes_;
 };
 
+// `core`'s peers among the first `num_cores` cores, nearest distance class
+// first: PeerClasses with the cores at or past `num_cores` dropped (the
+// topology may describe more cores than run) and classes left empty
+// omitted. With no topology (null) it is one class of every other core,
+// ascending -- the paper's plain round-robin -- or no class at all on a
+// single core. The steal scan and failover parking both walk this order.
+std::vector<std::vector<CoreId>> NearestFirstPeers(const Topology* topo, CoreId core,
+                                                   int num_cores);
+
 }  // namespace topo
 }  // namespace affinity
 

@@ -273,6 +273,56 @@ TEST_F(ListenSocketTest, ProportionalShareStealsOneInSix) {
   EXPECT_EQ(local, 10);
 }
 
+TEST_F(ListenSocketTest, OnlyABlockingAcceptPollsANonBusyPeer) {
+  Init(AcceptVariant::kAffinity, /*backlog=*/16);
+  Connection* queued = Establish(2, 100, 1);
+  ASSERT_NE(queued, nullptr);
+  ASSERT_FALSE(listen_->busy_tracker().IsBusy(2));
+  ASSERT_EQ(listen_->QueueLength(0), 0u);
+
+  Thread* t = sched_->Spawn(0, 0, true, [](ExecCtx&, Thread&) {});
+  // Non-blocking: core 2 is not busy, so nothing is steal-eligible before
+  // the polling scan, and a non-blocking accept never runs that scan.
+  Connection* conn = reinterpret_cast<Connection*>(1);
+  RunOnCore(0, [&](ExecCtx& ctx) { conn = listen_->Accept(ctx, t, /*park_on_empty=*/false); });
+  EXPECT_EQ(conn, nullptr);
+  EXPECT_EQ(listen_->QueueLength(2), 1u);
+
+  // Blocking: on its way to sleep the accept polls the other queues
+  // (Section 3.3.1, "Polling") and takes core 2's connection.
+  RunOnCore(0, [&](ExecCtx& ctx) { conn = listen_->Accept(ctx, t, /*park_on_empty=*/true); });
+  ASSERT_EQ(conn, queued);
+  EXPECT_EQ(conn->accept_core, 0);
+  EXPECT_EQ(listen_->steal_policy().steals(0, 2), 1u);
+  EXPECT_EQ(listen_->stats().accepted_remote, 1u);
+  EXPECT_EQ(listen_->stats().parked_accepts, 0u);
+  delete conn;
+}
+
+TEST_F(ListenSocketTest, BusyVictimWithAnEmptyQueueFallsBackToLocal) {
+  Init(AcceptVariant::kAffinity, /*backlog=*/64);  // 16 per core, high = 12
+  listen_->balance().SetForcedBusy(3, true);
+  for (uint16_t i = 0; i < 6; ++i) {
+    ASSERT_NE(Establish(0, static_cast<uint16_t>(100 + i), 1 + i), nullptr);
+  }
+  ASSERT_TRUE(listen_->balance().IsBusy(3));
+  ASSERT_EQ(listen_->QueueLength(3), 0u);
+
+  // The sixth accept is the 5:1 share's steal-first turn; core 3 is busy
+  // but has nothing queued, so it falls back to the local queue.
+  Thread* t = sched_->Spawn(0, 0, true, [](ExecCtx&, Thread&) {});
+  for (int i = 0; i < 6; ++i) {
+    Connection* conn = nullptr;
+    RunOnCore(0, [&](ExecCtx& ctx) { conn = listen_->Accept(ctx, t, /*park_on_empty=*/false); });
+    ASSERT_NE(conn, nullptr) << "accept " << i;
+    EXPECT_EQ(conn->softirq_core, 0) << "accept " << i;
+    delete conn;
+  }
+  EXPECT_EQ(listen_->steal_policy().steals(0, 3), 0u);
+  EXPECT_EQ(listen_->stats().accepted_local, 6u);
+  EXPECT_EQ(listen_->stats().accepted_remote, 0u);
+}
+
 TEST_F(ListenSocketTest, FineAcceptRoundRobinsAcrossQueues) {
   Init(AcceptVariant::kFine);
   for (CoreId c = 0; c < 4; ++c) {
