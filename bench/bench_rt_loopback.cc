@@ -10,6 +10,10 @@
 // least stock's throughput; stock funnels every reactor through one shared
 // queue and herds every thread on each connection.
 //
+// Every run also prints the server conservation law, accepted against
+// RtTotals::accounted(), as "balanced" or "IMBALANCED"; an imbalance fails
+// the run and the exit status.
+//
 // Flags:
 //   --mode=stock|fine|affinity|all   (default all)
 //   --threads=N                      (default 4)
@@ -766,7 +770,13 @@ RunResult RunMode(const RunSpec& spec, const Options& opt) {
           static_cast<double>(refused_lat.Percentile(0.95)) / 1e3;
     }
   }
-  result.ok = true;
+  // The server law, on every run: each accepted connection lands in
+  // exactly one term of RtTotals::accounted(). A mismatch fails the run.
+  result.ok = result.totals.accepted == result.totals.accounted();
+  std::printf("    [%s] server law: accepted=%llu accounted=%llu (%s)\n", spec.label.c_str(),
+              static_cast<unsigned long long>(result.totals.accepted),
+              static_cast<unsigned long long>(result.totals.accounted()),
+              result.ok ? "balanced" : "IMBALANCED");
   return result;
 }
 
@@ -1016,29 +1026,22 @@ int main(int argc, char** argv) {
         served > 0 ? 100.0 * static_cast<double>(r.totals.served_local) / static_cast<double>(served)
                    : 0;
     if (opt.chaos != "none") {
-      // The failover ledger plus the server law every chaos run must
-      // balance: accepted == RtTotals::accounted().
+      // The failover ledger.
       std::printf("    [%s] chaos: injected=%llu failovers=%llu recoveries=%llu "
-                  "group_moves=%llu shed=%llu | accepted=%llu accounted=%llu (%s)\n",
+                  "group_moves=%llu shed=%llu\n",
                   spec.label.c_str(),
                   static_cast<unsigned long long>(r.totals.fault_injected),
                   static_cast<unsigned long long>(r.totals.failovers),
                   static_cast<unsigned long long>(r.totals.recoveries),
                   static_cast<unsigned long long>(r.totals.failover_group_moves),
-                  static_cast<unsigned long long>(r.totals.admission_shed),
-                  static_cast<unsigned long long>(r.totals.accepted),
-                  static_cast<unsigned long long>(r.totals.accounted()),
-                  r.totals.accepted == r.totals.accounted() ? "balanced" : "IMBALANCED");
-      if (r.totals.accepted != r.totals.accounted()) {
-        all_ok = false;
-      }
+                  static_cast<unsigned long long>(r.totals.admission_shed));
     }
     if (opt.timeout_ms > 0 || opt.drain_ms > 0) {
       // The lifecycle ledger: what the timer wheels reaped, what pool
       // pressure evicted, and how the drain budget split the held conns.
       std::printf("    [%s] lifecycle: hs=%llu idle=%llu read=%llu write=%llu "
                   "life=%llu evict=%llu reaped=%llu drained=%llu aborted=%llu "
-                  "drain=%.1fms | accepted=%llu accounted=%llu (%s)\n",
+                  "drain=%.1fms\n",
                   spec.label.c_str(),
                   static_cast<unsigned long long>(r.totals.timeouts_handshake),
                   static_cast<unsigned long long>(r.totals.timeouts_idle),
@@ -1049,13 +1052,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(r.client_stalled_reaped),
                   static_cast<unsigned long long>(r.totals.drained_gracefully),
                   static_cast<unsigned long long>(r.totals.aborted_at_stop),
-                  r.drain_window_ms,
-                  static_cast<unsigned long long>(r.totals.accepted),
-                  static_cast<unsigned long long>(r.totals.accounted()),
-                  r.totals.accepted == r.totals.accounted() ? "balanced" : "IMBALANCED");
-      if (r.totals.accepted != r.totals.accounted()) {
-        all_ok = false;
-      }
+                  r.drain_window_ms);
       if (opt.stall != "none" && r.client_stalled_reaped == 0) {
         // A stall run where nothing got reaped means the deadlines never
         // fired -- the whole point of the leg.

@@ -2,10 +2,9 @@
 //
 // A snapshot is a point-in-time copy of a set of labeled series: counters
 // and gauges carry one value per label (usually per core), histograms carry
-// one plain Histogram per label. The runtime's MetricsRegistry, the
-// simulator's PerfCounters/LockStat adapters, and ad-hoc Histogram exports
-// all produce this one shape, so Prometheus text and JSON come from a
-// single rendering path.
+// one plain Histogram per label. The runtime's MetricsRegistry produces
+// this shape, so Prometheus text and JSON come from a single rendering
+// path.
 
 #ifndef AFFINITY_SRC_OBS_SNAPSHOT_H_
 #define AFFINITY_SRC_OBS_SNAPSHOT_H_
@@ -71,13 +70,6 @@ struct MetricsSnapshot {
       }
     }
     return nullptr;
-  }
-
-  // Appends another snapshot's series (adapter composition: e.g. perf
-  // counters + lock stats + latency CDFs into one exporter call).
-  void Append(const MetricsSnapshot& other) {
-    series.insert(series.end(), other.series.begin(), other.series.end());
-    histograms.insert(histograms.end(), other.histograms.begin(), other.histograms.end());
   }
 };
 

@@ -136,10 +136,10 @@ std::string TraceRing::DumpToString() const {
         break;
       case TraceEventType::kConnOpen:
       case TraceEventType::kConnClose:
-        std::snprintf(line, sizeof(line), "%12llu ns seq=%llu core=%d %s listener=%d reqs=%u\n",
+        std::snprintf(line, sizeof(line), "%12llu ns seq=%llu core=%d %s reqs=%u\n",
                       static_cast<unsigned long long>(ev.t_ns),
                       static_cast<unsigned long long>(ev.seq), ev.core,
-                      TraceEventTypeName(ev.type), ev.src, ev.qlen);
+                      TraceEventTypeName(ev.type), ev.qlen);
         break;
     }
     out += line;

@@ -31,9 +31,9 @@ enum class TraceEventType : uint8_t {
   kReactorDead,   // watchdog failover: src reactor marked dead by core's reactor
   kReactorRecover,  // src reactor came back; failover reversed
   kAdmissionShed,   // shaped overload: connection accepted then shed (RST)
-  kConnOpen,        // handler conn entered service; src = listener id
-  kConnClose,       // handler conn left service; src = listener id,
-                    // qlen = requests served on the connection
+  kConnOpen,        // handler conn entered service on `core`
+  kConnClose,       // handler conn left service on `core`; qlen = requests
+                    // served on the connection
 };
 
 const char* TraceEventTypeName(TraceEventType type);

@@ -8,11 +8,9 @@
 #include <sched.h>
 #include <string.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstddef>
 #include <thread>
 
 namespace affinity {
@@ -74,43 +72,6 @@ int CreateListenSocket(uint16_t* port, int backlog, bool reuseport, std::string*
       return -1;
     }
     *port = ntohs(addr.sin_port);
-  }
-  return fd;
-}
-
-int CreateUnixListenSocket(const std::string& path, int backlog, std::string* error) {
-  if (path.empty() || path.size() > sizeof(sockaddr_un{}.sun_path) - 1) {
-    *error = "unix path empty or too long";
-    return -1;
-  }
-  int fd = socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    *error = Errno("socket(AF_UNIX)");
-    return -1;
-  }
-  sockaddr_un addr;
-  memset(&addr, 0, sizeof(addr));
-  addr.sun_family = AF_UNIX;
-  socklen_t addr_len;
-  if (path[0] == '@') {
-    // Abstract namespace: sun_path starts with a NUL, the name is the rest
-    // of `path`, and the length must exclude trailing padding.
-    memcpy(addr.sun_path + 1, path.data() + 1, path.size() - 1);
-    addr_len = static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + path.size());
-  } else {
-    unlink(path.c_str());
-    memcpy(addr.sun_path, path.data(), path.size());
-    addr_len = static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + path.size() + 1);
-  }
-  if (bind(fd, reinterpret_cast<sockaddr*>(&addr), addr_len) < 0) {
-    *error = Errno("bind(AF_UNIX)");
-    close(fd);
-    return -1;
-  }
-  if (listen(fd, backlog) < 0) {
-    *error = Errno("listen(AF_UNIX)");
-    close(fd);
-    return -1;
   }
   return fd;
 }

@@ -23,13 +23,6 @@ namespace rt {
 // or -1 with a description in *error.
 int CreateListenSocket(uint16_t* port, int backlog, bool reuseport, std::string* error);
 
-// Creates a nonblocking UNIX-domain stream listen socket at `path`. A
-// leading '@' means the Linux abstract namespace (no filesystem entry, no
-// unlink needed, dies with the last fd) -- the runtime's default, so test
-// and bench runs can't collide on stale socket files. Filesystem paths are
-// unlinked before bind. Returns the fd, or -1 with *error set.
-int CreateUnixListenSocket(const std::string& path, int backlog, std::string* error);
-
 // Pins the calling thread to `cpu` (modulo the online CPU count). Returns
 // false (harmless) when pinning is unsupported or fails.
 bool PinCurrentThreadToCpu(int cpu);

@@ -8,7 +8,6 @@
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/uio.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -196,8 +195,7 @@ void LoadClient::RunThread(int thread_index) {
 
 int LoadClient::ConnectSocket(int thread_index, uint16_t src_port, ThreadLedger* ledger,
                               ConnOutcome* outcome) {
-  const bool is_unix = !config_.unix_path.empty();
-  int fd = socket(is_unix ? AF_UNIX : AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     *outcome = ConnOutcome::kError;
     return -1;
@@ -217,15 +215,12 @@ int LoadClient::ConnectSocket(int thread_index, uint16_t src_port, ThreadLedger*
     int rcvbuf = 1024;
     setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
   }
-  if (!is_unix) {
-    // Request lines are small; Nagle would batch them behind the previous
-    // round's ACK and poison every latency sample with delayed-ACK waits.
-    int one = 1;
-    setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  }
+  // Request lines are small; Nagle would batch them behind the previous
+  // round's ACK and poison every latency sample with delayed-ACK waits.
+  int one = 1;
+  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
-  if (!is_unix && src_port != 0) {
-    int one = 1;
+  if (src_port != 0) {
     setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
     sockaddr_in src;
     memset(&src, 0, sizeof(src));
@@ -240,40 +235,19 @@ int LoadClient::ConnectSocket(int thread_index, uint16_t src_port, ThreadLedger*
     }
   }
 
-  sockaddr_storage addr_storage;
-  memset(&addr_storage, 0, sizeof(addr_storage));
-  socklen_t addr_len;
-  if (is_unix) {
-    auto* addr = reinterpret_cast<sockaddr_un*>(&addr_storage);
-    addr->sun_family = AF_UNIX;
-    const std::string& path = config_.unix_path;
-    if (path.size() > sizeof(addr->sun_path) - 1) {
-      close(fd);
-      *outcome = ConnOutcome::kError;
-      return -1;
-    }
-    if (path[0] == '@') {
-      memcpy(addr->sun_path + 1, path.data() + 1, path.size() - 1);
-      addr_len = static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + path.size());
-    } else {
-      memcpy(addr->sun_path, path.data(), path.size());
-      addr_len = static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + path.size() + 1);
-    }
-  } else {
-    auto* addr = reinterpret_cast<sockaddr_in*>(&addr_storage);
-    addr->sin_family = AF_INET;
-    addr->sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr->sin_port = htons(config_.port);
-    addr_len = sizeof(sockaddr_in);
-  }
+  sockaddr_in addr;
+  memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(config_.port);
 
   uint64_t t0 = NowNs();
-  if (config_.sys->Connect(thread_index, fd, reinterpret_cast<sockaddr*>(&addr_storage),
-                           addr_len) < 0) {
+  if (config_.sys->Connect(thread_index, fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
+      0) {
     int connect_errno = errno;
     close(fd);
     // A connect from a just-reused 4-tuple can also bounce off TIME_WAIT.
-    if (!is_unix && src_port != 0 && connect_errno == EADDRNOTAVAIL) {
+    if (src_port != 0 && connect_errno == EADDRNOTAVAIL) {
       *outcome = ConnOutcome::kPortInUse;
       return -1;
     }
@@ -554,7 +528,7 @@ LoadClient::ConnOutcome LoadClient::OneConnection(int thread_index, uint16_t src
 
   if (config_.stall != StallMode::kNone) {
     outcome = RunStalled(thread_index, fd, ledger);
-    if (src_port != 0 && config_.unix_path.empty()) {
+    if (src_port != 0) {
       // Same RST-close as the workload path: the deterministic source port
       // must not linger in TIME_WAIT.
       linger lg{1, 0};
@@ -566,7 +540,7 @@ LoadClient::ConnOutcome LoadClient::OneConnection(int thread_index, uint16_t src
 
   if (config_.workload != svc::WorkloadKind::kAccept) {
     outcome = RunRounds(thread_index, fd, ledger, config_.requests_per_conn);
-    if (src_port != 0 && config_.unix_path.empty()) {
+    if (src_port != 0) {
       // RST-close: a FIN would leave this exact 4-tuple in TIME_WAIT and the
       // next cycle's bind+connect to the same port would fail, but the port
       // IS the flow-group key, so we cannot substitute another one.

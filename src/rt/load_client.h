@@ -92,9 +92,6 @@ struct LoadClientConfig {
   int think_time_us = 0;
   // kStatic: request keys cycle obj0..obj<num_keys-1>.
   int num_keys = 64;
-  // Non-empty: connect to this UNIX-domain socket path instead of TCP
-  // (leading '@' = abstract namespace). src_ports are ignored.
-  std::string unix_path;
   // Client-side fault seam (core = thread index); null = passthrough.
   fault::SysIface* sys = nullptr;
   // Misbehave instead of completing the workload (see StallMode). With

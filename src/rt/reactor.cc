@@ -121,22 +121,15 @@ void Reactor::Run() {
     return;
   }
 
-  // One source per listener: this reactor's shard of a per-shard listener,
-  // or the single shared fd (stock mode, and UNIX sockets always -- every
-  // reactor polls it, level-triggered, so a shared listener herds like
-  // stock accept while per-shard ones stay private). Accepts land on this
-  // core's ring outside stock mode regardless of which fd produced them.
-  sources_.clear();
-  for (RtListener* listener : shared_->listeners) {
-    ListenSource src;
-    src.fd = listener->fds.size() == 1 ? listener->fds[0]
-                                       : listener->fds[static_cast<size_t>(index_)];
-    src.qi = shared_->mode == RtMode::kStock ? 0u : static_cast<uint32_t>(index_);
-    src.listener = listener;
-    io_.WatchListen(src.fd);
-    sources_.push_back(src);
-  }
-  base_sources_ = sources_.size();
+  // This reactor's own source: its shard, or in stock mode the one shared
+  // fd (every reactor polls it, level-triggered, so stock accept herds).
+  // Accepts land on this core's ring outside stock mode.
+  const bool stock = shared_->mode == RtMode::kStock;
+  ListenSource own;
+  own.fd = shared_->listen_fds[stock ? 0 : static_cast<size_t>(index_)];
+  own.qi = stock ? 0u : static_cast<uint32_t>(index_);
+  io_.WatchListen(own.fd);
+  sources_.assign(1, own);
   open_head_ = kNullConn;
   open_count_ = 0;
   // The deadline wheel, anchored to the shared clock's current reading.
@@ -144,8 +137,7 @@ void Reactor::Run() {
   // close path cancel through it unconditionally); Advance fast-forwards in
   // O(1) while nothing is armed.
   wheel_.reset(new timer::TimerWheel(
-      shared_->timer_resolution_ns,
-      shared_->clock != nullptr ? shared_->clock->NowNs() : 0));
+      kTimerTickNs, shared_->clock != nullptr ? shared_->clock->NowNs() : 0));
   drain_unwatched_ = false;
 
   // EMFILE rescue reserve: one fd held back so fd exhaustion can still
@@ -153,6 +145,7 @@ void Reactor::Run() {
   reserve_fd_ = open("/dev/null", O_RDONLY | O_CLOEXEC);
   backoff_ms_ = 0;
   backoff_until_ = std::chrono::steady_clock::time_point{};
+  backoff_unwatched_ = false;
   drop_bucket_.reset(
       new fault::TokenBucket(shared_->drop_budget_per_sec, std::chrono::steady_clock::now()));
 
@@ -248,6 +241,14 @@ void Reactor::Run() {
                       [this](timer::TimerEntry* e) { OnDeadlineExpiry(e); });
     }
     auto now = std::chrono::steady_clock::now();
+    if (backoff_unwatched_ && now >= backoff_until_ && !drain_unwatched_) {
+      // The fd-exhaustion window has closed: listen again, adopted shards
+      // included. The 1 ms wait cap bounds how late this pass comes.
+      for (const ListenSource& src : sources_) {
+        io_.WatchListen(src.fd);
+      }
+      backoff_unwatched_ = false;
+    }
     if (migrate && now >= next_migrate) {
       // The paper's long-term balancer: every 100 ms each (non-busy) core
       // makes its own migration decision. The epoll timeout above bounds
@@ -340,28 +341,20 @@ void Reactor::TryFailover(int dead) {
       }
     }
   }
-  // Adopt the dead peer's listen shards -- one per per-shard listener:
-  // SYNs the kernel already queued there (and, in fallback steering, keeps
-  // hashing there) would otherwise strand. Shared-fd listeners (UNIX
-  // sockets, stock mode) need no adoption; every reactor polls them
-  // already. Accepts land on the dead core's ring by default, where
+  // Adopt the dead peer's listen shard: SYNs the kernel already queued
+  // there (and, in fallback steering, keeps hashing there) would otherwise
+  // strand. Stock mode's shared fd needs no adoption; every reactor polls
+  // it already. Accepts land on the dead core's ring by default, where
   // forced-busy stealing drains them. A draining runtime adopts nothing:
-  // accepting is over for everyone.
+  // accepting is over for everyone. Inside an fd-exhaustion window the
+  // shard joins the epoll set with the other sources when the window ends.
   if (shared_->mode != RtMode::kStock &&
       !shared_->draining.load(std::memory_order_acquire)) {
-    for (RtListener* listener : shared_->listeners) {
-      if (listener->fds.size() != static_cast<size_t>(shared_->num_reactors) ||
-          dead >= static_cast<int>(listener->fds.size())) {
-        continue;
-      }
-      int lfd = listener->fds[static_cast<size_t>(dead)];
-      ListenSource src;
-      src.fd = lfd;
-      src.qi = static_cast<uint32_t>(dead);
-      src.listener = listener;
-      if (io_.WatchListen(lfd)) {
-        sources_.push_back(src);
-      }
+    ListenSource src;
+    src.fd = shared_->listen_fds[static_cast<size_t>(dead)];
+    src.qi = static_cast<uint32_t>(dead);
+    if (backoff_unwatched_ || io_.WatchListen(src.fd)) {
+      sources_.push_back(src);
     }
   }
   Trace({.type = obs::TraceEventType::kReactorDead, .src = static_cast<int16_t>(dead)});
@@ -397,10 +390,7 @@ void Reactor::SelfRecover() {
 }
 
 void Reactor::ReleaseRecoveredAdoptions() {
-  if (sources_.size() <= base_sources_) {
-    return;
-  }
-  for (size_t i = sources_.size(); i-- > base_sources_;) {
+  for (size_t i = sources_.size(); i-- > 1;) {
     if (!shared_->domains->IsDead(static_cast<int>(sources_[i].qi))) {
       io_.UnwatchListen(sources_[i].fd);
       sources_.erase(sources_.begin() + static_cast<long>(i));
@@ -467,40 +457,46 @@ void Reactor::FdExhaustionRescue(int listen_fd) {
     reserve_fd_ = open("/dev/null", O_RDONLY | O_CLOEXEC);
   }
   // Capped exponential backoff: stop hammering accept4 while the process is
-  // out of fds; the kernel backlog holds the line meanwhile.
+  // out of fds; the kernel backlog holds the line meanwhile. The listen fds
+  // are level-triggered, so they leave the epoll set for the window: else
+  // every epoll_wait would return at once and spin the loop until it ends.
   backoff_ms_ = backoff_ms_ == 0 ? kBackoffFirstMs : std::min(backoff_ms_ * 2, kBackoffCapMs);
   backoff_until_ = std::chrono::steady_clock::now() + std::chrono::milliseconds(backoff_ms_);
   hot_.accept_backoff->fetch_add(1, std::memory_order_relaxed);
+  if (!backoff_unwatched_) {
+    for (const ListenSource& src : sources_) {
+      io_.UnwatchListen(src.fd);
+    }
+    backoff_unwatched_ = true;
+  }
 }
 
 void Reactor::AcceptBatch(const ListenSource& src) {
   const size_t default_qi = src.qi;
   auto now = std::chrono::steady_clock::now();
   if (now < backoff_until_) {
-    return;  // fd-exhaustion backoff window: leave the backlog queued
+    // fd-exhaustion backoff window, opened by an earlier event of this
+    // epoll batch: leave the backlog queued.
+    return;
   }
   // Stage 0: how many connections wait. A TCP listener reports its accept
   // queue's depth in tcpi_unacked (what `ss -lt` shows as Recv-Q), so the
   // drain takes exactly that many and never pays for an accept4 that
   // returns EAGAIN -- on Linux the dearest call of a drain, because accept
-  // sets up the new socket's file before it looks at the queue. A UNIX
-  // listener has no TCP_INFO; it, and a failed query, drain until EAGAIN.
+  // sets up the new socket's file before it looks at the queue. A failed
+  // query drains until EAGAIN.
   int limit = kReactorBatch;
-  if (!src.listener->is_unix) {
-    tcp_info info{};
-    socklen_t info_len = sizeof(info);
-    if (getsockopt(src.fd, IPPROTO_TCP, TCP_INFO, &info, &info_len) == 0) {
-      if (info.tcpi_unacked == 0) {
-        return;  // a peer polling the same fd took them (stock mode, failover)
-      }
-      limit = static_cast<int>(std::min<uint32_t>(info.tcpi_unacked, kReactorBatch));
+  tcp_info info{};
+  socklen_t info_len = sizeof(info);
+  if (getsockopt(src.fd, IPPROTO_TCP, TCP_INFO, &info, &info_len) == 0) {
+    if (info.tcpi_unacked == 0) {
+      return;  // a peer polling the same fd took them (stock mode, failover)
     }
+    limit = static_cast<int>(std::min<uint32_t>(info.tcpi_unacked, kReactorBatch));
   }
-  // Steering decisions apply only to the primary TCP listener: its source
-  // ports are the flow-group key. Extra ports and UNIX sockets keep plain
-  // accepting-core affinity. Only a steering drain reads peer addresses.
-  const bool steer =
-      shared_->director != nullptr && src.listener->id == 0 && !src.listener->is_unix;
+  // Only a steering drain reads peer addresses: the source port is the
+  // flow-group key.
+  const bool steer = shared_->director != nullptr;
 
   // Stage 1: drain the kernel queue into a stack array -- no bookkeeping
   // between accept4 calls, so the kernel side is drained as fast as the
@@ -588,7 +584,7 @@ void Reactor::AcceptBatch(const ListenSource& src) {
   if (n == 0) {
     return;
   }
-  AdmitBatch(batch, n, src.listener, now);
+  AdmitBatch(batch, n, now);
   if (owner_accepts > 0) {
     hot_.steer_owner_accepts->fetch_add(owner_accepts, std::memory_order_relaxed);
   }
@@ -597,7 +593,7 @@ void Reactor::AcceptBatch(const ListenSource& src) {
   }
 }
 
-void Reactor::AdmitBatch(const Accepted* batch, int n, RtListener* listener,
+void Reactor::AdmitBatch(const Accepted* batch, int n,
                          std::chrono::steady_clock::time_point now) {
   // Stage 2: pool blocks + ring pushes, aggregating per-ring counts.
   // Connections that cannot be queued go through the admission policy:
@@ -605,8 +601,6 @@ void Reactor::AdmitBatch(const Accepted* batch, int n, RtListener* listener,
   uint32_t overflow_drops = 0;
   uint32_t admission_sheds = 0;
   uint32_t pool_drops = 0;
-  const uint8_t listener_id = static_cast<uint8_t>(listener->id);
-  listener->accepted->fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
   for (int i = 0; i < n; ++i) {
     const Accepted& a = batch[i];
     size_t qi = a.qi;
@@ -635,7 +629,7 @@ void Reactor::AdmitBatch(const Accepted* batch, int n, RtListener* listener,
     conn->accept_core = static_cast<int16_t>(index_);
     conn->serve_core = -1;
     conn->accepted_at = std::chrono::steady_clock::now();
-    conn->svc.Reset(listener_id);
+    conn->svc.Reset();
     size_t len_after = 0;
     if (!shared_->queues[qi]->Push(handle, &len_after)) {
       shared_->pool->Free(index_, handle);  // we just allocated it: local free
@@ -810,9 +804,8 @@ void Reactor::Serve(ConnHandle handle, bool local) {
   // empty.
   ++open_count_;
   hot_.open_conns->store(open_count_, std::memory_order_relaxed);
-  svc::ConnHandler* handler = shared_->listeners[st.listener]->handler;
   svc::ConnRef ref{&st, conn->fd, index_, shared_->sys};
-  svc::Verdict verdict = handler->OnAccept(ref);
+  svc::Verdict verdict = shared_->handler->OnAccept(ref);
   NoteRounds(conn, /*prev_rounds=*/0);
   if (verdict == svc::Verdict::kClose || verdict == svc::Verdict::kRstClose) {
     // Over in one call (every accept-workload connection): no open-list
@@ -825,7 +818,7 @@ void Reactor::Serve(ConnHandle handle, bool local) {
     return;
   }
   OpenListAdd(handle, conn);
-  Trace({.type = obs::TraceEventType::kConnOpen, .src = static_cast<int16_t>(st.listener)});
+  Trace({.type = obs::TraceEventType::kConnOpen});
   // The absolute lifetime cap starts once the connection outlives OnAccept
   // and never re-arms; it rides in the pool block like the phase timer, on
   // THIS reactor's wheel (the conn is pinned here until close).
@@ -846,11 +839,11 @@ void Reactor::DriveConn(ConnHandle handle, uint32_t ev_events) {
     CloseConn(handle, conn, /*rst=*/false);
     return;
   }
-  svc::ConnHandler* handler = shared_->listeners[st.listener]->handler;
   svc::ConnRef ref{&st, conn->fd, index_, shared_->sys};
   uint32_t prev = st.rounds_done;
-  svc::Verdict verdict = st.phase == svc::ConnPhase::kWriting ? handler->OnWritable(ref)
-                                                              : handler->OnReadable(ref);
+  svc::Verdict verdict = st.phase == svc::ConnPhase::kWriting
+                             ? shared_->handler->OnWritable(ref)
+                             : shared_->handler->OnReadable(ref);
   NoteRounds(conn, prev);
   Finish(handle, conn, verdict);
 }
@@ -1028,9 +1021,7 @@ void Reactor::CloseConn(ConnHandle handle, PendingConn* conn, bool rst,
   OpenListRemove(handle, conn);
   --open_count_;
   hot_.open_conns->store(open_count_, std::memory_order_relaxed);
-  Trace({.type = obs::TraceEventType::kConnClose,
-         .src = static_cast<int16_t>(conn->svc.listener),
-         .qlen = conn->svc.rounds_done});
+  Trace({.type = obs::TraceEventType::kConnClose, .qlen = conn->svc.rounds_done});
   ReleaseConn(handle, conn, rst, timeout);
 }
 
@@ -1039,7 +1030,7 @@ void Reactor::ReleaseConn(ConnHandle handle, PendingConn* conn, bool rst,
   svc::ConnState& st = conn->svc;
   if (st.opened) {
     svc::ConnRef ref{&st, conn->fd, index_, shared_->sys};
-    shared_->listeners[st.listener]->handler->OnClose(ref);
+    shared_->handler->OnClose(ref);
   }
   if (rst) {
     RstClose(conn->fd);
@@ -1114,7 +1105,7 @@ void Reactor::CloseAllOpen() {
     svc::ConnState& st = conn->svc;
     if (st.opened) {
       svc::ConnRef ref{&st, conn->fd, index_, shared_->sys};
-      shared_->listeners[st.listener]->handler->OnClose(ref);
+      shared_->handler->OnClose(ref);
     }
     wheel_->Cancel(&conn->phase_timer);
     wheel_->Cancel(&conn->life_timer);

@@ -1,6 +1,8 @@
 // One reactor thread: pinned to a core, an epoll event loop (io::IoBackend)
 // over its listen shard, serving connections from per-core accept rings
-// with optional stealing.
+// with optional stealing. A Runtime serves one listen socket with one
+// handler: stock mode's one shared fd, or one SO_REUSEPORT shard per
+// reactor.
 //
 // This is the live-socket counterpart of the simulator's accept paths in
 // src/stack/listen_socket.cc, in the same three arrangements:
@@ -66,6 +68,10 @@ const char* RtModeName(RtMode mode);
 // drain's stack array and how long one pass keeps the loop from epoll.
 inline constexpr int kReactorBatch = 64;
 
+// The tick of each reactor's deadline wheel. Deadlines are set in whole
+// milliseconds, so none is finer than one tick.
+inline constexpr uint64_t kTimerTickNs = 1'000'000;
+
 // What to do with an accepted connection that cannot be queued (its target
 // ring is full or the conn pool is dry):
 //  - kAcceptThenRst sheds it immediately with an RST, telling the client to
@@ -100,24 +106,6 @@ const char* DeadlineKindName(DeadlineKind kind);
 // Event user-data tagging lives in src/io/io_backend.h (io::MakeConnToken /
 // io::MakeListenToken): bit 63 = connection handle + reuse generation,
 // otherwise a listen fd.
-
-// One logical listening endpoint multiplexed onto the reactor set. The
-// primary TCP listener is id 0 (the only one the FlowDirector steers);
-// extras -- more TCP ports or UNIX-domain sockets -- share the same rings,
-// conn pool, and reactors, each with its own handler and accept counter.
-// `fds` holds per-reactor SO_REUSEPORT shards (size == num_reactors) or a
-// single fd every reactor polls (stock mode, and UNIX sockets always).
-struct RtListener {
-  int id = 0;
-  bool is_unix = false;
-  std::vector<int> fds;
-  // The listener's handler (svc::AcceptHandler for the accept workload),
-  // shared by all reactors; never null while reactors run.
-  svc::ConnHandler* handler = nullptr;
-  // Connections accepted on this listener. Owned by the Runtime and
-  // cumulative across restarts, like the registry counters.
-  std::atomic<uint64_t>* accepted = nullptr;
-};
 
 // Registry handles for every table metric (src/rt/rt_metrics.h);
 // registered once by the Runtime before the reactor threads start.
@@ -166,11 +154,13 @@ struct ReactorShared {
   // (forced-busy flips, flow-group mass moves, listen-shard adoption), so a
   // recovering reactor can never interleave with a concurrent failover.
   std::mutex failover_mu;
-  // Every listening endpoint, indexed by RtListener::id ([0] = the primary
-  // TCP listener). Owned by the Runtime; reactors derive their listen
-  // sources from it, and a failover winner adopts a dead peer's shard from
-  // every per-shard listener here.
-  std::vector<RtListener*> listeners;
+  // The listen socket: one shared fd every reactor polls (stock mode), or
+  // one SO_REUSEPORT shard per reactor, indexed by core. Owned and closed
+  // by the Runtime; a failover winner adopts a dead peer's shard from here.
+  std::vector<int> listen_fds;
+  // The workload's handler (svc::AcceptHandler for the accept workload),
+  // shared by all reactors; never null while reactors run.
+  svc::ConnHandler* handler = nullptr;
   // Shaped overload: what to do when a connection cannot be queued, and the
   // per-core RST budget (0 = unlimited).
   OverloadPolicy overload = OverloadPolicy::kAcceptThenRst;
@@ -182,7 +172,6 @@ struct ReactorShared {
   // Never null while reactors run (MonotonicClock by default, a
   // ScriptedClock in deterministic expiry tests).
   timer::ClockSource* clock = nullptr;
-  uint64_t timer_resolution_ns = 1'000'000;  // wheel tick
   // Per-class deadlines in ns; 0 disables that class. Phase deadlines
   // (handshake/idle/read/write) are re-armed only when the phase KIND
   // changes -- within one phase the deadline is absolute, which is the
@@ -207,9 +196,8 @@ struct ReactorShared {
 
 class Reactor {
  public:
-  // Listen fds are derived from shared->listeners (this reactor's shard of
-  // each per-shard listener, plus every shared fd; the Runtime owns and
-  // closes them all).
+  // The listen fd is this reactor's shard of shared->listen_fds, or the
+  // one shared fd in stock mode; the Runtime owns and closes them all.
   Reactor(int index, ReactorShared* shared);
 
   // Thread body: loops until shared->stop. Closes nothing but the fds it
@@ -239,13 +227,12 @@ class Reactor {
     }
   };
 
-  // Listen fds this reactor drains: startup sources (its own shard of each
-  // listener, or the shared fd), then shards adopted from dead peers
-  // (qi = the dead core's ring).
+  // Listen fds this reactor drains: sources_[0] is its own (its shard, or
+  // the shared fd), then shards adopted from dead peers (qi = the dead
+  // core's ring).
   struct ListenSource {
     int fd = -1;
     uint32_t qi = 0;
-    RtListener* listener = nullptr;
   };
 
   // One accepted-but-not-yet-admitted connection, staged on the stack
@@ -257,17 +244,14 @@ class Reactor {
 
   // The accept path: reads the depth of `src`'s accept queue once, calls
   // accept4 that many times (capped at kReactorBatch) into a stack array
-  // (stage 1), then admits via AdmitBatch. A UNIX listener, or a TCP one
-  // whose depth query fails, drains until EAGAIN instead. A reactor
-  // normally drains only its own sources; after a failover it also drains
-  // adopted shards.
+  // (stage 1), then admits via AdmitBatch. A failed depth query drains
+  // until EAGAIN instead. A reactor normally drains only its own source;
+  // after a failover it also drains adopted shards.
   void AcceptBatch(const ListenSource& src);
   // Stages 2+3: pool blocks + ring pushes per accepted connection
   // (ShedOrDrop on a full ring or dry pool), then one flush per touched
-  // ring (gauges + policy EWMA) and the batch counters. Every connection in
-  // the batch came from `listener`.
-  void AdmitBatch(const Accepted* batch, int n, RtListener* listener,
-                  std::chrono::steady_clock::time_point now);
+  // ring (gauges + policy EWMA) and the batch counters.
+  void AdmitBatch(const Accepted* batch, int n, std::chrono::steady_clock::time_point now);
   // Serves up to kReactorBatch queued connections; returns how many.
   // Dequeue-side policy reporting is flushed once at the end of the batch.
   int ServeBatch();
@@ -376,7 +360,9 @@ class Reactor {
   void RstClose(int fd);
   // EMFILE/ENFILE rescue: burn the reserve fd to accept-and-RST one
   // connection (so the backlog keeps moving), then re-arm the reserve and
-  // enter capped exponential accept backoff.
+  // enter capped exponential accept backoff: the listen sources leave the
+  // epoll set until the window closes, so the loop sleeps instead of
+  // spinning on a readiness it will not act on.
   void FdExhaustionRescue(int listen_fd);
 
   int index_;
@@ -384,10 +370,9 @@ class Reactor {
   uint64_t migrate_tick_ = 0;  // epochs elapsed on this reactor
   // This reactor's event engine; its epoll instance lives for one Run().
   io::IoBackend io_;
+  // sources_[0] is this reactor's own source; entries past it are failover
+  // adoptions (released when the owner recovers).
   std::vector<ListenSource> sources_;
-  // How many of sources_ are startup sources; entries past this are
-  // failover adoptions (released when the owner recovers).
-  size_t base_sources_ = 0;
   // Intrusive list head of this reactor's open handler connections
   // (ConnState::open_prev/open_next), kNullConn when empty.
   ConnHandle open_head_ = kNullConn;
@@ -400,9 +385,11 @@ class Reactor {
   // Drain entry is edge-triggered per reactor: the first loop iteration
   // that observes shared_->draining unwatches every listen source once.
   bool drain_unwatched_ = false;
-  // Capped exponential accept backoff after fd exhaustion.
+  // Capped exponential accept backoff after fd exhaustion. While
+  // `backoff_unwatched_`, the listen sources are out of the epoll set.
   std::chrono::steady_clock::time_point backoff_until_{};
   int backoff_ms_ = 0;
+  bool backoff_unwatched_ = false;
   std::unique_ptr<fault::TokenBucket> drop_bucket_;
 
   // This core's pre-resolved cell of every table metric (see

@@ -46,6 +46,8 @@
      accept-workload connection (its one-byte reply). */                                           \
   X(requests, "rt_requests", "completed service rounds (an accept-workload connection is one)")    \
   X(aborted_at_stop, "rt_aborted_at_stop", "held connections closed by a reactor's Run() exit")    \
+  /* Counted by Stop() after the reactors joined, labeled by ring. */                              \
+  X(drained_at_stop, "rt_drained_at_stop", "queued connections closed unserved by Stop()")         \
   /* Connection-locality ledger: rounds served on vs off their accepting                           \
      core (the two sum to rt_requests), and connections whose first                                \
      serving core differed from the acceptor. */                                                   \

@@ -15,18 +15,6 @@ namespace {
 // Balancer decision trace slots per core: the trailing window a dump shows.
 constexpr size_t kTraceSlotsPerCore = 1024;
 
-// Autogenerated abstract-namespace socket name for a UNIX listener: unique
-// per process AND per Start() (the counter), so restarts and parallel test
-// binaries never collide, and nothing needs unlinking.
-std::string AutoUnixPath(int listener_id) {
-  static std::atomic<uint64_t> counter{0};
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "@aff-rt-%d-%llu-%d", static_cast<int>(getpid()),
-                static_cast<unsigned long long>(counter.fetch_add(1, std::memory_order_relaxed)),
-                listener_id);
-  return buf;
-}
-
 }  // namespace
 
 bool ValidateRtConfig(const RtConfig& config, std::string* error) {
@@ -40,12 +28,6 @@ bool ValidateRtConfig(const RtConfig& config, std::string* error) {
   }
   // Lifecycle-deadline knobs: contradictory combinations configure a run
   // that cannot mean what it says, so they fail here, not at 3am.
-  if (config.timer_resolution_ns == 0) {
-    if (error != nullptr) {
-      *error = "timer_resolution_ns must be positive (it is the wheel's tick width)";
-    }
-    return false;
-  }
   const struct {
     int ms;
     const char* name;
@@ -55,11 +37,7 @@ bool ValidateRtConfig(const RtConfig& config, std::string* error) {
       {config.read_timeout_ms, "read_timeout_ms"},
       {config.write_timeout_ms, "write_timeout_ms"},
   };
-  int64_t smallest_ms = 0;
   bool any_deadline = config.max_lifetime_ms > 0;
-  if (any_deadline) {
-    smallest_ms = config.max_lifetime_ms;
-  }
   for (const auto& p : phase_deadlines) {
     if (p.ms <= 0) {
       continue;
@@ -72,19 +50,7 @@ bool ValidateRtConfig(const RtConfig& config, std::string* error) {
       }
       return false;
     }
-    if (!any_deadline || p.ms < smallest_ms) {
-      smallest_ms = p.ms;
-    }
     any_deadline = true;
-  }
-  if (any_deadline &&
-      config.timer_resolution_ns > static_cast<uint64_t>(smallest_ms) * 1'000'000ull) {
-    if (error != nullptr) {
-      *error = "timer_resolution_ns is coarser than the smallest enabled deadline: "
-               "every such deadline would round up to one whole tick and fire late "
-               "(or never meaningfully) -- use a finer resolution or longer deadlines";
-    }
-    return false;
   }
   if (config.drain_deadline_ms > 0 && !any_deadline) {
     if (error != nullptr) {
@@ -98,9 +64,7 @@ bool ValidateRtConfig(const RtConfig& config, std::string* error) {
   return true;
 }
 
-Runtime::Runtime(const RtConfig& config)
-    : config_(config),
-      listener_accepted_(new std::atomic<uint64_t>[1 + config.extra_listeners.size()]()) {
+Runtime::Runtime(const RtConfig& config) : config_(config) {
   if (config_.num_threads < 1) {
     config_.num_threads = 1;
   }
@@ -147,91 +111,32 @@ bool Runtime::Start(std::string* error) {
   if (!ValidateRtConfig(config_, error)) {
     return false;
   }
-  // Reset per-run state (Stop() -> Start() reuse): metrics and the drained
-  // counter are cumulative, everything else starts fresh.
+  // Reset per-run state (Stop() -> Start() reuse): metrics are cumulative,
+  // everything else starts fresh.
   shared_.stop.store(false, std::memory_order_release);
   shared_.rr_cursor.store(0, std::memory_order_relaxed);
   reactors_.clear();
   shared_.queues.clear();
-  shared_.listeners.clear();
-  rt_listeners_.clear();
-  handlers_.clear();
-  listener_ports_.clear();
-  listener_paths_.clear();
 
+  // The listen socket: one shared fd in stock mode, per-core reuseport
+  // shards else.
   bool stock = config_.mode == RtMode::kStock;
   port_ = config_.port;
   int num_sockets = stock ? 1 : config_.num_threads;
-
-  auto abort_start = [this]() {
-    for (int fd : listen_fds_) {
-      close(fd);
-    }
-    listen_fds_.clear();
-    rt_listeners_.clear();
-    handlers_.clear();
-    listener_ports_.clear();
-    listener_paths_.clear();
-    return false;
-  };
-
-  // Listener 0: the primary TCP listener (the only one steering applies
-  // to). One shared socket in stock mode, per-core reuseport shards else.
-  {
-    std::unique_ptr<RtListener> primary(new RtListener);
-    primary->id = 0;
-    primary->accepted = &listener_accepted_[0];
-    for (int i = 0; i < num_sockets; ++i) {
-      // The first bind may pick the port; later shards must reuse it.
-      int fd = CreateListenSocket(&port_, config_.backlog, /*reuseport=*/!stock, error);
-      if (fd < 0) {
-        return abort_start();
+  for (int i = 0; i < num_sockets; ++i) {
+    // The first bind may pick the port; later shards must reuse it.
+    int fd = CreateListenSocket(&port_, config_.backlog, /*reuseport=*/!stock, error);
+    if (fd < 0) {
+      for (int open_fd : shared_.listen_fds) {
+        close(open_fd);
       }
-      primary->fds.push_back(fd);
-      listen_fds_.push_back(fd);
+      shared_.listen_fds.clear();
+      return false;
     }
-    handlers_.push_back(svc::MakeHandler(config_.workload, config_.handler));
-    primary->handler = handlers_.back().get();
-    rt_listeners_.push_back(std::move(primary));
-    listener_ports_.push_back(port_);
-    listener_paths_.push_back(std::string());
+    shared_.listen_fds.push_back(fd);
   }
-
-  // Extra listeners: more TCP ports (sharded like the primary) or UNIX
-  // sockets (one fd every reactor polls), all feeding the same rings.
-  for (size_t e = 0; e < config_.extra_listeners.size(); ++e) {
-    const RtConfig::ExtraListener& extra = config_.extra_listeners[e];
-    std::unique_ptr<RtListener> listener(new RtListener);
-    listener->id = static_cast<int>(1 + e);
-    listener->is_unix = extra.is_unix;
-    listener->accepted = &listener_accepted_[1 + e];
-    uint16_t lport = 0;
-    std::string lpath;
-    if (extra.is_unix) {
-      lpath = extra.unix_path.empty() ? AutoUnixPath(listener->id) : extra.unix_path;
-      int fd = CreateUnixListenSocket(lpath, config_.backlog, error);
-      if (fd < 0) {
-        return abort_start();
-      }
-      listener->fds.push_back(fd);
-      listen_fds_.push_back(fd);
-    } else {
-      lport = extra.port;
-      for (int i = 0; i < num_sockets; ++i) {
-        int fd = CreateListenSocket(&lport, config_.backlog, /*reuseport=*/!stock, error);
-        if (fd < 0) {
-          return abort_start();
-        }
-        listener->fds.push_back(fd);
-        listen_fds_.push_back(fd);
-      }
-    }
-    handlers_.push_back(svc::MakeHandler(extra.workload, extra.handler));
-    listener->handler = handlers_.back().get();
-    rt_listeners_.push_back(std::move(listener));
-    listener_ports_.push_back(lport);
-    listener_paths_.push_back(lpath);
-  }
+  handler_ = svc::MakeHandler(config_.workload, config_.handler);
+  shared_.handler = handler_.get();
 
   shared_.mode = config_.mode;
   shared_.num_reactors = config_.num_threads;
@@ -239,9 +144,6 @@ bool Runtime::Start(std::string* error) {
   shared_.metrics = metrics_.get();
   shared_.ids = ids_;
   shared_.trace = trace_.get();
-  for (const std::unique_ptr<RtListener>& listener : rt_listeners_) {
-    shared_.listeners.push_back(listener.get());
-  }
   shared_.overload = config_.overload;
   shared_.drop_budget_per_sec = config_.drop_budget_per_sec;
   shared_.hwprof = hwprof_.get();
@@ -249,7 +151,6 @@ bool Runtime::Start(std::string* error) {
   // Connection-lifecycle deadlines: each reactor builds its own wheel from
   // these at thread start. A fresh Start() is never mid-drain.
   shared_.clock = config_.clock != nullptr ? config_.clock : timer::MonotonicClock::Instance();
-  shared_.timer_resolution_ns = config_.timer_resolution_ns;
   auto ms_to_ns = [](int ms) {
     return ms > 0 ? static_cast<uint64_t>(ms) * 1'000'000ull : 0ull;
   };
@@ -348,7 +249,7 @@ bool Runtime::Start(std::string* error) {
       // is survivable: the director stays in fallback mode and the accept
       // path re-steers in user space.
       std::string attach_error;
-      if (!director_->Attach(listen_fds_[0], &attach_error)) {
+      if (!director_->Attach(shared_.listen_fds[0], &attach_error)) {
         std::fprintf(stderr,
                      "rt: SO_ATTACH_REUSEPORT_CBPF unavailable (%s); "
                      "steering falls back to user-space re-steer\n",
@@ -419,31 +320,23 @@ void Runtime::Stop(int drain_deadline_ms) {
     t.join();
   }
   threads_.clear();
-  for (int fd : listen_fds_) {
+  for (int fd : shared_.listen_fds) {
     close(fd);
   }
-  listen_fds_.clear();
-  shared_.listeners.clear();
-  // Filesystem UNIX socket paths leave an inode behind; abstract-namespace
-  // ones ('@') die with their last fd.
-  for (const std::string& path : listener_paths_) {
-    if (!path.empty() && path[0] != '@') {
-      unlink(path.c_str());
-    }
-  }
-  uint64_t drained = 0;
-  for (auto& queue : shared_.queues) {
+  shared_.listen_fds.clear();
+  for (size_t qi = 0; qi < shared_.queues.size(); ++qi) {
     // Quiescent by now (reactors joined): drain the ring and hand each
     // block back to its owner core's freelist.
-    for (ConnHandle handle : queue->DrainAll()) {
+    uint64_t drained = 0;
+    for (ConnHandle handle : shared_.queues[qi]->DrainAll()) {
       close(pool_->Get(handle)->fd);
       pool_->Free(pool_->OwnerOf(handle), handle);
       ++drained;
     }
+    if (drained > 0) {
+      metrics_->Add(ids_.drained_at_stop, static_cast<int>(qi), drained);
+    }
   }
-  // Accumulate (not overwrite): across Stop()/Start() cycles the metrics
-  // registry keeps counting, so conservation must too.
-  drained_at_stop_.fetch_add(drained, std::memory_order_acq_rel);
   shared_.draining.store(false, std::memory_order_release);
   started_ = false;
 }
@@ -487,18 +380,7 @@ RtTotals Runtime::Totals() const {
     totals.hw_context_switches =
         hwprof_->EstimatedTotal(obs::hwprof::HwEvent::kContextSwitches);
   }
-  for (size_t id = 0; id <= config_.extra_listeners.size(); ++id) {
-    totals.per_listener_accepted.push_back(listener_accepted(static_cast<int>(id)));
-  }
-  totals.drained_at_stop = drained_at_stop_.load(std::memory_order_acquire);
   return totals;
-}
-
-uint64_t Runtime::listener_accepted(int id) const {
-  if (id < 0 || static_cast<size_t>(id) > config_.extra_listeners.size()) {
-    return 0;
-  }
-  return listener_accepted_[static_cast<size_t>(id)].load(std::memory_order_relaxed);
 }
 
 }  // namespace rt

@@ -1,6 +1,8 @@
 // The multithreaded SO_REUSEPORT runtime: N reactor threads executing the
 // Affinity-Accept design on live kernel sockets (loopback), in the same
-// three arrangements the simulator models (stock / fine / affinity).
+// three arrangements the simulator models (stock / fine / affinity). One
+// runtime serves one TCP port with one workload's handler, as the paper
+// clones one service's listen socket per core.
 //
 // Lifecycle: construct -> Start() -> traffic -> Stop() -> Totals().
 //
@@ -8,14 +10,14 @@
 // per-core relaxed-atomic shards, so Totals() and metrics().Snapshot() are
 // safe to call from ANY thread WHILE the reactors run -- a live snapshot is
 // merely slightly stale (counters are monotone), never racy.
-// `drained_at_stop` is the one field that only settles after Stop() returns.
+// `drained_at_stop` is the one counter that Stop() bumps rather than a
+// reactor, so it only settles after Stop() returns.
 // Balancer decisions (steals, busy flips, overflow drops) are additionally
 // recorded into an obs::TraceRing for per-decision debugging.
 
 #ifndef AFFINITY_SRC_RT_RUNTIME_H_
 #define AFFINITY_SRC_RT_RUNTIME_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -107,9 +109,6 @@ struct RtConfig {
   int read_timeout_ms = 0;
   int write_timeout_ms = 0;
   int max_lifetime_ms = 0;
-  // Tick width of each reactor's timer wheel. Must not be coarser than the
-  // smallest enabled deadline (rejected by validation).
-  uint64_t timer_resolution_ns = 1'000'000;
   // Test seam: a scripted clock (not owned). Null = CLOCK_MONOTONIC.
   timer::ClockSource* clock = nullptr;
   // Pool-pressure eviction: when an accept finds no free conn block, reap
@@ -153,27 +152,11 @@ struct RtConfig {
 
   // --- request/response service layer (src/svc) ---
 
-  // The primary listener's workload, served by the matching ConnHandler.
+  // The workload, served by the matching ConnHandler on every connection.
   // kAccept's handler closes every connection in OnAccept, so those never
   // join the epoll set; the others hold connections across epoll rounds.
   svc::WorkloadKind workload = svc::WorkloadKind::kAccept;
   svc::HandlerParams handler;
-
-  // Additional listening endpoints multiplexed onto the same reactors,
-  // rings, conn pool, and balancer -- extra TCP ports (per-core reuseport
-  // shards outside stock mode) or UNIX-domain sockets (one shared fd every
-  // reactor polls). Listener ids are 1 + index into this vector.
-  struct ExtraListener {
-    bool is_unix = false;
-    // TCP: 0 = kernel-chosen, read back via Runtime::listener_port(id).
-    uint16_t port = 0;
-    // UNIX: empty = autogenerated abstract-namespace name (leading '@');
-    // read back via Runtime::listener_path(id).
-    std::string unix_path;
-    svc::WorkloadKind workload = svc::WorkloadKind::kEcho;
-    svc::HandlerParams handler;
-  };
-  std::vector<ExtraListener> extra_listeners;
 };
 
 // Rejects contradictory knob combinations BEFORE any socket is bound, with
@@ -188,8 +171,7 @@ bool ValidateRtConfig(const RtConfig& config, std::string* error);
 // (src/rt/rt_metrics.h): counters and gauges summed over their labels,
 // histograms merged. The fields below are what the registry does not hold.
 struct RtTotals : RtMetricFields<uint64_t, Histogram> {
-  uint64_t drained_at_stop = 0;  // queued but unserved when Stop() ran
-  SlabStats pool;                // the ConnPool's own per-core accounting
+  SlabStats pool;  // the ConnPool's own per-core accounting
   // Failover parking moves by dead-owner-to-target distance (0 unless
   // steering is on).
   uint64_t park_same_llc = 0;
@@ -211,7 +193,6 @@ struct RtTotals : RtMetricFields<uint64_t, Histogram> {
   uint64_t hw_llc_misses = 0;
   uint64_t hw_task_clock_ns = 0;
   uint64_t hw_context_switches = 0;
-  std::vector<uint64_t> per_listener_accepted;  // indexed by listener id
   uint64_t served() const { return served_local + served_remote; }
   // Deadline-expired closes across all five classes: the timed_out term of
   // the conservation equation.
@@ -246,15 +227,15 @@ class Runtime {
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
 
-  // Binds the listen socket(s) and launches the reactor threads. Returns
+  // Binds the listen socket (one per reactor outside stock mode) and launches the reactor threads. Returns
   // false with *error set on socket failures.
   bool Start(std::string* error);
 
   // Signals the reactors, joins them, closes the listen sockets and any
   // still-queued connections. Idempotent, and the Runtime is restartable:
   // a later Start() launches a fresh set of reactors (new port when
-  // config.port == 0). Metrics and `drained_at_stop` accumulate across
-  // restarts, so the conservation equation holds cumulatively. Drains for
+  // config.port == 0). Metrics accumulate across restarts, so the
+  // conservation equation holds cumulatively. Drains for
   // config.drain_deadline_ms first (see the overload); 0 = immediate.
   void Stop();
 
@@ -270,19 +251,6 @@ class Runtime {
 
   // The bound port (after Start()).
   uint16_t port() const { return port_; }
-
-  // Listener topology (after Start()). Id 0 is the primary TCP listener;
-  // ids 1.. are config.extra_listeners in order.
-  int num_listeners() const { return static_cast<int>(rt_listeners_.size()); }
-  // The bound port of TCP listener `id` (0 for UNIX listeners).
-  uint16_t listener_port(int id) const { return listener_ports_[static_cast<size_t>(id)]; }
-  // The socket path of UNIX listener `id` (empty for TCP listeners);
-  // leading '@' = abstract namespace.
-  const std::string& listener_path(int id) const {
-    return listener_paths_[static_cast<size_t>(id)];
-  }
-  // Connections accepted on listener `id`; live, any thread.
-  uint64_t listener_accepted(int id) const;
 
   const RtConfig& config() const { return config_; }
 
@@ -331,25 +299,15 @@ class Runtime {
   const fault::FailureDomains* domains() const { return domains_.get(); }
 
   // Live aggregate snapshot; callable while the reactors run.
-  // `drained_at_stop` is 0 until Stop() completes.
+  // `drained_at_stop` grows only when Stop() completes.
   RtTotals Totals() const;
 
  private:
   RtConfig config_;
   uint16_t port_ = 0;
   int max_local_len_ = 0;
-  std::vector<int> listen_fds_;  // every fd of every listener (closed by Stop)
-  // Listener table (rebuilt each Start): the shared RtListener records the
-  // reactors use, the handlers they point at, and the read-back port/path
-  // per listener id.
-  std::vector<std::unique_ptr<RtListener>> rt_listeners_;
-  // Per-listener accept counts, indexed by listener id. Allocated once: the
-  // config fixes the listener set, and the counts accumulate across
-  // restarts like the registry's.
-  std::unique_ptr<std::atomic<uint64_t>[]> listener_accepted_;
-  std::vector<std::unique_ptr<svc::ConnHandler>> handlers_;
-  std::vector<uint16_t> listener_ports_;
-  std::vector<std::string> listener_paths_;
+  // The workload's handler, shared by every reactor (rebuilt each Start).
+  std::unique_ptr<svc::ConnHandler> handler_;
   std::unique_ptr<topo::Topology> topo_;
   std::unique_ptr<ConnPool> pool_;
   std::unique_ptr<LockedBalancePolicy> policy_;
@@ -363,7 +321,6 @@ class Runtime {
   ReactorShared shared_;
   std::vector<std::unique_ptr<Reactor>> reactors_;
   std::vector<std::thread> threads_;
-  std::atomic<uint64_t> drained_at_stop_{0};  // cumulative across restarts
   bool started_ = false;
 };
 

@@ -38,7 +38,6 @@ enum class ConnPhase : uint8_t {
 
 struct ConnState {
   ConnPhase phase = ConnPhase::kReading;
-  uint8_t listener = 0;       // which rt listener accepted this connection
   bool remote_served = false;  // popped from another core's ring (steal/re-steer)
   // Locality-ledger bit: the serving core IS the accepting core. Distinct
   // from !remote_served, which is about RINGS -- stock mode's single shared
@@ -99,10 +98,10 @@ struct ConnState {
   char req_buf[kReqBufBytes];
 
   // Fresh-conversation state for a block coming out of the pool. Buffers
-  // are left as-is: req_len/resp cursors gate every read of them.
-  void Reset(uint8_t listener_id) {
+  // are left as-is: req_len/resp cursors gate every read of them. The
+  // parameter is unused; it stays until rtbench/layers.cc calls Reset().
+  void Reset(uint8_t = 0) {
     phase = ConnPhase::kReading;
-    listener = listener_id;
     remote_served = false;
     accept_local = true;
     accept_dist = 0;

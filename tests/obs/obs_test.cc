@@ -1,6 +1,6 @@
 // Functional tests for src/obs/: histogram edge cases, the registry and
-// snapshot model, TraceRing wraparound/ordering, both exporters, the
-// simulator-stat adapters, and the StatsSampler.
+// snapshot model, TraceRing wraparound/ordering, both exporters, and the
+// StatsSampler.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include "src/obs/export.h"
 #include "src/obs/json_writer.h"
 #include "src/obs/metrics.h"
-#include "src/obs/sim_adapters.h"
 #include "src/obs/stats_sampler.h"
 #include "src/obs/trace_ring.h"
 #include "src/sim/stats.h"
@@ -295,78 +294,6 @@ TEST(JsonWriterTest, NestedStructuresAndEscaping) {
   w.EndObject();
   EXPECT_EQ(w.str(),
             "{\"a\":1,\"s\":\"he said \\\"hi\\\"\\n\",\"arr\":[1,2,{\"x\":true}],\"raw\":[3,4]}");
-}
-
-// --- simulator adapters ---
-
-TEST(SimAdapterTest, PerfCountersExportByEntry) {
-  PerfCounters pc;
-  pc.Record(KernelEntry::kSysAccept4, /*cycles=*/1000, /*instructions=*/400, /*l2_misses=*/7);
-  pc.Record(KernelEntry::kSysAccept4, 500, 200, 3);
-  MetricsSnapshot snap = SnapshotFromPerfCounters(pc);
-  const SeriesSnap* cycles = snap.Find("perf_cycles");
-  ASSERT_NE(cycles, nullptr);
-  EXPECT_EQ(cycles->label_key, "entry");
-  bool found = false;
-  for (size_t i = 0; i < cycles->label_values.size(); ++i) {
-    if (cycles->label_values[i] == KernelEntryName(KernelEntry::kSysAccept4)) {
-      EXPECT_EQ(cycles->values[i], 1500u);
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
-  const SeriesSnap* inv = snap.Find("perf_invocations");
-  ASSERT_NE(inv, nullptr);
-  EXPECT_EQ(inv->total, 2u);
-  // And it renders through the shared exporter.
-  std::string text = ToPrometheusText(snap);
-  EXPECT_NE(text.find("entry=\""), std::string::npos) << text;
-}
-
-TEST(SimAdapterTest, LockStatExportByClass) {
-  LockStat ls;
-  LockClassId cls = ls.RegisterClass("listen_lock");
-  ls.set_enabled(true);
-  ls.Record(cls, /*hold=*/100, /*spin_wait=*/20, /*mutex_wait=*/0);
-  ls.Record(cls, 50, 0, 30);
-  MetricsSnapshot snap = SnapshotFromLockStat(ls);
-  const SeriesSnap* hold = snap.Find("lock_hold_cycles");
-  ASSERT_NE(hold, nullptr);
-  EXPECT_EQ(hold->label_key, "lock");
-  ASSERT_EQ(hold->label_values.size(), 1u);
-  EXPECT_EQ(hold->label_values[0], "listen_lock");
-  EXPECT_EQ(hold->values[0], 150u);
-  const SeriesSnap* spin = snap.Find("lock_spin_wait_cycles");
-  ASSERT_NE(spin, nullptr);
-  EXPECT_EQ(spin->total, 20u);
-}
-
-TEST(SimAdapterTest, HistogramCdfRidesTheExporters) {
-  Histogram lat;
-  for (uint64_t v = 1; v <= 100; ++v) {
-    lat.Add(v * 1000);
-  }
-  MetricsSnapshot snap;
-  AppendHistogram(&snap, "conn_latency_cycles", "fig 4 latency CDF", lat);
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  std::string text = ToPrometheusText(snap);
-  EXPECT_NE(text.find("affinity_conn_latency_cycles_bucket"), std::string::npos) << text;
-  EXPECT_NE(text.find("affinity_conn_latency_cycles_count{series=\"all\"} 100"),
-            std::string::npos)
-      << text;
-  std::string json = ToJson(snap);
-  EXPECT_NE(json.find("\"count\":100"), std::string::npos) << json;
-}
-
-TEST(SimAdapterTest, SnapshotsCompose) {
-  PerfCounters pc;
-  pc.Record(KernelEntry::kSysRead, 10, 5, 1);
-  LockStat ls;
-  ls.RegisterClass("x");
-  MetricsSnapshot combined = SnapshotFromPerfCounters(pc);
-  combined.Append(SnapshotFromLockStat(ls));
-  EXPECT_NE(combined.Find("perf_cycles"), nullptr);
-  EXPECT_NE(combined.Find("lock_acquisitions"), nullptr);
 }
 
 // --- StatsSampler ---

@@ -195,6 +195,43 @@ TEST(RtChaosTest, EmfileStormBacksOffAndBalances) {
   ExpectBooksBalance(runtime, client);
 }
 
+// A backoff window must idle the reactor, not spin it: the listen fd is
+// level-triggered, so while a connection waits in the backlog it would wake
+// every epoll_wait until the window ends. Each window takes the listen fd
+// out of the epoll set; the reactor wakes about once per window, when it
+// listens again, fails again and opens the next one.
+TEST(RtChaosTest, EmfileBackoffIdlesTheReactor) {
+  RtConfig config;
+  config.mode = RtMode::kAffinity;
+  config.num_threads = 1;
+  config.fault_plan = fault::FaultPlan::AcceptErrnoBurst(EMFILE, /*after_calls=*/0,
+                                                         /*count=*/UINT64_MAX);
+  Runtime runtime(config);
+  std::string error;
+  ASSERT_TRUE(runtime.Start(&error)) << error;
+
+  LoadClientConfig client_config;
+  client_config.port = runtime.port();
+  client_config.num_threads = 1;
+  client_config.connect_timeout_ms = 500;
+  LoadClient client(client_config);
+  client.Start();
+
+  ASSERT_TRUE(WaitFor([&] { return runtime.Totals().accept_backoff >= 1; },
+                      std::chrono::seconds(10)));
+  RtTotals before = runtime.Totals();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  RtTotals after = runtime.Totals();
+  client.Stop();
+  runtime.Stop();
+
+  const uint64_t windows = after.accept_backoff - before.accept_backoff;
+  const uint64_t wakeups = after.epoll_wakeups - before.epoll_wakeups;
+  EXPECT_GE(windows, 1u);
+  EXPECT_LE(wakeups, 2 * windows + 10) << "windows=" << windows;
+  ExpectBooksBalance(runtime, client);
+}
+
 TEST(RtChaosTest, SoftAcceptErrnosAreSkippedNotFatal) {
   RtConfig config;
   config.mode = RtMode::kAffinity;

@@ -511,14 +511,6 @@ TEST(RtDeadlineTest, DrainDeadlineAbortsTheHeldRemainder) {
 // ValidateRtConfig: contradictory lifecycle knobs fail at Start, not at 3am.
 // ---------------------------------------------------------------------------
 
-TEST(RtDeadlineTest, ValidateRejectsZeroTimerResolution) {
-  RtConfig config;
-  config.timer_resolution_ns = 0;
-  std::string error;
-  EXPECT_FALSE(ValidateRtConfig(config, &error));
-  EXPECT_NE(error.find("timer_resolution_ns"), std::string::npos) << error;
-}
-
 TEST(RtDeadlineTest, ValidateRejectsPhaseDeadlineBeyondLifetimeCap) {
   RtConfig config;
   config.idle_timeout_ms = 200;
@@ -526,15 +518,6 @@ TEST(RtDeadlineTest, ValidateRejectsPhaseDeadlineBeyondLifetimeCap) {
   std::string error;
   EXPECT_FALSE(ValidateRtConfig(config, &error));
   EXPECT_NE(error.find("max_lifetime_ms"), std::string::npos) << error;
-}
-
-TEST(RtDeadlineTest, ValidateRejectsResolutionCoarserThanSmallestDeadline) {
-  RtConfig config;
-  config.idle_timeout_ms = 5;
-  config.timer_resolution_ns = Ms(10);  // one tick already overshoots
-  std::string error;
-  EXPECT_FALSE(ValidateRtConfig(config, &error));
-  EXPECT_NE(error.find("coarser"), std::string::npos) << error;
 }
 
 TEST(RtDeadlineTest, ValidateRejectsDrainWithEveryTimeoutDisabled) {

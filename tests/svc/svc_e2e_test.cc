@@ -1,13 +1,11 @@
 // End-to-end service-layer tests: real reactors, real sockets, real
-// request/response conversations. These gate the four svc properties the
+// request/response conversations. These gate the three svc properties the
 // unit tests cannot: (1) the echo workload completes whole conversations
 // under every accept arrangement, (2) a response larger than the socket
-// buffer parks on kWantWrite and still arrives whole, (3) multiple
-// listeners (TCP + UNIX) multiplex onto one set of reactors with
-// per-listener accounting that sums to the global ledger, and (4) a
-// connection stolen from a wedged core completes its conversation on the
-// thief -- the state machine travels with the pooled block. This file runs
-// under ThreadSanitizer in CI (rt_tests).
+// buffer parks on kWantWrite and still arrives whole, and (3) a connection
+// stolen from a wedged core completes its conversation on the thief -- the
+// state machine travels with the pooled block. This file runs under
+// ThreadSanitizer in CI (rt_tests).
 
 #include <gtest/gtest.h>
 
@@ -198,79 +196,6 @@ TEST(SvcE2eTest, ConversationPastSixteenBitsOfRoundsIsCountedExactly) {
   EXPECT_EQ(totals.request_latency_ns.count(), totals.requests);
   ExpectBooksBalance(runtime);
   ExpectClientLedgerBalances(client);
-}
-
-TEST(SvcE2eTest, MultiListenerMuxWithPerListenerAccounting) {
-  // One runtime, three listeners: the primary TCP port serving echo, an
-  // extra TCP port serving static content, and a UNIX socket serving echo
-  // -- all multiplexed onto the same two reactors, rings, and conn pool.
-  RtConfig config;
-  config.mode = RtMode::kAffinity;
-  config.num_threads = 2;
-  config.workload = svc::WorkloadKind::kEcho;
-  RtConfig::ExtraListener tcp_static;
-  tcp_static.workload = svc::WorkloadKind::kStatic;
-  tcp_static.handler.num_objects = 8;
-  tcp_static.handler.object_bytes = 64;
-  config.extra_listeners.push_back(tcp_static);
-  RtConfig::ExtraListener unix_echo;
-  unix_echo.is_unix = true;
-  unix_echo.workload = svc::WorkloadKind::kEcho;
-  config.extra_listeners.push_back(unix_echo);
-  Runtime runtime(config);
-  std::string error;
-  ASSERT_TRUE(runtime.Start(&error)) << error;
-
-  ASSERT_EQ(runtime.num_listeners(), 3);
-  ASSERT_NE(runtime.listener_port(1), 0);
-  ASSERT_FALSE(runtime.listener_path(2).empty());
-  EXPECT_EQ(runtime.listener_path(2)[0], '@');  // abstract: nothing to unlink
-
-  constexpr uint64_t kConns = 50;
-  LoadClientConfig primary_cfg;
-  primary_cfg.port = runtime.port();
-  primary_cfg.num_threads = 2;
-  primary_cfg.max_conns = kConns;
-  primary_cfg.workload = svc::WorkloadKind::kEcho;
-  primary_cfg.requests_per_conn = 2;
-  primary_cfg.connect_timeout_ms = 2000;
-  LoadClientConfig static_cfg = primary_cfg;
-  static_cfg.port = runtime.listener_port(1);
-  static_cfg.workload = svc::WorkloadKind::kStatic;
-  static_cfg.num_keys = 8;
-  LoadClientConfig unix_cfg = primary_cfg;
-  unix_cfg.port = 0;
-  unix_cfg.unix_path = runtime.listener_path(2);
-
-  LoadClient primary(primary_cfg);
-  LoadClient stat(static_cfg);
-  LoadClient unixc(unix_cfg);
-  primary.Start();
-  stat.Start();
-  unixc.Start();
-  primary.WaitForMaxConns();
-  stat.WaitForMaxConns();
-  unixc.WaitForMaxConns();
-  runtime.Stop();
-
-  EXPECT_GE(primary.completed(), kConns);
-  EXPECT_GE(stat.completed(), kConns);
-  EXPECT_GE(unixc.completed(), kConns);
-
-  RtTotals totals = runtime.Totals();
-  ASSERT_EQ(totals.per_listener_accepted.size(), 3u);
-  // Every completed conversation was an accept on its own listener; the
-  // per-listener ledgers must cover their clients and sum to the global.
-  EXPECT_GE(totals.per_listener_accepted[0], primary.completed());
-  EXPECT_GE(totals.per_listener_accepted[1], stat.completed());
-  EXPECT_GE(totals.per_listener_accepted[2], unixc.completed());
-  EXPECT_EQ(totals.per_listener_accepted[0] + totals.per_listener_accepted[1] +
-                totals.per_listener_accepted[2],
-            totals.accepted);
-  ExpectBooksBalance(runtime);
-  ExpectClientLedgerBalances(primary);
-  ExpectClientLedgerBalances(stat);
-  ExpectClientLedgerBalances(unixc);
 }
 
 TEST(SvcE2eTest, StolenConnectionCompletesOnThief) {

@@ -113,7 +113,7 @@ class ScriptedSys : public fault::SysIface {
 // A fresh connection on the scripted socket, fd is a dummy (never passed to
 // the kernel by ScriptedSys).
 ConnRef MakeConn(ConnState* st, ScriptedSys* sys) {
-  st->Reset(/*listener_id=*/0);
+  st->Reset();
   return ConnRef{st, /*fd=*/42, /*core=*/0, sys};
 }
 
@@ -486,9 +486,8 @@ TEST(SvcHandlerTest, ResetMakesABlockConversationFresh) {
   st.stream_remaining = 6;
   st.resp_len = 5;
   st.open_prev = 3;
-  st.Reset(/*listener_id=*/2);
+  st.Reset();
   EXPECT_EQ(st.phase, ConnPhase::kReading);
-  EXPECT_EQ(st.listener, 2);
   EXPECT_FALSE(st.remote_served);
   EXPECT_FALSE(st.opened);
   EXPECT_EQ(st.rounds_done, 0u);
