@@ -606,9 +606,6 @@ std::string RowJson(const std::string& label, const RunResult& r, const Options&
   w.Key("topo_origin").String(topo::TopoOriginName(t.topo_origin));
   w.Key("numa_nodes").Int(t.numa_nodes);
   w.Key("llc_domains").Int(t.llc_domains);
-  w.Key("park_same_llc").UInt(t.park_same_llc);
-  w.Key("park_cross_llc").UInt(t.park_cross_llc);
-  w.Key("park_cross_node").UInt(t.park_cross_node);
   w.Key("drain_deadline_ms").Int(opt.drain_ms);
   w.Key("drain_ms").Double(r.drain_window_ms);
   if (!r.intervals.empty()) {
@@ -686,7 +683,8 @@ RunResult RunMode(const RunSpec& spec, const Options& opt) {
     // Section 6.5's skew: every connection's flow group is initially owned
     // by core 0, from deterministic source ports.
     client_config.src_ports =
-        steer::SkewedSourcePorts(/*owner_core=*/0, opt.threads, config.num_flow_groups,
+        steer::SkewedSourcePorts(/*owner_core=*/0, opt.threads,
+                                 runtime.director()->table().num_groups(),
                                  spec.skew_groups, /*ports_per_group=*/8,
                                  /*exclude_port=*/runtime.port());
   }

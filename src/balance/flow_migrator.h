@@ -30,12 +30,8 @@ struct MigrationRecord {
 class FlowGroupMigrator {
  public:
   // `ring_of_core` maps a core to its RX DMA ring (identity in this repo, but
-  // kept explicit for partial-ring configurations). `min_epochs` is the
-  // FlowGroupPicker's hysteresis (0 = off): a group that migrated may not
-  // migrate again for that many RunEpoch calls, like the runtime
-  // FlowDirector's min_epochs_between_moves knob.
-  FlowGroupMigrator(SimNic* nic, std::function<int(CoreId)> ring_of_core,
-                    uint32_t min_epochs = 0);
+  // kept explicit for partial-ring configurations).
+  FlowGroupMigrator(SimNic* nic, std::function<int(CoreId)> ring_of_core);
 
   // Runs one migration epoch: for every non-busy core, move one flow group
   // from its top steal victim to itself, then reset that core's epoch steal
@@ -45,15 +41,13 @@ class FlowGroupMigrator {
 
   // Picks a flow group currently steered at `victim_ring` through the shared
   // FlowGroupPicker, so repeated picks move different groups. Returns false
-  // if the victim serves no eligible group.
+  // if the victim serves no group.
   bool PickGroupOnRing(int victim_ring, uint32_t* group);
 
+  // Every migration so far; the Kernel charges each one's FDir
+  // reprogramming to the core that pulled the group.
   const std::vector<MigrationRecord>& history() const { return history_; }
   uint64_t migrations() const { return history_.size(); }
-  // Epoch decisions where the victim served at least one group but the
-  // hysteresis blocked all of them; the runtime twin is
-  // FlowDirector::migrations_suppressed().
-  uint64_t migrations_suppressed() const { return migrations_suppressed_; }
 
   static constexpr Cycles kDefaultPeriod = MsToCycles(100);
 
@@ -61,11 +55,6 @@ class FlowGroupMigrator {
   SimNic* nic_;
   std::function<int(CoreId)> ring_of_core_;
   FlowGroupPicker picker_;
-  // Monotonic RunEpoch counter feeding the picker. Eligibility compares
-  // tick DIFFERENCES, so parity with the director holds for any two tick
-  // sequences that advance by one per epoch, whatever their bases.
-  uint64_t epoch_tick_ = 0;
-  uint64_t migrations_suppressed_ = 0;
   std::vector<MigrationRecord> history_;
 };
 

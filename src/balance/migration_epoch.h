@@ -1,7 +1,9 @@
 // The long-term balancer's two decisions (paper Section 3.3.2), each written
 // once: which core pulls from which victim this epoch
 // (MigrateForCoreThisEpoch / RunMigrationEpoch), and which flow group the
-// move takes (FlowGroupPicker, with its rotating cursor and hysteresis).
+// move takes (FlowGroupPicker, with its rotating cursor). Like the paper's
+// balancer, they remember nothing beyond one epoch's steal counts and the
+// cursor.
 //
 // Both migration executors -- the simulator's FlowGroupMigrator (which
 // reprograms the SimNic's FDir table) and the runtime's steer::FlowDirector
@@ -15,7 +17,6 @@
 #define AFFINITY_SRC_BALANCE_MIGRATION_EPOCH_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "src/balance/balance_policy.h"
 #include "src/mem/cacheline.h"
@@ -24,76 +25,32 @@ namespace affinity {
 
 // Which flow group a migration moves off its victim, one copy for both
 // executors: a scan of the group space from a rotating cursor, so repeated
-// migrations move different groups, that passes over groups still cooling
-// off. Each executor supplies its own test of whether the victim owns a
-// group (the SimNic's FDir table, or the runtime's steering table), so the
-// two pick the same group from the same table.
-//
-// The cooling-off is migration hysteresis: a group that just migrated is
-// ineligible to move again for `min_epochs` epochs -- the fix for
-// ping-ponging: two near-balanced cores alternately reading each other as
-// the top victim and trading the same group back and forth every 100 ms,
-// dragging its connections' cache state across the LLC each time. Failover
-// and recovery moves bypass this on purpose (a dead owner always outranks
-// cache warmth), and do not stamp it either -- parking is not a balancer
-// decision, so it must not perturb the balancer's future choices (the
-// parity test replays failovers on both sides, but only epoch moves are
-// damped). min_epochs == 0 keeps the pre-hysteresis behavior bit-for-bit.
+// migrations move different groups. Each executor supplies its own test of
+// whether the victim owns a group (the SimNic's FDir table, or the
+// runtime's steering table), so the two pick the same group from the same
+// table.
 class FlowGroupPicker {
  public:
-  FlowGroupPicker(uint32_t num_groups, uint32_t min_epochs)
-      : num_groups_(num_groups),
-        min_epochs_(min_epochs),
-        last_move_(min_epochs > 0 ? num_groups : 0, kNeverMoved) {}
+  explicit FlowGroupPicker(uint32_t num_groups) : num_groups_(num_groups) {}
 
-  // The first group from the cursor that `owned_by_victim(group)` accepts
-  // and that may migrate at epoch `tick` (the executor's monotonically
-  // increasing epoch counter); the cursor moves one past it. False when
-  // there is none. A victim-owned group passed over because it moved too
-  // recently sets *damped (when given) and leaves the cursor, so a later
-  // epoch revisits it.
+  // The first group from the cursor that `owned_by_victim(group)` accepts;
+  // the cursor moves one past it. False when there is none.
   template <typename OwnedByVictim>
-  bool Pick(uint64_t tick, OwnedByVictim&& owned_by_victim, uint32_t* group,
-            bool* damped = nullptr) {
+  bool Pick(OwnedByVictim&& owned_by_victim, uint32_t* group) {
     for (uint32_t i = 0; i < num_groups_; ++i) {
       uint32_t candidate = (cursor_ + i) % num_groups_;
-      if (!owned_by_victim(candidate)) {
-        continue;
+      if (owned_by_victim(candidate)) {
+        cursor_ = (candidate + 1) % num_groups_;
+        *group = candidate;
+        return true;
       }
-      if (!Eligible(candidate, tick)) {
-        if (damped != nullptr) {
-          *damped = true;
-        }
-        continue;
-      }
-      cursor_ = (candidate + 1) % num_groups_;
-      *group = candidate;
-      return true;
     }
     return false;
   }
 
-  // Stamps a balancer move of `group` at epoch `tick`.
-  void NoteMove(uint32_t group, uint64_t tick) {
-    if (min_epochs_ != 0) {
-      last_move_[group] = tick;
-    }
-  }
-
  private:
-  bool Eligible(uint32_t group, uint64_t tick) const {
-    if (min_epochs_ == 0) {
-      return true;
-    }
-    uint64_t last = last_move_[group];
-    return last == kNeverMoved || tick >= last + min_epochs_;
-  }
-
-  static constexpr uint64_t kNeverMoved = ~0ull;
   uint32_t num_groups_;
-  uint32_t min_epochs_;
   uint32_t cursor_ = 0;
-  std::vector<uint64_t> last_move_;
 };
 
 // One core's migration decision: a non-busy core that stole this epoch pulls

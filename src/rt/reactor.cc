@@ -13,6 +13,7 @@
 #include <chrono>
 
 #include "src/rt/listener.h"
+#include "src/rt/runtime.h"
 
 namespace affinity {
 namespace rt {
@@ -73,7 +74,16 @@ const char* DeadlineKindName(DeadlineKind kind) {
 }
 
 Reactor::Reactor(int index, ReactorShared* shared)
-    : index_(index), shared_(shared), io_(index, shared->sys) {}
+    : index_(index), shared_(shared), config_(*shared->config), io_(index, shared->sys) {}
+
+void ReactorShared::PublishSteering() const {
+  metrics->GaugeSet(ids.steer_cbpf, 0,
+                    director->kernel_steering() == steer::KernelSteering::kAttached ? 1 : 0);
+  const steer::SteeringTable& table = director->table();
+  for (int c = 0; c < table.num_cores(); ++c) {
+    metrics->GaugeSet(ids.steer_groups_owned, c, static_cast<uint64_t>(table.OwnedBy(c)));
+  }
+}
 
 void Reactor::ResolveHotCells() {
   obs::MetricsRegistry* m = shared_->metrics;
@@ -109,14 +119,14 @@ void Reactor::ResolveHotCells() {
 }
 
 void Reactor::Run() {
-  if (shared_->pin_threads) {
+  if (config_.pin_threads) {
     PinCurrentThreadToCpu(index_);
   }
   ResolveHotCells();
   // Hardware profiling: open this thread's counter group AFTER pinning so
   // the counters follow the reactor's core. Never fails -- an unavailable
   // PMU yields an inactive profile (phase entries only).
-  prof_ = shared_->hwprof != nullptr ? shared_->hwprof->AttachThread(index_) : nullptr;
+  prof_ = shared_->profiler != nullptr ? shared_->profiler->AttachThread(index_) : nullptr;
   if (!io_.Init(nullptr)) {
     return;
   }
@@ -124,7 +134,7 @@ void Reactor::Run() {
   // This reactor's own source: its shard, or in stock mode the one shared
   // fd (every reactor polls it, level-triggered, so stock accept herds).
   // Accepts land on this core's ring outside stock mode.
-  const bool stock = shared_->mode == RtMode::kStock;
+  const bool stock = config_.mode == RtMode::kStock;
   ListenSource own;
   own.fd = shared_->listen_fds[stock ? 0 : static_cast<size_t>(index_)];
   own.qi = stock ? 0u : static_cast<uint32_t>(index_);
@@ -132,12 +142,20 @@ void Reactor::Run() {
   sources_.assign(1, own);
   open_head_ = kNullConn;
   open_count_ = 0;
-  // The deadline wheel, anchored to the shared clock's current reading.
+  // The deadline wheel, anchored to the config clock's current reading.
   // Built even when no deadline class is enabled (EvictIdleConns and the
   // close path cancel through it unconditionally); Advance fast-forwards in
   // O(1) while nothing is armed.
-  wheel_.reset(new timer::TimerWheel(
-      kTimerTickNs, shared_->clock != nullptr ? shared_->clock->NowNs() : 0));
+  wheel_.reset(new timer::TimerWheel(kTimerTickNs, config_.clock->NowNs()));
+  // In DeadlineKind order, kHandshake first.
+  const int deadline_ms[] = {config_.handshake_timeout_ms, config_.idle_timeout_ms,
+                             config_.read_timeout_ms, config_.write_timeout_ms,
+                             config_.max_lifetime_ms};
+  deadlines_enabled_ = false;
+  for (int k = 0; k < 5; ++k) {
+    deadline_ns_[k] = deadline_ms[k] > 0 ? static_cast<uint64_t>(deadline_ms[k]) * 1'000'000ull : 0;
+    deadlines_enabled_ = deadlines_enabled_ || deadline_ns_[k] != 0;
+  }
   drain_unwatched_ = false;
 
   // EMFILE rescue reserve: one fd held back so fd exhaustion can still
@@ -147,22 +165,21 @@ void Reactor::Run() {
   backoff_until_ = std::chrono::steady_clock::time_point{};
   backoff_unwatched_ = false;
   drop_bucket_.reset(
-      new fault::TokenBucket(shared_->drop_budget_per_sec, std::chrono::steady_clock::now()));
+      new fault::TokenBucket(config_.drop_budget_per_sec, std::chrono::steady_clock::now()));
 
-  bool migrate = shared_->director != nullptr && shared_->migrate_interval_ms > 0;
-  auto migrate_period = std::chrono::milliseconds(
-      migrate ? shared_->migrate_interval_ms : 1);
+  bool migrate = shared_->director != nullptr && config_.migrate_interval_ms > 0;
+  auto migrate_period = std::chrono::milliseconds(migrate ? config_.migrate_interval_ms : 1);
   auto next_migrate = std::chrono::steady_clock::now() + migrate_period;
 
-  bool watchdog = shared_->domains != nullptr && shared_->watchdog_timeout_ms > 0;
+  // The Runtime builds failure domains only for a positive watchdog timeout.
+  bool watchdog = shared_->domains != nullptr;
   std::unique_ptr<fault::WatchdogMonitor> monitor;
   auto watchdog_period = std::chrono::milliseconds(
-      watchdog ? std::max(1, shared_->watchdog_timeout_ms / 4) : 1);
+      watchdog ? std::max(1, config_.watchdog_timeout_ms / 4) : 1);
   auto next_watchdog = std::chrono::steady_clock::now() + watchdog_period;
   if (watchdog) {
     monitor.reset(new fault::WatchdogMonitor(
-        shared_->domains, index_,
-        std::chrono::milliseconds(shared_->watchdog_timeout_ms)));
+        shared_->domains, index_, std::chrono::milliseconds(config_.watchdog_timeout_ms)));
   }
 
   // The listen shard is usually the only registered source; adopted shards
@@ -236,8 +253,8 @@ void Reactor::Run() {
       FlushDequeues();
     }
     Prof(obs::hwprof::Phase::kMaintenance);
-    if (shared_->deadlines_enabled) {
-      wheel_->Advance(shared_->clock->NowNs(),
+    if (deadlines_enabled_) {
+      wheel_->Advance(config_.clock->NowNs(),
                       [this](timer::TimerEntry* e) { OnDeadlineExpiry(e); });
     }
     auto now = std::chrono::steady_clock::now();
@@ -269,7 +286,7 @@ void Reactor::Run() {
   // and the conservation ledger exact). Counted as aborted, never served.
   CloseAllOpen();
   if (prof_ != nullptr) {
-    shared_->hwprof->DetachThread(index_);
+    shared_->profiler->DetachThread(index_);
     prof_ = nullptr;
   }
   if (reserve_fd_ >= 0) {
@@ -282,21 +299,11 @@ void Reactor::Run() {
 void Reactor::MigrationTick() {
   ++migrate_tick_;
   steer::Migration m;
-  bool suppressed = false;
-  if (!shared_->director->MigrateForCore(index_, shared_->policy, migrate_tick_, &m,
-                                         &suppressed)) {
-    if (suppressed) {
-      // A victim was due but hysteresis vetoed every candidate group: the
-      // anti-flapping guard held (FDir-reordering paper), not load balance.
-      shared_->metrics->Add(shared_->ids.migrations_suppressed, index_);
-    }
+  if (!shared_->director->MigrateForCore(index_, shared_->policy, &m)) {
     return;
   }
   shared_->metrics->Add(shared_->ids.migrations, index_);
-  shared_->metrics->GaugeSet(shared_->ids.steer_groups_owned, static_cast<int>(m.from_core),
-                             static_cast<uint64_t>(shared_->director->table().OwnedBy(m.from_core)));
-  shared_->metrics->GaugeSet(shared_->ids.steer_groups_owned, static_cast<int>(m.to_core),
-                             static_cast<uint64_t>(shared_->director->table().OwnedBy(m.to_core)));
+  shared_->PublishSteering();
   Trace({.type = obs::TraceEventType::kMigrate,
          .src = static_cast<int16_t>(m.from_core),
          .dst = static_cast<int16_t>(m.to_core),
@@ -331,14 +338,14 @@ void Reactor::TryFailover(int dead) {
     shared_->metrics->GaugeSet(shared_->ids.busy, dead, 1);
   }
   if (shared_->director != nullptr) {
-    size_t moved = shared_->director->FailOverCore(dead, shared_->policy, migrate_tick_);
-    if (moved > 0) {
-      shared_->metrics->Add(shared_->ids.failover_group_moves, index_,
-                            static_cast<uint64_t>(moved));
-      for (int c = 0; c < shared_->num_reactors; ++c) {
-        shared_->metrics->GaugeSet(shared_->ids.steer_groups_owned, c,
-                                   static_cast<uint64_t>(shared_->director->table().OwnedBy(c)));
-      }
+    steer::ParkDistances parks = shared_->director->FailOverCore(dead, shared_->policy);
+    if (parks.total() > 0) {
+      const RtMetricIds& ids = shared_->ids;
+      shared_->metrics->Add(ids.failover_group_moves, index_, parks.total());
+      shared_->metrics->Add(ids.park_same_llc, index_, parks.same_llc);
+      shared_->metrics->Add(ids.park_cross_llc, index_, parks.cross_llc);
+      shared_->metrics->Add(ids.park_cross_node, index_, parks.cross_node);
+      shared_->PublishSteering();
     }
   }
   // Adopt the dead peer's listen shard: SYNs the kernel already queued
@@ -348,7 +355,7 @@ void Reactor::TryFailover(int dead) {
   // forced-busy stealing drains them. A draining runtime adopts nothing:
   // accepting is over for everyone. Inside an fd-exhaustion window the
   // shard joins the epoll set with the other sources when the window ends.
-  if (shared_->mode != RtMode::kStock &&
+  if (config_.mode != RtMode::kStock &&
       !shared_->draining.load(std::memory_order_acquire)) {
     ListenSource src;
     src.fd = shared_->listen_fds[static_cast<size_t>(dead)];
@@ -373,14 +380,11 @@ void Reactor::SelfRecover() {
                                shared_->policy->IsBusy(index_) ? 1 : 0);
   }
   if (shared_->director != nullptr) {
-    size_t returned = shared_->director->RecoverCore(index_, migrate_tick_);
+    size_t returned = shared_->director->RecoverCore(index_);
     if (returned > 0) {
       shared_->metrics->Add(shared_->ids.failover_group_moves, index_,
                             static_cast<uint64_t>(returned));
-      for (int c = 0; c < shared_->num_reactors; ++c) {
-        shared_->metrics->GaugeSet(shared_->ids.steer_groups_owned, c,
-                                   static_cast<uint64_t>(shared_->director->table().OwnedBy(c)));
-      }
+      shared_->PublishSteering();
     }
   }
   // The adopter still holds our listen fd in its epoll until its next
@@ -422,7 +426,7 @@ void Reactor::RstClose(int fd) {
 }
 
 bool Reactor::ShedOrDrop(int fd, size_t qi, std::chrono::steady_clock::time_point now) {
-  if (shared_->overload == OverloadPolicy::kAcceptThenRst && drop_bucket_->TryTake(now)) {
+  if (config_.overload == OverloadPolicy::kAcceptThenRst && drop_bucket_->TryTake(now)) {
     RstClose(fd);
     Trace({.type = obs::TraceEventType::kAdmissionShed,
            .src = static_cast<int16_t>(qi),
@@ -512,7 +516,7 @@ void Reactor::AcceptBatch(const ListenSource& src) {
   int soft_skips = 0;
   bool fd_exhausted = false;
   while (n < limit) {
-    if (shared_->overload == OverloadPolicy::kLeaveInBacklog) {
+    if (config_.overload == OverloadPolicy::kLeaveInBacklog) {
       // Admission gate: a full local ring stops the drain so the burst
       // queues in the kernel backlog instead of being accepted into a drop.
       const AcceptRing& ring = *shared_->queues[default_qi];
@@ -553,7 +557,7 @@ void Reactor::AcceptBatch(const ListenSource& src) {
       // this re-steer IS the steering (one cross-core ring push).
       CoreId owner = shared_->director->OwnerOfPort(
           ntohs(reinterpret_cast<const sockaddr_in*>(&peer)->sin_port));
-      if (owner >= 0 && owner < shared_->num_reactors) {
+      if (owner >= 0 && owner < config_.num_threads) {
         qi = static_cast<size_t>(owner);
       }
       if (qi == static_cast<size_t>(index_)) {
@@ -605,8 +609,8 @@ void Reactor::AdmitBatch(const Accepted* batch, int n,
     const Accepted& a = batch[i];
     size_t qi = a.qi;
     ConnHandle handle = shared_->pool->Alloc(index_);
-    if (handle == kNullConn && shared_->pool_evict_batch > 0 &&
-        EvictIdleConns(shared_->pool_evict_batch) > 0) {
+    if (handle == kNullConn && config_.pool_evict_batch > 0 &&
+        EvictIdleConns(config_.pool_evict_batch) > 0) {
       // Pool pressure: the oldest idle conns (slowloris holders, by
       // definition of idle) were just reaped, so the retry usually
       // succeeds -- new work displaces dead weight instead of being shed.
@@ -721,7 +725,7 @@ void Reactor::RecordSteal(CoreId victim, size_t victim_len_after) {
 bool Reactor::ServeOne(bool idle) {
   ConnHandle conn = kNullConn;
 
-  switch (shared_->mode) {
+  switch (config_.mode) {
     case RtMode::kStock: {
       if (!PopFrom(0, &conn)) {
         return false;
@@ -805,7 +809,7 @@ void Reactor::Serve(ConnHandle handle, bool local) {
   ++open_count_;
   hot_.open_conns->store(open_count_, std::memory_order_relaxed);
   svc::ConnRef ref{&st, conn->fd, index_, shared_->sys};
-  svc::Verdict verdict = shared_->handler->OnAccept(ref);
+  svc::Verdict verdict = shared_->conn_handler->OnAccept(ref);
   NoteRounds(conn, /*prev_rounds=*/0);
   if (verdict == svc::Verdict::kClose || verdict == svc::Verdict::kRstClose) {
     // Over in one call (every accept-workload connection): no open-list
@@ -822,8 +826,8 @@ void Reactor::Serve(ConnHandle handle, bool local) {
   // The absolute lifetime cap starts once the connection outlives OnAccept
   // and never re-arms; it rides in the pool block like the phase timer, on
   // THIS reactor's wheel (the conn is pinned here until close).
-  if (shared_->max_lifetime_ns > 0) {
-    wheel_->Arm(&conn->life_timer, shared_->clock->NowNs() + shared_->max_lifetime_ns,
+  if (DeadlineNs(DeadlineKind::kLifetime) > 0) {
+    wheel_->Arm(&conn->life_timer, config_.clock->NowNs() + DeadlineNs(DeadlineKind::kLifetime),
                 static_cast<uint8_t>(DeadlineKind::kLifetime),
                 static_cast<uint64_t>(handle));
   }
@@ -842,8 +846,8 @@ void Reactor::DriveConn(ConnHandle handle, uint32_t ev_events) {
   svc::ConnRef ref{&st, conn->fd, index_, shared_->sys};
   uint32_t prev = st.rounds_done;
   svc::Verdict verdict = st.phase == svc::ConnPhase::kWriting
-                             ? shared_->handler->OnWritable(ref)
-                             : shared_->handler->OnReadable(ref);
+                             ? shared_->conn_handler->OnWritable(ref)
+                             : shared_->conn_handler->OnReadable(ref);
   NoteRounds(conn, prev);
   Finish(handle, conn, verdict);
 }
@@ -858,7 +862,7 @@ void Reactor::NoteRounds(PendingConn* conn, uint32_t prev_rounds) {
   // arms a fresh one for the next request. Progress WITHIN a phase (partial
   // request bytes, partial response flushes) deliberately does not reach
   // here -- that is the slowloris defense.
-  if (shared_->deadlines_enabled) {
+  if (deadlines_enabled_) {
     wheel_->Cancel(&conn->phase_timer);
   }
   hot_.requests->fetch_add(1, std::memory_order_relaxed);
@@ -877,12 +881,12 @@ void Reactor::NoteRounds(PendingConn* conn, uint32_t prev_rounds) {
 void Reactor::Finish(ConnHandle handle, PendingConn* conn, svc::Verdict verdict) {
   switch (verdict) {
     case svc::Verdict::kWantRead:
-      if (Arm(handle, conn, EPOLLIN) && shared_->deadlines_enabled) {
+      if (Arm(handle, conn, EPOLLIN) && deadlines_enabled_) {
         ArmPhaseDeadline(handle, conn, /*want_read=*/true);
       }
       return;
     case svc::Verdict::kWantWrite:
-      if (Arm(handle, conn, EPOLLOUT) && shared_->deadlines_enabled) {
+      if (Arm(handle, conn, EPOLLOUT) && deadlines_enabled_) {
         ArmPhaseDeadline(handle, conn, /*want_read=*/false);
       }
       return;
@@ -915,20 +919,16 @@ bool Reactor::Arm(ConnHandle handle, PendingConn* conn, uint32_t want) {
 void Reactor::ArmPhaseDeadline(ConnHandle handle, PendingConn* conn, bool want_read) {
   const svc::ConnState& st = conn->svc;
   DeadlineKind kind;
-  uint64_t timeout_ns;
   if (!want_read) {
     kind = DeadlineKind::kWrite;
-    timeout_ns = shared_->write_timeout_ns;
   } else if (st.req_len > 0) {
     kind = DeadlineKind::kRead;
-    timeout_ns = shared_->read_timeout_ns;
   } else if (st.rounds_done == 0) {
     kind = DeadlineKind::kHandshake;
-    timeout_ns = shared_->handshake_timeout_ns;
   } else {
     kind = DeadlineKind::kIdle;
-    timeout_ns = shared_->idle_timeout_ns;
   }
+  uint64_t timeout_ns = DeadlineNs(kind);
   timer::TimerEntry* e = &conn->phase_timer;
   if (timeout_ns == 0) {
     wheel_->Cancel(e);  // this class is disabled; drop any stale deadline
@@ -941,7 +941,7 @@ void Reactor::ArmPhaseDeadline(ConnHandle handle, PendingConn* conn, bool want_r
     // cancels in NoteRounds) buys a fresh deadline.
     return;
   }
-  wheel_->Arm(e, shared_->clock->NowNs() + timeout_ns, static_cast<uint8_t>(kind),
+  wheel_->Arm(e, config_.clock->NowNs() + timeout_ns, static_cast<uint8_t>(kind),
               static_cast<uint64_t>(handle));
 }
 
@@ -956,14 +956,14 @@ void Reactor::OnDeadlineExpiry(timer::TimerEntry* e) {
 
 int Reactor::NextWaitTimeoutMs() {
   constexpr int kWaitCapMs = 1;
-  if (!shared_->deadlines_enabled) {
+  if (!deadlines_enabled_) {
     return kWaitCapMs;
   }
   uint64_t next = wheel_->NextFireNs();
   if (next == timer::TimerWheel::kNever) {
     return kWaitCapMs;
   }
-  uint64_t now_ns = shared_->clock->NowNs();
+  uint64_t now_ns = config_.clock->NowNs();
   if (next <= now_ns) {
     return 0;  // already due: poll, expire, then sleep for real
   }
@@ -1030,7 +1030,7 @@ void Reactor::ReleaseConn(ConnHandle handle, PendingConn* conn, bool rst,
   svc::ConnState& st = conn->svc;
   if (st.opened) {
     svc::ConnRef ref{&st, conn->fd, index_, shared_->sys};
-    shared_->handler->OnClose(ref);
+    shared_->conn_handler->OnClose(ref);
   }
   if (rst) {
     RstClose(conn->fd);
@@ -1105,7 +1105,7 @@ void Reactor::CloseAllOpen() {
     svc::ConnState& st = conn->svc;
     if (st.opened) {
       svc::ConnRef ref{&st, conn->fd, index_, shared_->sys};
-      shared_->handler->OnClose(ref);
+      shared_->conn_handler->OnClose(ref);
     }
     wheel_->Cancel(&conn->phase_timer);
     wheel_->Cancel(&conn->life_timer);

@@ -28,7 +28,10 @@
 //    per touched queue per batch (OnEnqueueBatch/OnDequeueBatch), not per
 //    connection, so the policy's shared state is touched per batch,
 //  - metric updates go through cells pre-resolved at thread start
-//    (obs::MetricsRegistry::Cell), one relaxed add on a core-private line.
+//    (obs::MetricsRegistry::Cell), one relaxed add on a core-private line,
+//  - settings are read from the Runtime's RtConfig (ReactorShared::config,
+//    never copied); what the loop derives from them -- each deadline class
+//    in ns -- is computed once per Run().
 
 #ifndef AFFINITY_SRC_RT_REACTOR_H_
 #define AFFINITY_SRC_RT_REACTOR_H_
@@ -52,7 +55,6 @@
 #include "src/rt/rt_metrics.h"
 #include "src/steer/flow_director.h"
 #include "src/svc/conn_handler.h"
-#include "src/time/clock.h"
 #include "src/time/timer_wheel.h"
 #include "src/topo/topology.h"
 
@@ -112,11 +114,14 @@ const char* DeadlineKindName(DeadlineKind kind);
 using RtMetricIds =
     RtMetricFields<obs::MetricsRegistry::MetricId, obs::MetricsRegistry::MetricId>;
 
-// State shared by every reactor of one Runtime.
+struct RtConfig;
+
+// State shared by every reactor of one Runtime: the objects, rings, fds and
+// flags the reactors share. Settings live in the Runtime's RtConfig only.
 struct ReactorShared {
-  RtMode mode = RtMode::kAffinity;
-  int num_reactors = 1;
-  bool pin_threads = true;
+  // The Runtime's configuration (never null; constant while reactors run).
+  // Its clock is resolved at construction, so it is never null either.
+  const RtConfig* config = nullptr;
   // 1 entry (stock) or one per reactor (fine/affinity).
   std::vector<std::unique_ptr<AcceptRing>> queues;
   // Per-core PendingConn slab pool (owned by the Runtime; never null while
@@ -138,18 +143,14 @@ struct ReactorShared {
   // Flow-group steering table + long-term balancer; null when steering is
   // off (affinity mode only). Owned by the Runtime.
   steer::FlowDirector* director = nullptr;
-  // Long-term balancer tick; <= 0 disables migration (steering-only mode,
-  // the paper's Section 6.5 no-migration baseline).
-  int migrate_interval_ms = 0;
   // Syscall surface for the hot path; never null while reactors run
   // (fault::DefaultSys passthrough, or the FaultInjector in chaos runs).
   fault::SysIface* sys = nullptr;
   // Hardware profiler; null when hwprof is off. Reactors attach their
   // thread at Run() start and feed phase transitions to it.
-  obs::hwprof::HwProf* hwprof = nullptr;
+  obs::hwprof::HwProf* profiler = nullptr;
   // Heartbeats + alive/dead state; null when the watchdog is disabled.
   fault::FailureDomains* domains = nullptr;
-  int watchdog_timeout_ms = 0;  // <= 0 disables peer monitoring
   // Serializes every failover/recovery state transition AND its actions
   // (forced-busy flips, flow-group mass moves, listen-shard adoption), so a
   // recovering reactor can never interleave with a concurrent failover.
@@ -160,31 +161,10 @@ struct ReactorShared {
   std::vector<int> listen_fds;
   // The workload's handler (svc::AcceptHandler for the accept workload),
   // shared by all reactors; never null while reactors run.
-  svc::ConnHandler* handler = nullptr;
-  // Shaped overload: what to do when a connection cannot be queued, and the
-  // per-core RST budget (0 = unlimited).
-  OverloadPolicy overload = OverloadPolicy::kAcceptThenRst;
-  int64_t drop_budget_per_sec = 0;
+  svc::ConnHandler* conn_handler = nullptr;
   // Fine-Accept's shared round-robin dequeue cursor -- deliberately one
   // contended cache line, as in the paper.
   std::atomic<uint64_t> rr_cursor{0};
-  // --- connection-lifecycle deadlines (src/time) ---
-  // Never null while reactors run (MonotonicClock by default, a
-  // ScriptedClock in deterministic expiry tests).
-  timer::ClockSource* clock = nullptr;
-  // Per-class deadlines in ns; 0 disables that class. Phase deadlines
-  // (handshake/idle/read/write) are re-armed only when the phase KIND
-  // changes -- within one phase the deadline is absolute, which is the
-  // slowloris defense: trickling bytes does not extend it.
-  uint64_t handshake_timeout_ns = 0;
-  uint64_t idle_timeout_ns = 0;
-  uint64_t read_timeout_ns = 0;
-  uint64_t write_timeout_ns = 0;
-  uint64_t max_lifetime_ns = 0;
-  bool deadlines_enabled = false;  // any class above > 0
-  // Pool-pressure eviction: when Alloc finds the pool dry, reap up to this
-  // many of the oldest idle conns before refusing the accept. 0 disables.
-  int pool_evict_batch = 0;
   // Graceful drain (Runtime::Stop with a drain deadline): reactors unwatch
   // their listen sources and stop accepting but keep serving queued and
   // open connections; normal closes during the window count
@@ -192,6 +172,13 @@ struct ReactorShared {
   // conns + empty rings or the deadline expires.
   std::atomic<bool> draining{false};
   std::atomic<bool> stop{false};
+
+  // Exports the director's live state: rt_steer_cbpf (1 while the cBPF
+  // program is attached) and every core's rt_steer_groups_owned. Called
+  // after each steering-table rewrite -- Start, a migration, a failover, a
+  // recovery -- so a re-attach the kernel refused, which drops the director
+  // to fallback, reaches the gauge too. Needs a director.
+  void PublishSteering() const;
 };
 
 class Reactor {
@@ -367,6 +354,7 @@ class Reactor {
 
   int index_;
   ReactorShared* shared_;
+  const RtConfig& config_;  // *shared_->config
   uint64_t migrate_tick_ = 0;  // epochs elapsed on this reactor
   // This reactor's event engine; its epoll instance lives for one Run().
   io::IoBackend io_;
@@ -378,10 +366,20 @@ class Reactor {
   ConnHandle open_head_ = kNullConn;
   uint64_t open_count_ = 0;
   int reserve_fd_ = -1;  // EMFILE rescue reserve (an open /dev/null)
-  // This reactor's deadline wheel (Run() scope; built against the shared
+  // This reactor's deadline wheel (Run() scope; built against the config's
   // clock at thread start). Single-threaded by construction: only this
   // reactor arms, cancels, or advances it.
   std::unique_ptr<timer::TimerWheel> wheel_;
+  // Per-class deadlines in ns, indexed by DeadlineKind - 1, from the
+  // config's *_timeout_ms at Run() start; 0 disables that class. Phase
+  // deadlines (handshake/idle/read/write) are re-armed only when the phase
+  // KIND changes -- within one phase the deadline is absolute, which is the
+  // slowloris defense: trickling bytes does not extend it.
+  uint64_t deadline_ns_[5] = {0, 0, 0, 0, 0};
+  bool deadlines_enabled_ = false;  // any class above > 0
+  uint64_t DeadlineNs(DeadlineKind kind) const {
+    return deadline_ns_[static_cast<int>(kind) - 1];
+  }
   // Drain entry is edge-triggered per reactor: the first loop iteration
   // that observes shared_->draining unwatches every listen source once.
   bool drain_unwatched_ = false;

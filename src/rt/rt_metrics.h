@@ -42,6 +42,12 @@
   X(recoveries, "rt_recoveries", "reactors recovered after failover")                              \
   X(failover_group_moves, "rt_failover_group_moves",                                               \
     "flow groups mass-moved by failover/recovery")                                                 \
+  /* The failover half of rt_failover_group_moves, split by how far each                           \
+     parked group travelled from its dead owner (src/topo LedgerBucket;                            \
+     a flat topology folds everything into same_llc). */                                           \
+  X(park_same_llc, "rt_park_same_llc", "failover parks on a peer sharing the dead core's LLC")     \
+  X(park_cross_llc, "rt_park_cross_llc", "failover parks crossing LLCs on one node")               \
+  X(park_cross_node, "rt_park_cross_node", "failover parks crossing NUMA nodes")                   \
   /* Service rounds: one per request/response round, and one per                                   \
      accept-workload connection (its one-byte reply). */                                           \
   X(requests, "rt_requests", "completed service rounds (an accept-workload connection is one)")    \
@@ -83,8 +89,6 @@
   X(drained_gracefully, "rt_drained_gracefully",                                                   \
     "conns that finished normally inside a drain window (subset of served)")                       \
   /* Flow-group steering (0 unless config.steer in affinity mode). */                              \
-  X(migrations_suppressed, "rt_migrations_suppressed",                                             \
-    "balancer epochs where hysteresis held back every candidate group")                            \
   X(steer_owner_accepts, "rt_steer_owner_accepts",                                                 \
     "connections accepted on the shard owning their flow group")                                   \
   X(steer_cross_accepts, "rt_steer_cross_accepts",                                                 \

@@ -71,6 +71,11 @@ Runtime::Runtime(const RtConfig& config) : config_(config) {
   if (config_.num_threads > kMaxCores) {
     config_.num_threads = kMaxCores;  // pool handles encode the core id
   }
+  if (config_.clock == nullptr) {
+    config_.clock = timer::MonotonicClock::Instance();
+  }
+  // The reactors read every setting from here; ReactorShared copies none.
+  shared_.config = &config_;
   // Same split as ListenSocket: the backlog is divided evenly across the
   // per-core queues, and that share is the busy-tracking reference length.
   max_local_len_ = std::max(1, config_.backlog / config_.num_threads);
@@ -136,33 +141,12 @@ bool Runtime::Start(std::string* error) {
     shared_.listen_fds.push_back(fd);
   }
   handler_ = svc::MakeHandler(config_.workload, config_.handler);
-  shared_.handler = handler_.get();
-
-  shared_.mode = config_.mode;
-  shared_.num_reactors = config_.num_threads;
-  shared_.pin_threads = config_.pin_threads;
+  shared_.conn_handler = handler_.get();
   shared_.metrics = metrics_.get();
   shared_.ids = ids_;
   shared_.trace = trace_.get();
-  shared_.overload = config_.overload;
-  shared_.drop_budget_per_sec = config_.drop_budget_per_sec;
-  shared_.hwprof = hwprof_.get();
-
-  // Connection-lifecycle deadlines: each reactor builds its own wheel from
-  // these at thread start. A fresh Start() is never mid-drain.
-  shared_.clock = config_.clock != nullptr ? config_.clock : timer::MonotonicClock::Instance();
-  auto ms_to_ns = [](int ms) {
-    return ms > 0 ? static_cast<uint64_t>(ms) * 1'000'000ull : 0ull;
-  };
-  shared_.handshake_timeout_ns = ms_to_ns(config_.handshake_timeout_ms);
-  shared_.idle_timeout_ns = ms_to_ns(config_.idle_timeout_ms);
-  shared_.read_timeout_ns = ms_to_ns(config_.read_timeout_ms);
-  shared_.write_timeout_ns = ms_to_ns(config_.write_timeout_ms);
-  shared_.max_lifetime_ns = ms_to_ns(config_.max_lifetime_ms);
-  shared_.deadlines_enabled = shared_.handshake_timeout_ns != 0 ||
-                              shared_.idle_timeout_ns != 0 || shared_.read_timeout_ns != 0 ||
-                              shared_.write_timeout_ns != 0 || shared_.max_lifetime_ns != 0;
-  shared_.pool_evict_batch = config_.pool_evict_batch;
+  shared_.profiler = hwprof_.get();
+  // A fresh Start() is never mid-drain.
   shared_.draining.store(false, std::memory_order_release);
 
   // Syscall surface: passthrough unless the chaos plan has rules.
@@ -180,13 +164,10 @@ bool Runtime::Start(std::string* error) {
   // Failure domains + watchdog.
   if (config_.watchdog_timeout_ms > 0) {
     domains_.reset(new fault::FailureDomains(config_.num_threads));
-    shared_.domains = domains_.get();
-    shared_.watchdog_timeout_ms = config_.watchdog_timeout_ms;
   } else {
     domains_.reset();
-    shared_.domains = nullptr;
-    shared_.watchdog_timeout_ms = 0;
   }
+  shared_.domains = domains_.get();
   for (int i = 0; i < config_.num_threads; ++i) {
     metrics_->GaugeSet(ids_.reactor_dead, i, 0);
   }
@@ -237,11 +218,9 @@ bool Runtime::Start(std::string* error) {
   }
   if (config_.steer && config_.mode == RtMode::kAffinity) {
     steer::FlowDirectorConfig dcfg;
-    dcfg.num_groups = config_.num_flow_groups;
     dcfg.num_cores = config_.num_threads;
     dcfg.sys = shared_.sys;
     dcfg.topo = topo_.get();
-    dcfg.min_epochs_between_moves = config_.migrate_min_epochs;
     director_.reset(new steer::FlowDirector(dcfg));
     if (!config_.steer_force_fallback) {
       // Attaching to any one socket of the reuseport group programs the
@@ -257,13 +236,7 @@ bool Runtime::Start(std::string* error) {
       }
     }
     shared_.director = director_.get();
-    shared_.migrate_interval_ms = config_.migrate_interval_ms;
-    metrics_->GaugeSet(ids_.steer_cbpf, 0,
-                       director_->kernel_steering() == steer::KernelSteering::kAttached ? 1 : 0);
-    for (int i = 0; i < config_.num_threads; ++i) {
-      metrics_->GaugeSet(ids_.steer_groups_owned, i,
-                         static_cast<uint64_t>(director_->table().OwnedBy(i)));
-    }
+    shared_.PublishSteering();
   }
 
   for (int i = 0; i < config_.num_threads; ++i) {
@@ -353,12 +326,6 @@ RtTotals Runtime::Totals() const {
 #undef AFFINITY_RT_MERGED
   if (pool_ != nullptr) {
     totals.pool = pool_->StatsSnapshot();
-  }
-  if (director_ != nullptr) {
-    steer::ParkDistances park = director_->park_distances();
-    totals.park_same_llc = park.same_llc;
-    totals.park_cross_llc = park.cross_llc;
-    totals.park_cross_node = park.cross_node;
   }
   if (topo_ != nullptr) {
     totals.topo_origin = topo_->origin();

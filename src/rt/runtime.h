@@ -56,20 +56,15 @@ struct RtConfig {
   // core owning its source port's flow group, via a cBPF program on the
   // reuseport group when the kernel permits (degrading to user-space
   // re-steering when not -- see steer::FlowDirector).
+  // The table holds FlowDirectorConfig's default 4,096 groups (Section 3.1);
+  // read the count back from director()->table().num_groups().
   bool steer = false;
-  uint32_t num_flow_groups = 4096;  // power of two (Section 3.1)
   // Long-term balancer epoch per reactor; <= 0 runs steering without
   // migration (the Section 6.5 no-migration baseline).
   int migrate_interval_ms = 100;
   // Skip the cBPF attach even if the kernel would allow it; exercises the
   // fallback path deterministically (tests, non-root CI).
   bool steer_force_fallback = false;
-  // Migration hysteresis: a flow group that just migrated may not migrate
-  // again for this many balancer epochs (0 = off). Damps the ping-pong of
-  // two near-balanced cores trading the same group every 100 ms; suppressed
-  // decisions (victim owned groups but all were cooling off) count into
-  // rt_migrations_suppressed. Failover/recovery moves bypass the damping.
-  uint32_t migrate_min_epochs = 0;
 
   // --- fault injection + failure domains (src/fault) ---
 
@@ -109,7 +104,8 @@ struct RtConfig {
   int read_timeout_ms = 0;
   int write_timeout_ms = 0;
   int max_lifetime_ms = 0;
-  // Test seam: a scripted clock (not owned). Null = CLOCK_MONOTONIC.
+  // Test seam: a scripted clock (not owned). Null = CLOCK_MONOTONIC, which
+  // the Runtime constructor fills in.
   timer::ClockSource* clock = nullptr;
   // Pool-pressure eviction: when an accept finds no free conn block, reap
   // up to this many idle (between-requests) connections -- oldest first --
@@ -172,11 +168,6 @@ bool ValidateRtConfig(const RtConfig& config, std::string* error);
 // histograms merged. The fields below are what the registry does not hold.
 struct RtTotals : RtMetricFields<uint64_t, Histogram> {
   SlabStats pool;  // the ConnPool's own per-core accounting
-  // Failover parking moves by dead-owner-to-target distance (0 unless
-  // steering is on).
-  uint64_t park_same_llc = 0;
-  uint64_t park_cross_llc = 0;
-  uint64_t park_cross_node = 0;
   // The resolved hardware topology behind the distance classes.
   topo::TopoOrigin topo_origin = topo::TopoOrigin::kFlat;
   int numa_nodes = 1;
@@ -279,8 +270,8 @@ class Runtime {
   // unavailable_reason() settles once Stop() has joined them.
   const obs::hwprof::HwProf* hwprof() const { return hwprof_.get(); }
 
-  // The flow-group steering table + migration history; null unless
-  // config.steer was on in affinity mode. Valid while the reactors run.
+  // The flow-group steering table; null unless config.steer was on in
+  // affinity mode. Valid while the reactors run.
   const steer::FlowDirector* director() const { return director_.get(); }
 
   // Where SYN steering happens (kFallback until Start(), or forever when

@@ -18,7 +18,7 @@ const char* KernelSteeringName(KernelSteering steering) {
 FlowDirector::FlowDirector(const FlowDirectorConfig& config)
     : config_(config),
       table_(config.num_groups, config.num_cores),
-      picker_(config.num_groups, config.min_epochs_between_moves),
+      picker_(config.num_groups),
       failed_over_(static_cast<size_t>(config.num_cores)) {}
 
 bool FlowDirector::Attach(int fd, std::string* error) {
@@ -58,52 +58,31 @@ void FlowDirector::ReprogramLocked() {
   }
 }
 
-bool FlowDirector::MigrateForCore(CoreId core, BalancePolicy* policy, uint64_t tick,
-                                  Migration* out, bool* suppressed) {
+bool FlowDirector::MigrateForCore(CoreId core, BalancePolicy* policy, Migration* out) {
   bool migrated = false;
-  if (suppressed != nullptr) {
-    *suppressed = false;
-  }
   MigrateForCoreThisEpoch(policy, core, [&](CoreId thief, CoreId victim) {
     std::lock_guard<std::mutex> lock(mu_);
     uint32_t group = 0;
-    bool damped = false;
-    if (!picker_.Pick(
-            tick, [&](uint32_t g) { return table_.OwnerOf(g) == victim; }, &group, &damped)) {
-      // Either the victim owns no groups (all already migrated away) or
-      // everything it owns is still cooling off from a recent move -- only
-      // the latter counts as a suppression.
-      if (damped) {
-        ++migrations_suppressed_;
-        if (suppressed != nullptr) {
-          *suppressed = true;
-        }
-      }
-      return;
+    if (!picker_.Pick([&](uint32_t g) { return table_.OwnerOf(g) == victim; }, &group)) {
+      return;  // the victim owns no groups: all already migrated away
     }
-    Migration m;
-    m.group = group;
-    m.from_core = victim;
-    m.to_core = thief;
-    m.tick = tick;
-    m.victim_steals = policy->EpochSteals(thief, victim);
+    out->group = group;
+    out->from_core = victim;
+    out->to_core = thief;
+    out->victim_steals = policy->EpochSteals(thief, victim);
     table_.Set(group, thief);
-    picker_.NoteMove(group, tick);
     ReprogramLocked();
-    history_.push_back(m);
-    if (out != nullptr) {
-      *out = m;
-    }
     migrated = true;
   });
   return migrated;
 }
 
-size_t FlowDirector::FailOverCore(CoreId dead, BalancePolicy* policy, uint64_t tick) {
+ParkDistances FlowDirector::FailOverCore(CoreId dead, BalancePolicy* policy) {
   std::lock_guard<std::mutex> lock(mu_);
+  ParkDistances parks;
   int num_cores = table_.num_cores();
   if (num_cores < 2) {
-    return 0;  // nowhere to park the groups
+    return parks;  // nowhere to park the groups
   }
   // Survivor rotation: nearest distance class first, and within the scan
   // prefer cores the policy reads as non-busy so the failover load spreads
@@ -130,13 +109,12 @@ size_t FlowDirector::FailOverCore(CoreId dead, BalancePolicy* policy, uint64_t t
   }
   std::vector<FailedOverGroup>& parked = failed_over_[static_cast<size_t>(dead)];
   parked.clear();
-  size_t moved = 0;
   uint32_t num_groups = table_.num_groups();
   for (uint32_t group = 0; group < num_groups; ++group) {
     if (table_.OwnerOf(group) != dead) {
       continue;
     }
-    CoreId target = targets[moved % targets.size()];
+    CoreId target = targets[parks.total() % targets.size()];
     table_.Set(group, target);
     // A group that an earlier failover parked ON `dead` belongs to some
     // other core's recovery, not dead's: retarget that record in place so
@@ -161,31 +139,23 @@ size_t FlowDirector::FailOverCore(CoreId dead, BalancePolicy* policy, uint64_t t
                 ? topo::LedgerBucket(config_.topo->Between(dead, target))
                 : 1) {
       case 2:
-        ++park_distances_.cross_llc;
+        ++parks.cross_llc;
         break;
       case 3:
-        ++park_distances_.cross_node;
+        ++parks.cross_node;
         break;
       default:  // same LLC (or SMT sibling); bucket 0 needs target == dead
-        ++park_distances_.same_llc;
+        ++parks.same_llc;
         break;
     }
-    Migration m;
-    m.group = group;
-    m.from_core = dead;
-    m.to_core = target;
-    m.tick = tick;
-    m.victim_steals = 0;  // failover, not a steal-driven move
-    history_.push_back(m);
-    ++moved;
   }
-  if (moved > 0) {
+  if (parks.total() > 0) {
     ReprogramLocked();
   }
-  return moved;
+  return parks;
 }
 
-size_t FlowDirector::RecoverCore(CoreId core, uint64_t tick) {
+size_t FlowDirector::RecoverCore(CoreId core) {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<FailedOverGroup>& parked = failed_over_[static_cast<size_t>(core)];
   size_t returned = 0;
@@ -196,13 +166,6 @@ size_t FlowDirector::RecoverCore(CoreId core, uint64_t tick) {
       continue;
     }
     table_.Set(fg.group, core);
-    Migration m;
-    m.group = fg.group;
-    m.from_core = fg.target;
-    m.to_core = core;
-    m.tick = tick;
-    m.victim_steals = 0;
-    history_.push_back(m);
     ++returned;
   }
   parked.clear();
@@ -212,31 +175,15 @@ size_t FlowDirector::RecoverCore(CoreId core, uint64_t tick) {
   return returned;
 }
 
-std::vector<Migration> FlowDirector::RunEpoch(BalancePolicy* policy, int num_cores,
-                                              uint64_t tick) {
+std::vector<Migration> FlowDirector::RunEpoch(BalancePolicy* policy, int num_cores) {
   std::vector<Migration> out;
   for (CoreId core = 0; core < num_cores; ++core) {
     Migration m;
-    if (MigrateForCore(core, policy, tick, &m)) {
+    if (MigrateForCore(core, policy, &m)) {
       out.push_back(m);
     }
   }
   return out;
-}
-
-std::vector<Migration> FlowDirector::history() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return history_;
-}
-
-uint64_t FlowDirector::migrations() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return history_.size();
-}
-
-ParkDistances FlowDirector::park_distances() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return park_distances_;
 }
 
 uint64_t FlowDirector::cbpf_updates() const {
@@ -247,11 +194,6 @@ uint64_t FlowDirector::cbpf_updates() const {
 uint64_t FlowDirector::cbpf_update_skips() const {
   std::lock_guard<std::mutex> lock(mu_);
   return cbpf_update_skips_;
-}
-
-uint64_t FlowDirector::migrations_suppressed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return migrations_suppressed_;
 }
 
 }  // namespace steer

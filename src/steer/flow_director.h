@@ -22,10 +22,16 @@
 // kAttached mode too, catching connections that were already queued on a
 // shard when their group migrated away.
 //
+// State: the steering table, the cBPF program's attach state and the
+// failover parking records -- nothing else. The director keeps no move log:
+// the runtime records balancer moves as kMigrate trace events and in
+// rt_migrations, and failover moves in rt_failover_group_moves and the
+// rt_park_* distance counters.
+//
 // Thread safety: table reads are lock-free (reactor accept paths); all
-// writes -- migrations, reprogramming, history -- serialize on one mutex.
-// Migrations take the director mutex before the BalancePolicy mutex; no
-// caller holds them in the reverse order.
+// writes -- migrations, failover parking, reprogramming -- serialize on one
+// mutex. Migrations take the director mutex before the BalancePolicy mutex;
+// no caller holds them in the reverse order.
 
 #ifndef AFFINITY_SRC_STEER_FLOW_DIRECTOR_H_
 #define AFFINITY_SRC_STEER_FLOW_DIRECTOR_H_
@@ -54,12 +60,11 @@ enum class KernelSteering : uint8_t {
 const char* KernelSteeringName(KernelSteering steering);
 
 // One long-term-balancer decision, the runtime twin of the simulator's
-// MigrationRecord (wall-clock tick instead of simulated cycles).
+// MigrationRecord.
 struct Migration {
   uint32_t group = 0;
   CoreId from_core = kNoCore;
   CoreId to_core = kNoCore;
-  uint64_t tick = 0;           // the deciding reactor's epoch counter
   uint64_t victim_steals = 0;  // why: steals charged to the victim this epoch
 };
 
@@ -76,21 +81,16 @@ struct FlowDirectorConfig {
   // a dead core's groups on its nearest surviving peers instead of plain
   // round-robin over all survivors.
   const topo::Topology* topo = nullptr;
-  // Migration hysteresis: a group that just migrated may not migrate again
-  // for this many balancer epochs (0 = off, the pre-hysteresis behavior).
-  // Damps ping-pong between near-balanced cores; failover/recovery moves
-  // ignore and do not stamp it. The simulator's FlowGroupMigrator runs the
-  // same FlowGroupPicker, so the two agree with hysteresis on.
-  uint32_t min_epochs_between_moves = 0;
 };
 
-// Cumulative distance classification of failover parking moves (how far each
-// group travelled from its dead owner). Flat topology folds everything into
-// same_llc, keeping the ledger conservation law intact.
+// One failover's parking moves, split by how far each group travelled from
+// its dead owner. A flat topology folds everything into same_llc, keeping
+// the ledger conservation law intact.
 struct ParkDistances {
   uint64_t same_llc = 0;
   uint64_t cross_llc = 0;   // different LLC, same node
   uint64_t cross_node = 0;
+  uint64_t total() const { return same_llc + cross_llc + cross_node; }
 };
 
 class FlowDirector {
@@ -121,16 +121,11 @@ class FlowDirector {
   // epoch, move one flow group from its top victim to itself and reprogram
   // the kernel. Returns true (with *out filled) when a group moved. Epoch
   // steal counts reset per the shared migration_epoch.h driver either way.
-  // With hysteresis configured, a move can come back false because the
-  // victim owned groups but every one was damped (moved too recently);
-  // *suppressed reports exactly that case so the caller can count it apart
-  // from "victim owned nothing".
-  bool MigrateForCore(CoreId core, BalancePolicy* policy, uint64_t tick, Migration* out,
-                      bool* suppressed = nullptr);
+  bool MigrateForCore(CoreId core, BalancePolicy* policy, Migration* out);
 
   // A centralized epoch in core order -- what the simulator's
   // FlowGroupMigrator::RunEpoch does; used by the sim/rt parity test.
-  std::vector<Migration> RunEpoch(BalancePolicy* policy, int num_cores, uint64_t tick);
+  std::vector<Migration> RunEpoch(BalancePolicy* policy, int num_cores);
 
   // --- failure domains (src/fault watchdog failover) ---
 
@@ -141,34 +136,26 @@ class FlowDirector {
   // class's non-busy members so one failover cannot bury an already-
   // overloaded peer; if every survivor is busy the nearest non-empty class
   // absorbs the groups anyway -- a dead owner is worse than a loaded one.
-  // Records each move in the migration history, remembers (group, target)
-  // pairs for RecoverCore, and reprograms the kernel once. Groups that were
-  // themselves parked on `dead` by an earlier failover are chain-forwarded:
-  // their original owner's parking record is retargeted so *its* recovery
-  // still finds them, and they do not enter `dead`'s own record. Returns
-  // the number of groups moved. Called by the failover winner under the
-  // runtime's failover mutex.
-  size_t FailOverCore(CoreId dead, BalancePolicy* policy, uint64_t tick);
+  // Remembers (group, target) pairs for RecoverCore and reprograms the
+  // kernel once. Groups that were themselves parked on `dead` by an earlier
+  // failover are chain-forwarded: their original owner's parking record is
+  // retargeted so *its* recovery still finds them, and they do not enter
+  // `dead`'s own record. Returns this failover's moves split by distance
+  // (total() is the number of groups moved). Called by the failover winner
+  // under the runtime's failover mutex.
+  ParkDistances FailOverCore(CoreId dead, BalancePolicy* policy);
 
   // Reverses FailOverCore: groups that are still where the failover parked
   // them come home to `core`; groups the balancer has since moved elsewhere
   // stay (their new owner earned them). One reprogram. Returns groups
   // returned.
-  size_t RecoverCore(CoreId core, uint64_t tick);
+  size_t RecoverCore(CoreId core);
 
-  std::vector<Migration> history() const;
-  uint64_t migrations() const;
-  // Cumulative dead-owner -> park-target distance classification across all
-  // FailOverCore calls (monotonic; recovery does not subtract).
-  ParkDistances park_distances() const;
   // Successful program re-attaches / updates skipped because the exception
   // list outgrew the program budget (table still authoritative via the
   // user-space re-steer).
   uint64_t cbpf_updates() const;
   uint64_t cbpf_update_skips() const;
-  // Epoch decisions where the victim owned at least one group but hysteresis
-  // blocked all of them (the ping-pong the damping exists to stop).
-  uint64_t migrations_suppressed() const;
 
  private:
   void ReprogramLocked();
@@ -181,8 +168,6 @@ class FlowDirector {
   // The shared Section 3.3.2 group choice (migration_epoch.h); guarded by
   // mu_ like the table it reads.
   FlowGroupPicker picker_;
-  uint64_t migrations_suppressed_ = 0;
-  std::vector<Migration> history_;
   uint64_t cbpf_updates_ = 0;
   uint64_t cbpf_update_skips_ = 0;
   // Per-core parking record from the last FailOverCore: which groups left
@@ -193,7 +178,6 @@ class FlowDirector {
     CoreId target = kNoCore;
   };
   std::vector<std::vector<FailedOverGroup>> failed_over_;
-  ParkDistances park_distances_;
 };
 
 }  // namespace steer

@@ -57,10 +57,10 @@ class SteerParityTest : public ::testing::Test {
 
   // Runs one centralized epoch on both sides and checks the decisions match
   // one for one. Returns how many migrations the epoch made.
-  size_t EpochAndCompare(uint64_t tick) {
+  size_t EpochAndCompare() {
     size_t before = migrator_->history().size();
-    migrator_->RunEpoch(/*now=*/static_cast<Cycles>(tick), &sim_policy_, kCores);
-    std::vector<Migration> rt_moves = director_->RunEpoch(&rt_policy_, kCores, tick);
+    migrator_->RunEpoch(loop_.Now(), &sim_policy_, kCores);
+    std::vector<Migration> rt_moves = director_->RunEpoch(&rt_policy_, kCores);
 
     const std::vector<MigrationRecord>& sim_history = migrator_->history();
     EXPECT_EQ(sim_history.size() - before, rt_moves.size());
@@ -96,18 +96,18 @@ TEST_F(SteerParityTest, ScriptedHistoryProducesIdenticalMigrations) {
   Steal(2, 0);
   Steal(2, 3);
   Steal(3, 0);
-  EXPECT_EQ(EpochAndCompare(/*tick=*/1), 3u);
+  EXPECT_EQ(EpochAndCompare(), 3u);
   ExpectTablesEqual();
 
   // Epoch 2: a busy core must not pull groups on either side.
   Steal(1, 0);
   Enqueue(1, kMaxLocalLen);  // over the high watermark
-  EXPECT_EQ(EpochAndCompare(/*tick=*/2), 0u);
+  EXPECT_EQ(EpochAndCompare(), 0u);
   Dequeue(1, 0);  // EWMA decays below the low watermark eventually
   ExpectTablesEqual();
 
   // Epoch 3: nothing stolen since the counts reset -> no movement.
-  EXPECT_EQ(EpochAndCompare(/*tick=*/3), 0u);
+  EXPECT_EQ(EpochAndCompare(), 0u);
   ExpectTablesEqual();
 }
 
@@ -128,129 +128,24 @@ TEST_F(SteerParityTest, ParkAndRecoverUnderScriptedTopologyIsExact) {
   // Epoch 1 on both sides: identical starting tables, identical decisions.
   Steal(1, 0);
   Steal(2, 0);
-  EXPECT_EQ(EpochAndCompare(/*tick=*/1), 2u);
+  EXPECT_EQ(EpochAndCompare(), 2u);
   ExpectTablesEqual();
 
   // Runtime-only detour: core 1 dies, its groups park on topological
   // neighbors, then it comes back. The round trip must restore the table
   // byte for byte -- that is what keeps the two sides comparable at all.
   rt_policy_.SetForcedBusy(1, true);
-  size_t moved = director_->FailOverCore(1, &rt_policy_, /*tick=*/2);
+  uint64_t moved = director_->FailOverCore(1, &rt_policy_).total();
   EXPECT_GT(moved, 0u);
   rt_policy_.SetForcedBusy(1, false);
-  EXPECT_EQ(moved, director_->RecoverCore(1, /*tick=*/3));
+  EXPECT_EQ(moved, director_->RecoverCore(1));
   ExpectTablesEqual();
 
   // And the next shared epoch still makes identical decisions.
   Steal(3, 0);
   Steal(3, 2);
-  EpochAndCompare(/*tick=*/4);
+  EpochAndCompare();
   ExpectTablesEqual();
-}
-
-TEST_F(SteerParityTest, MigrationHysteresisDampsBothSidesInLockstep) {
-  // Both executors run with the same damping: a flow group that just moved
-  // may not move again for kMinEpochs epochs. The sim side counts epochs on
-  // an internal tick and the rt side on the caller's tick; eligibility is
-  // tick-DIFFERENCE based, so the two stay in lockstep as long as both
-  // advance one tick per epoch -- which EpochAndCompare guarantees.
-  constexpr uint32_t kMinEpochs = 3;
-  migrator_ = std::make_unique<FlowGroupMigrator>(nic_.get(), [](CoreId c) { return c; },
-                                                  kMinEpochs);
-  FlowDirectorConfig director_config;
-  director_config.num_groups = kGroups;
-  director_config.num_cores = kCores;
-  director_config.min_epochs_between_moves = kMinEpochs;
-  director_ = std::make_unique<FlowDirector>(director_config);
-
-  // Epochs 1-2: strip core 0 of all four round-robin groups. Hysteresis
-  // never suppresses here -- each epoch still finds a never-moved group.
-  Steal(1, 0);
-  Steal(1, 0);
-  Steal(2, 0);
-  Steal(2, 0);
-  Steal(3, 0);
-  Steal(3, 0);
-  EXPECT_EQ(EpochAndCompare(/*tick=*/1), 3u);
-  Steal(1, 0);
-  Steal(1, 0);
-  EXPECT_EQ(EpochAndCompare(/*tick=*/2), 1u);
-  ExpectTablesEqual();
-  EXPECT_EQ(director_->table().OwnedBy(0), 0u);
-  EXPECT_EQ(migrator_->migrations_suppressed(), 0u);
-  EXPECT_EQ(director_->migrations_suppressed(), 0u);
-
-  // Epoch 3: core 0 steals one group BACK -- now core 0's entire holding is
-  // a single freshly-moved group.
-  Steal(0, 1);
-  Steal(0, 1);
-  EXPECT_EQ(EpochAndCompare(/*tick=*/3), 1u);
-  ExpectTablesEqual();
-
-  // Epochs 4-5: pressure to re-migrate that group lands inside the damping
-  // window: both sides must SUPPRESS, identically, instead of thrashing.
-  Steal(1, 0);
-  Steal(1, 0);
-  EXPECT_EQ(EpochAndCompare(/*tick=*/4), 0u);
-  Steal(1, 0);
-  Steal(1, 0);
-  EXPECT_EQ(EpochAndCompare(/*tick=*/5), 0u);
-  EXPECT_EQ(migrator_->migrations_suppressed(), 2u);
-  EXPECT_EQ(director_->migrations_suppressed(), 2u);
-  ExpectTablesEqual();
-
-  // Epoch 6: the window has aged out (3 epochs since the move); the same
-  // pressure now migrates on both sides.
-  Steal(1, 0);
-  Steal(1, 0);
-  EXPECT_EQ(EpochAndCompare(/*tick=*/6), 1u);
-  EXPECT_EQ(migrator_->migrations_suppressed(), 2u);
-  EXPECT_EQ(director_->migrations_suppressed(), 2u);
-  ExpectTablesEqual();
-}
-
-TEST_F(SteerParityTest, RandomizedHysteresisStaysInLockstep) {
-  // The randomized lockstep sweep again, but with damping on: decisions AND
-  // suppression counts must match epoch for epoch.
-  constexpr uint32_t kMinEpochs = 2;
-  migrator_ = std::make_unique<FlowGroupMigrator>(nic_.get(), [](CoreId c) { return c; },
-                                                  kMinEpochs);
-  FlowDirectorConfig director_config;
-  director_config.num_groups = kGroups;
-  director_config.num_cores = kCores;
-  director_config.min_epochs_between_moves = kMinEpochs;
-  director_ = std::make_unique<FlowDirector>(director_config);
-
-  std::mt19937 rng(20120412);
-  std::uniform_int_distribution<int> core_dist(0, kCores - 1);
-  std::uniform_int_distribution<int> len_dist(0, kMaxLocalLen);
-  std::uniform_int_distribution<int> kind_dist(0, 3);
-
-  size_t total_moves = 0;
-  for (uint64_t epoch = 1; epoch <= 50; ++epoch) {
-    for (int event = 0; event < 40; ++event) {
-      CoreId a = core_dist(rng);
-      CoreId b = core_dist(rng);
-      switch (kind_dist(rng)) {
-        case 0:
-          Enqueue(a, static_cast<size_t>(len_dist(rng)));
-          break;
-        case 1:
-          Dequeue(a, static_cast<size_t>(len_dist(rng)));
-          break;
-        default:
-          if (a != b) {
-            Steal(a, b);
-          }
-          break;
-      }
-    }
-    total_moves += EpochAndCompare(epoch);
-    ExpectTablesEqual();
-    EXPECT_EQ(migrator_->migrations_suppressed(), director_->migrations_suppressed())
-        << "suppression diverged at epoch " << epoch;
-  }
-  EXPECT_GT(total_moves, 0u);
 }
 
 TEST_F(SteerParityTest, RandomizedHistoryStaysInLockstep) {
@@ -278,7 +173,7 @@ TEST_F(SteerParityTest, RandomizedHistoryStaysInLockstep) {
           break;
       }
     }
-    total_moves += EpochAndCompare(epoch);
+    total_moves += EpochAndCompare();
     ExpectTablesEqual();
   }
   // The history above steals constantly; parity with zero movement would be

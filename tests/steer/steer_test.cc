@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 #include <linux/filter.h>
 
+#include <cerrno>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -169,18 +170,17 @@ TEST(FlowDirectorTest, MigratesOneGroupFromTopVictim) {
   policy.OnSteal(0, 2);
 
   Migration m;
-  ASSERT_TRUE(director.MigrateForCore(0, &policy, /*tick=*/1, &m));
+  ASSERT_TRUE(director.MigrateForCore(0, &policy, &m));
   EXPECT_EQ(m.from_core, 1);
   EXPECT_EQ(m.to_core, 0);
   EXPECT_EQ(m.victim_steals, 3u);
-  EXPECT_EQ(m.tick, 1u);
   EXPECT_EQ(director.table().OwnerOf(m.group), 0);
   EXPECT_EQ(director.table().OwnedBy(0), 5);
   EXPECT_EQ(director.table().OwnedBy(1), 3);
-  EXPECT_EQ(director.migrations(), 1u);
 
   // The epoch counts were reset: no second migration without new steals.
-  EXPECT_FALSE(director.MigrateForCore(0, &policy, /*tick=*/2, &m));
+  EXPECT_FALSE(director.MigrateForCore(0, &policy, &m));
+  EXPECT_EQ(director.table().OwnedBy(0), 5);
 }
 
 TEST(FlowDirectorTest, BusyCoresDoNotPullGroups) {
@@ -192,8 +192,9 @@ TEST(FlowDirectorTest, BusyCoresDoNotPullGroups) {
   policy.OnSteal(0, 1);
   policy.OnEnqueue(0, 8);  // over the high watermark: core 0 is busy
   Migration m;
-  EXPECT_FALSE(director.MigrateForCore(0, &policy, /*tick=*/1, &m));
-  EXPECT_EQ(director.migrations(), 0u);
+  EXPECT_FALSE(director.MigrateForCore(0, &policy, &m));
+  EXPECT_EQ(director.table().OwnedBy(0), 4);
+  EXPECT_EQ(director.table().OwnedBy(1), 4);
 }
 
 TEST(FlowDirectorTest, RepeatedMigrationsRotateGroups) {
@@ -206,7 +207,7 @@ TEST(FlowDirectorTest, RepeatedMigrationsRotateGroups) {
   for (int epoch = 0; epoch < 4; ++epoch) {
     policy.OnSteal(2, 3);
     Migration m;
-    ASSERT_TRUE(director.MigrateForCore(2, &policy, static_cast<uint64_t>(epoch), &m));
+    ASSERT_TRUE(director.MigrateForCore(2, &policy, &m));
     EXPECT_EQ(m.from_core, 3);
     EXPECT_TRUE(moved.insert(m.group).second) << "group " << m.group << " moved twice";
   }
@@ -214,7 +215,7 @@ TEST(FlowDirectorTest, RepeatedMigrationsRotateGroups) {
   // Core 3 owns nothing left to take.
   policy.OnSteal(2, 3);
   Migration m;
-  EXPECT_FALSE(director.MigrateForCore(2, &policy, /*tick=*/5, &m));
+  EXPECT_FALSE(director.MigrateForCore(2, &policy, &m));
 }
 
 // --- watchdog failover: FailOverCore / RecoverCore ---
@@ -229,22 +230,21 @@ TEST(FlowDirectorTest, FailOverMovesEveryGroupAndRecoveryReverses) {
   // The runtime pins the dead core busy before mass-migrating; mirror that,
   // so the dead core cannot be picked as its own failover target.
   policy.SetForcedBusy(1, true);
-  EXPECT_EQ(4u, director.FailOverCore(1, &policy, /*tick=*/10));
+  EXPECT_EQ(4u, director.FailOverCore(1, &policy).total());
   EXPECT_EQ(0, director.table().OwnedBy(1));
   for (uint32_t g = 0; g < 16; ++g) {
     EXPECT_NE(1, director.table().OwnerOf(g)) << "group " << g;
   }
-  EXPECT_EQ(4u, director.migrations());
 
   // Recovery brings exactly the original groups home.
   policy.SetForcedBusy(1, false);
-  EXPECT_EQ(4u, director.RecoverCore(1, /*tick=*/20));
+  EXPECT_EQ(4u, director.RecoverCore(1));
   EXPECT_EQ(4, director.table().OwnedBy(1));
   for (uint32_t g = 0; g < 16; ++g) {
     EXPECT_EQ(static_cast<CoreId>(g % 4), director.table().OwnerOf(g)) << "group " << g;
   }
   // The parking record is consumed: a second recovery is a no-op.
-  EXPECT_EQ(0u, director.RecoverCore(1, /*tick=*/21));
+  EXPECT_EQ(0u, director.RecoverCore(1));
 }
 
 TEST(FlowDirectorTest, FailOverAvoidsBusySurvivors) {
@@ -257,7 +257,7 @@ TEST(FlowDirectorTest, FailOverAvoidsBusySurvivors) {
   policy.OnEnqueue(3, 8);  // over the high watermark: core 3 is overloaded
   ASSERT_TRUE(policy.IsBusy(3));
 
-  EXPECT_EQ(4u, director.FailOverCore(1, &policy, /*tick=*/1));
+  EXPECT_EQ(4u, director.FailOverCore(1, &policy).total());
   // One failover must not bury an already-overloaded peer: everything lands
   // on the non-busy survivors.
   for (uint32_t g = 0; g < 16; ++g) {
@@ -278,17 +278,17 @@ TEST(FlowDirectorTest, ChainedFailoverForwardsParksAndRecoveryReclaimsThemAll) {
 
   // Core 1 dies; its groups park across {0, 2, 3}.
   policy.SetForcedBusy(1, true);
-  ASSERT_EQ(4u, director.FailOverCore(1, &policy, /*tick=*/1));
+  ASSERT_EQ(4u, director.FailOverCore(1, &policy).total());
   // Then the park target core 2 dies too. The group core 1's failover
   // parked there is chain-forwarded: core 1's parking record follows it to
   // the new host instead of dangling on the dead middleman (the old
   // asymmetry lost it forever and let core 2's recovery claim it).
   policy.SetForcedBusy(2, true);
-  size_t second_wave = director.FailOverCore(2, &policy, /*tick=*/2);
+  uint64_t second_wave = director.FailOverCore(2, &policy).total();
   EXPECT_GE(second_wave, 4u);  // core 2's own groups, plus any parked on it
 
   policy.SetForcedBusy(1, false);
-  size_t returned = director.RecoverCore(1, /*tick=*/3);
+  size_t returned = director.RecoverCore(1);
   // Every group core 1 lost comes home exactly -- including the one that
   // travelled 1 -> 2 -> elsewhere through the chained failover.
   EXPECT_EQ(4u, returned);
@@ -298,7 +298,7 @@ TEST(FlowDirectorTest, ChainedFailoverForwardsParksAndRecoveryReclaimsThemAll) {
   }
   // Core 2's own recovery gets back only its own groups, never core 1's.
   policy.SetForcedBusy(2, false);
-  EXPECT_EQ(4u, director.RecoverCore(2, /*tick=*/4));
+  EXPECT_EQ(4u, director.RecoverCore(2));
   EXPECT_EQ(4, director.table().OwnedBy(2));
   EXPECT_EQ(4, director.table().OwnedBy(1));
 }
@@ -311,7 +311,7 @@ TEST(FlowDirectorTest, RecoveryLeavesBalancerRehomedGroupsWithTheirNewOwner) {
   WatermarkBalancePolicy policy(4, 8);
 
   policy.SetForcedBusy(1, true);
-  ASSERT_EQ(4u, director.FailOverCore(1, &policy, /*tick=*/1));
+  ASSERT_EQ(4u, director.FailOverCore(1, &policy).total());
   // A steal-driven balancer migration moves one of the parked groups on:
   // that re-homing is earned, and recovery must respect it.
   uint32_t parked_group = 0;
@@ -331,7 +331,7 @@ TEST(FlowDirectorTest, RecoveryLeavesBalancerRehomedGroupsWithTheirNewOwner) {
   Migration moved;
   bool migrated = false;
   for (int attempt = 0; attempt < 16 && !migrated; ++attempt) {
-    migrated = director.MigrateForCore(thief, &policy, /*tick=*/2, &moved) &&
+    migrated = director.MigrateForCore(thief, &policy, &moved) &&
                moved.group == parked_group;
     if (!migrated && moved.from_core == kNoCore) {
       break;
@@ -340,7 +340,7 @@ TEST(FlowDirectorTest, RecoveryLeavesBalancerRehomedGroupsWithTheirNewOwner) {
   }
 
   policy.SetForcedBusy(1, false);
-  size_t returned = director.RecoverCore(1, /*tick=*/3);
+  size_t returned = director.RecoverCore(1);
   if (migrated) {
     // The balancer-rehomed group stays with the thief; the rest come home.
     EXPECT_EQ(3u, returned);
@@ -357,7 +357,7 @@ TEST(FlowDirectorTest, FailOverNeedsASurvivor) {
   config.num_cores = 1;
   FlowDirector director(config);
   WatermarkBalancePolicy policy(1, 8);
-  EXPECT_EQ(0u, director.FailOverCore(0, &policy, /*tick=*/1));
+  EXPECT_EQ(0u, director.FailOverCore(0, &policy).total());
   EXPECT_EQ(4, director.table().OwnedBy(0));
 }
 
@@ -440,7 +440,8 @@ TEST(SteerEndToEndTest, MigrationMovesGroupsAwayFromTheHotCore) {
   ASSERT_TRUE(runtime.Start(&error)) << error;
 
   std::vector<uint16_t> src_ports =
-      SkewedSourcePorts(/*owner_core=*/0, config.num_threads, config.num_flow_groups,
+      SkewedSourcePorts(/*owner_core=*/0, config.num_threads,
+                        runtime.director()->table().num_groups(),
                         /*groups=*/8, /*ports_per_group=*/4, /*exclude_port=*/runtime.port());
   ASSERT_FALSE(src_ports.empty());
   for (uint16_t port : src_ports) {
@@ -459,16 +460,47 @@ TEST(SteerEndToEndTest, MigrationMovesGroupsAwayFromTheHotCore) {
   // re-pull a few groups, which is legitimate balancer behavior -- the
   // direction of the skew response is what the test owns.
   EXPECT_GT(totals.migrations, 0u);
+  ASSERT_NE(runtime.trace(), nullptr);
   bool moved_off_hot_core = false;
-  for (const Migration& m : runtime.director()->history()) {
-    if (m.from_core == 0) {
+  for (const obs::TraceEvent& ev : runtime.trace()->Dump()) {
+    if (ev.type == obs::TraceEventType::kMigrate && ev.src == 0) {
       moved_off_hot_core = true;
       break;
     }
   }
   EXPECT_TRUE(moved_off_hot_core) << "no migration pulled a group off the hot core";
-  ASSERT_NE(runtime.trace(), nullptr);
-  EXPECT_NE(runtime.trace()->DumpToString().find("migrate"), std::string::npos);
+}
+
+// The kernel takes the first program, then refuses every re-attach: the
+// first migration's reprogram drops the director to fallback mid-run, and
+// rt_steer_cbpf must follow it down. The injector counts every attach on
+// core 0, so after_calls=1 lets exactly the Start() attach through.
+TEST(SteerEndToEndTest, CbpfGaugeFollowsAMidRunDegrade) {
+  rt::RtConfig config = SteerConfig(/*force_fallback=*/false, /*migrate_interval_ms=*/10);
+  config.fault_plan = fault::FaultPlan::ErrnoBurst(fault::CallSite::kAttachFilter, /*core=*/-1,
+                                                   EPERM, /*after_calls=*/1, UINT64_MAX);
+  rt::Runtime runtime(config);
+  std::string error;
+  ASSERT_TRUE(runtime.Start(&error)) << error;
+  if (runtime.kernel_steering() != KernelSteering::kAttached) {
+    GTEST_SKIP() << "the kernel refused the first SO_ATTACH_REUSEPORT_CBPF, so there is no "
+                    "attached state to degrade from";
+  }
+  EXPECT_EQ(runtime.Totals().steer_cbpf, 1u);
+
+  std::vector<uint16_t> src_ports =
+      SkewedSourcePorts(/*owner_core=*/0, config.num_threads,
+                        runtime.director()->table().num_groups(),
+                        /*groups=*/8, /*ports_per_group=*/4, /*exclude_port=*/runtime.port());
+  ASSERT_FALSE(src_ports.empty());
+  EXPECT_EQ(RunClient(runtime.port(), 1500, src_ports), 0u);
+  runtime.Stop();
+
+  rt::RtTotals totals = runtime.Totals();
+  EXPECT_GT(totals.migrations, 0u);
+  EXPECT_EQ(runtime.kernel_steering(), KernelSteering::kFallback);
+  EXPECT_EQ(totals.steer_cbpf, 0u);
+  EXPECT_EQ(totals.accepted, totals.accounted());
 }
 
 }  // namespace

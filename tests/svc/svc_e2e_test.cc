@@ -227,7 +227,8 @@ TEST(SvcE2eTest, StolenConnectionCompletesOnThief) {
   // Deterministic source ports whose flow groups are all owned by core 0:
   // every connection is steered into the wedged reactor's ring.
   client_config.src_ports =
-      steer::SkewedSourcePorts(/*owner_core=*/0, config.num_threads, config.num_flow_groups,
+      steer::SkewedSourcePorts(/*owner_core=*/0, config.num_threads,
+                               runtime.director()->table().num_groups(),
                                /*groups=*/4, /*ports_per_group=*/8,
                                /*exclude_port=*/runtime.port());
   LoadClient client(client_config);

@@ -128,7 +128,7 @@ TEST(RtTopoE2eTest, SkewedStealsLandInTheRightDistanceClass) {
   client_config.num_threads = 4;
   client_config.max_conns = 1200;
   client_config.src_ports = steer::SkewedSourcePorts(
-      /*owner_core=*/0, /*num_cores=*/4, config.num_flow_groups,
+      /*owner_core=*/0, /*num_cores=*/4, runtime.director()->table().num_groups(),
       /*num_groups=*/8, /*ports_per_group=*/8, /*exclude_port=*/runtime.port());
   LoadClient client(client_config);
   client.Start();

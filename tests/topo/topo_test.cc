@@ -337,20 +337,20 @@ TEST(FlowDirectorTopoTest, FailoverParksOnTheSameLlcPeer) {
   // Core 1 dies; core 0 shares its LLC and is idle, so every group parks
   // there -- nothing pays the cross-socket park.
   policy.SetForcedBusy(1, true);
-  ASSERT_EQ(4u, director.FailOverCore(1, &policy, /*tick=*/1));
+  steer::ParkDistances parks = director.FailOverCore(1, &policy);
+  ASSERT_EQ(4u, parks.total());
   for (uint32_t g = 0; g < 16; ++g) {
     if (g % 4 == 1) {
       EXPECT_EQ(0, director.table().OwnerOf(g)) << "group " << g;
     }
   }
-  steer::ParkDistances parks = director.park_distances();
   EXPECT_EQ(4u, parks.same_llc);
   EXPECT_EQ(0u, parks.cross_llc);
   EXPECT_EQ(0u, parks.cross_node);
 
   // Recovery brings all four home.
   policy.SetForcedBusy(1, false);
-  EXPECT_EQ(4u, director.RecoverCore(1, /*tick=*/2));
+  EXPECT_EQ(4u, director.RecoverCore(1));
   EXPECT_EQ(4, director.table().OwnedBy(1));
 }
 
@@ -368,7 +368,8 @@ TEST(FlowDirectorTopoTest, BusySameLlcPeerPushesParksAcrossTheSocket) {
   policy.SetForcedBusy(1, true);
   policy.OnEnqueue(0, 8);
   ASSERT_TRUE(policy.IsBusy(0));
-  ASSERT_EQ(4u, director.FailOverCore(1, &policy, /*tick=*/1));
+  steer::ParkDistances parks = director.FailOverCore(1, &policy);
+  ASSERT_EQ(4u, parks.total());
   int on_node1 = 0;
   for (uint32_t g = 0; g < 16; ++g) {
     if (g % 4 == 1) {
@@ -379,7 +380,6 @@ TEST(FlowDirectorTopoTest, BusySameLlcPeerPushesParksAcrossTheSocket) {
     }
   }
   EXPECT_EQ(4, on_node1);
-  steer::ParkDistances parks = director.park_distances();
   EXPECT_EQ(0u, parks.same_llc);
   EXPECT_EQ(4u, parks.cross_node);
 }
@@ -397,13 +397,14 @@ TEST(FlowDirectorTopoTest, EveryoneBusyStillParksOnTheNearestClass) {
   }
   // A dead owner is worse than a loaded one: with no idle survivor
   // anywhere, the nearest class absorbs the groups anyway.
-  ASSERT_EQ(4u, director.FailOverCore(1, &policy, /*tick=*/1));
+  steer::ParkDistances parks = director.FailOverCore(1, &policy);
+  ASSERT_EQ(4u, parks.total());
   for (uint32_t g = 0; g < 16; ++g) {
     if (g % 4 == 1) {
       EXPECT_EQ(0, director.table().OwnerOf(g)) << "group " << g;
     }
   }
-  EXPECT_EQ(4u, director.park_distances().same_llc);
+  EXPECT_EQ(4u, parks.same_llc);
 }
 
 // --- the pool's remote-free distance ledger ---
