@@ -77,12 +77,12 @@ Reactor::Reactor(int index, ReactorShared* shared)
     : index_(index), shared_(shared), config_(*shared->config), io_(index, shared->sys) {}
 
 void ReactorShared::PublishSteering() const {
-  metrics->GaugeSet(ids.steer_cbpf, 0,
-                    director->kernel_steering() == steer::KernelSteering::kAttached ? 1 : 0);
-  const steer::SteeringTable& table = director->table();
-  for (int c = 0; c < table.num_cores(); ++c) {
-    metrics->GaugeSet(ids.steer_groups_owned, c, static_cast<uint64_t>(table.OwnedBy(c)));
-  }
+  director->Snapshot([this](steer::KernelSteering steering, const steer::SteeringTable& table) {
+    metrics->GaugeSet(ids.steer_cbpf, 0, steering == steer::KernelSteering::kAttached ? 1 : 0);
+    for (int c = 0; c < table.num_cores(); ++c) {
+      metrics->GaugeSet(ids.steer_groups_owned, c, static_cast<uint64_t>(table.OwnedBy(c)));
+    }
+  });
 }
 
 void Reactor::ResolveHotCells() {
@@ -126,7 +126,7 @@ void Reactor::Run() {
   // Hardware profiling: open this thread's counter group AFTER pinning so
   // the counters follow the reactor's core. Never fails -- an unavailable
   // PMU yields an inactive profile (phase entries only).
-  prof_ = shared_->profiler != nullptr ? shared_->profiler->AttachThread(index_) : nullptr;
+  prof_ = shared_->hwprof != nullptr ? shared_->hwprof->AttachThread(index_) : nullptr;
   if (!io_.Init(nullptr)) {
     return;
   }
@@ -286,7 +286,7 @@ void Reactor::Run() {
   // and the conservation ledger exact). Counted as aborted, never served.
   CloseAllOpen();
   if (prof_ != nullptr) {
-    shared_->profiler->DetachThread(index_);
+    shared_->hwprof->DetachThread(index_);
     prof_ = nullptr;
   }
   if (reserve_fd_ >= 0) {
@@ -809,7 +809,7 @@ void Reactor::Serve(ConnHandle handle, bool local) {
   ++open_count_;
   hot_.open_conns->store(open_count_, std::memory_order_relaxed);
   svc::ConnRef ref{&st, conn->fd, index_, shared_->sys};
-  svc::Verdict verdict = shared_->conn_handler->OnAccept(ref);
+  svc::Verdict verdict = shared_->handler->OnAccept(ref);
   NoteRounds(conn, /*prev_rounds=*/0);
   if (verdict == svc::Verdict::kClose || verdict == svc::Verdict::kRstClose) {
     // Over in one call (every accept-workload connection): no open-list
@@ -846,8 +846,8 @@ void Reactor::DriveConn(ConnHandle handle, uint32_t ev_events) {
   svc::ConnRef ref{&st, conn->fd, index_, shared_->sys};
   uint32_t prev = st.rounds_done;
   svc::Verdict verdict = st.phase == svc::ConnPhase::kWriting
-                             ? shared_->conn_handler->OnWritable(ref)
-                             : shared_->conn_handler->OnReadable(ref);
+                             ? shared_->handler->OnWritable(ref)
+                             : shared_->handler->OnReadable(ref);
   NoteRounds(conn, prev);
   Finish(handle, conn, verdict);
 }
@@ -1030,7 +1030,7 @@ void Reactor::ReleaseConn(ConnHandle handle, PendingConn* conn, bool rst,
   svc::ConnState& st = conn->svc;
   if (st.opened) {
     svc::ConnRef ref{&st, conn->fd, index_, shared_->sys};
-    shared_->conn_handler->OnClose(ref);
+    shared_->handler->OnClose(ref);
   }
   if (rst) {
     RstClose(conn->fd);
@@ -1105,7 +1105,7 @@ void Reactor::CloseAllOpen() {
     svc::ConnState& st = conn->svc;
     if (st.opened) {
       svc::ConnRef ref{&st, conn->fd, index_, shared_->sys};
-      shared_->conn_handler->OnClose(ref);
+      shared_->handler->OnClose(ref);
     }
     wheel_->Cancel(&conn->phase_timer);
     wheel_->Cancel(&conn->life_timer);

@@ -148,7 +148,7 @@ struct ReactorShared {
   fault::SysIface* sys = nullptr;
   // Hardware profiler; null when hwprof is off. Reactors attach their
   // thread at Run() start and feed phase transitions to it.
-  obs::hwprof::HwProf* profiler = nullptr;
+  obs::hwprof::HwProf* hwprof = nullptr;
   // Heartbeats + alive/dead state; null when the watchdog is disabled.
   fault::FailureDomains* domains = nullptr;
   // Serializes every failover/recovery state transition AND its actions
@@ -161,7 +161,7 @@ struct ReactorShared {
   std::vector<int> listen_fds;
   // The workload's handler (svc::AcceptHandler for the accept workload),
   // shared by all reactors; never null while reactors run.
-  svc::ConnHandler* conn_handler = nullptr;
+  svc::ConnHandler* handler = nullptr;
   // Fine-Accept's shared round-robin dequeue cursor -- deliberately one
   // contended cache line, as in the paper.
   std::atomic<uint64_t> rr_cursor{0};
@@ -177,7 +177,10 @@ struct ReactorShared {
   // program is attached) and every core's rt_steer_groups_owned. Called
   // after each steering-table rewrite -- Start, a migration, a failover, a
   // recovery -- so a re-attach the kernel refused, which drops the director
-  // to fallback, reaches the gauge too. Needs a director.
+  // to fallback, reaches the gauge too. Reads and writes under the director
+  // mutex (FlowDirector::Snapshot), so one reactor's older snapshot cannot
+  // land after a peer's newer one: the per-core gauges always sum to the
+  // table's group count and end on its final state. Needs a director.
   void PublishSteering() const;
 };
 

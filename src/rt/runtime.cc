@@ -141,11 +141,11 @@ bool Runtime::Start(std::string* error) {
     shared_.listen_fds.push_back(fd);
   }
   handler_ = svc::MakeHandler(config_.workload, config_.handler);
-  shared_.conn_handler = handler_.get();
+  shared_.handler = handler_.get();
   shared_.metrics = metrics_.get();
   shared_.ids = ids_;
   shared_.trace = trace_.get();
-  shared_.profiler = hwprof_.get();
+  shared_.hwprof = hwprof_.get();
   // A fresh Start() is never mid-drain.
   shared_.draining.store(false, std::memory_order_release);
 

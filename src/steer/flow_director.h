@@ -29,9 +29,9 @@
 // rt_park_* distance counters.
 //
 // Thread safety: table reads are lock-free (reactor accept paths); all
-// writes -- migrations, failover parking, reprogramming -- serialize on one
-// mutex. Migrations take the director mutex before the BalancePolicy mutex;
-// no caller holds them in the reverse order.
+// writes -- migrations, failover parking, reprogramming -- and Snapshot()
+// serialize on one mutex. Migrations take the director mutex before the
+// BalancePolicy mutex; no caller holds them in the reverse order.
 
 #ifndef AFFINITY_SRC_STEER_FLOW_DIRECTOR_H_
 #define AFFINITY_SRC_STEER_FLOW_DIRECTOR_H_
@@ -113,6 +113,15 @@ class FlowDirector {
   }
 
   const SteeringTable& table() const { return table_; }
+
+  // Calls fn(kernel_steering(), table()) under the director mutex: fn sees
+  // no half-done rewrite, and callers that each follow their own rewrite
+  // run in rewrite order, so the last one sees the final state.
+  template <typename Fn>
+  void Snapshot(Fn&& fn) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    fn(kernel_steering(), table_);
+  }
   CoreId OwnerOfPort(uint16_t src_port) const {
     return table_.OwnerOf(table_.GroupOfPort(src_port));
   }

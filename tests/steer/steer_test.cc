@@ -469,6 +469,7 @@ TEST(SteerEndToEndTest, MigrationMovesGroupsAwayFromTheHotCore) {
     }
   }
   EXPECT_TRUE(moved_off_hot_core) << "no migration pulled a group off the hot core";
+  EXPECT_NE(runtime.trace()->DumpToString().find("migrate"), std::string::npos);
 }
 
 // The kernel takes the first program, then refuses every re-attach: the
@@ -500,6 +501,7 @@ TEST(SteerEndToEndTest, CbpfGaugeFollowsAMidRunDegrade) {
   EXPECT_GT(totals.migrations, 0u);
   EXPECT_EQ(runtime.kernel_steering(), KernelSteering::kFallback);
   EXPECT_EQ(totals.steer_cbpf, 0u);
+  EXPECT_EQ(totals.steer_groups_owned, runtime.director()->table().num_groups());
   EXPECT_EQ(totals.accepted, totals.accounted());
 }
 
