@@ -136,6 +136,24 @@
 //                                     the park split, and the request and
 //                                     steal splits ride in each row's
 //                                     "metrics" snapshot. Default auto)
+//   --stall=none|handshake|midrequest|midread / --timeout-ms=N / --drain-ms=N
+//                                    (lifecycle deadlines: every client
+//                                     connection wedges at the named point
+//                                     and the handshake/idle/read/write
+//                                     deadlines, all --timeout-ms (default 50
+//                                     with a stall or a drain), must reap it;
+//                                     --drain-ms stops the server with
+//                                     Stop(drain) while the load is still
+//                                     connected. Each run prints "lifecycle:
+//                                     hs= idle= read= write=" (deadline
+//                                     closes per class), "evict=" (idle conns
+//                                     reaped under pool pressure), "reaped="
+//                                     (client-side stalls the server closed),
+//                                     "drained=" / "aborted=" (how the drain
+//                                     split the held conns) and "drain=" (its
+//                                     wall time). A stall run that reaps
+//                                     nothing fails. Incompatible with
+//                                     --baseline, --check and --sweep)
 
 #include <cstdio>
 #include <cstdlib>
@@ -636,13 +654,11 @@ RunResult RunMode(const RunSpec& spec, const Options& opt) {
   config.overload = opt.sweep_policy == "backlog" ? OverloadPolicy::kLeaveInBacklog
                                                   : OverloadPolicy::kAcceptThenRst;
   if (opt.timeout_ms > 0) {
-    // Lifecycle-deadline run: every phase gets the same budget, and the
-    // reaper may evict idle conns under pool pressure (slowloris defense).
+    // Lifecycle-deadline run: every phase gets the same budget.
     config.handshake_timeout_ms = opt.timeout_ms;
     config.idle_timeout_ms = opt.timeout_ms;
     config.read_timeout_ms = opt.timeout_ms;
     config.write_timeout_ms = opt.timeout_ms;
-    config.pool_evict_batch = 4;
   }
   config.drain_deadline_ms = opt.drain_ms;
   if (opt.chaos != "none") {
@@ -1038,14 +1054,12 @@ int main(int argc, char** argv) {
       // The lifecycle ledger: what the timer wheels reaped, what pool
       // pressure evicted, and how the drain budget split the held conns.
       std::printf("    [%s] lifecycle: hs=%llu idle=%llu read=%llu write=%llu "
-                  "life=%llu evict=%llu reaped=%llu drained=%llu aborted=%llu "
-                  "drain=%.1fms\n",
+                  "evict=%llu reaped=%llu drained=%llu aborted=%llu drain=%.1fms\n",
                   spec.label.c_str(),
                   static_cast<unsigned long long>(r.totals.timeouts_handshake),
                   static_cast<unsigned long long>(r.totals.timeouts_idle),
                   static_cast<unsigned long long>(r.totals.timeouts_read),
                   static_cast<unsigned long long>(r.totals.timeouts_write),
-                  static_cast<unsigned long long>(r.totals.timeouts_lifetime),
                   static_cast<unsigned long long>(r.totals.pool_evictions),
                   static_cast<unsigned long long>(r.client_stalled_reaped),
                   static_cast<unsigned long long>(r.totals.drained_gracefully),

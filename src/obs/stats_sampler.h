@@ -64,7 +64,6 @@ class StatsSampler {
 
  private:
   void RunThread();
-  void TakeSample(const MetricsSnapshot& prev, uint64_t start_ns);
 
   const MetricsRegistry* registry_;
   int interval_ms_;

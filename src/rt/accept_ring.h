@@ -40,13 +40,6 @@ namespace rt {
 // block, recycled on close.
 struct PendingConn {
   int fd = -1;
-  // The connection-locality ledger's raw facts, stamped in the pooled block
-  // (never the heap): which core accept()ed this connection and which core
-  // first served it. accept_core always equals the pool handle's owner; it
-  // is stamped anyway so the ledger reads one field, not a handle decode.
-  // serve_core stays -1 until the first service touch.
-  int16_t accept_core = -1;
-  int16_t serve_core = -1;
   // Block-reuse generation for the event engine's stale-event defense:
   // bumped on every free, carried in bits [32,48) of the conn token
   // (io::MakeConnToken), so an event raced against close-and-recycle is
@@ -57,26 +50,24 @@ struct PendingConn {
   // orders).
   std::atomic<uint16_t> io_gen{0};
   std::chrono::steady_clock::time_point accepted_at{};
-  // Lifecycle deadlines, intrusive in the pool block so arming/cancelling a
-  // timer per request never allocates. Both entries belong to the SERVING
-  // reactor's wheel (armed at first service touch, cancelled on every close
-  // path before the block is freed): phase_timer tracks the current
-  // conversation phase (handshake/idle/read/write -- re-armed only when the
-  // phase KIND changes, so a byte-trickling slowloris cannot extend it),
-  // life_timer is the absolute max-lifetime cap, armed once.
+  // Lifecycle deadline, intrusive in the pool block so arming/cancelling a
+  // timer per request never allocates. It belongs to the SERVING reactor's
+  // wheel (armed at first service touch, cancelled on every close path
+  // before the block is freed) and tracks the current conversation phase
+  // (handshake/idle/read/write -- re-armed only when the phase KIND
+  // changes, so a byte-trickling slowloris cannot extend it).
   timer::TimerEntry phase_timer;
-  timer::TimerEntry life_timer;
   svc::ConnState svc;
 };
 
 // One pool block per in-flight accepted connection, owned by the core that
-// accept()ed it.
+// accept()ed it: the handle's owner is the locality ledger's accepting core.
 using ConnPool = PerCorePool<PendingConn>;
 using ConnHandle = ConnPool::Handle;
 inline constexpr ConnHandle kNullConn = ConnPool::kNullHandle;
 
 // The per-core accept queue: a bounded ring of pool handles. `capacity` is
-// the max local accept queue length (listen() backlog split across cores);
+// the max local accept queue length (kListenBacklog split across cores);
 // pushes beyond it are refused, mirroring the kernel dropping connections
 // on accept-queue overflow.
 using AcceptRing = BoundedRing<ConnHandle>;

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "src/rt/reactor.h"
 #include "src/svc/conn_state.h"
 
 namespace affinity {
@@ -51,12 +52,6 @@ LoadClient::LoadClient(const LoadClientConfig& config) : config_(config) {
   }
   if (config_.connect_timeout_ms < 1) {
     config_.connect_timeout_ms = 1;
-  }
-  if (config_.backoff_base_ms < 1) {
-    config_.backoff_base_ms = 1;
-  }
-  if (config_.backoff_max_ms < config_.backoff_base_ms) {
-    config_.backoff_max_ms = config_.backoff_base_ms;
   }
   if (config_.requests_per_conn < 1) {
     config_.requests_per_conn = 1;
@@ -141,7 +136,7 @@ void LoadClient::RunThread(int thread_index) {
     ports.push_back(config_.src_ports[i]);
   }
   size_t cursor = 0;
-  uint64_t rng = config_.backoff_seed + static_cast<uint64_t>(thread_index) * 0x9e3779b9ull + 1;
+  uint64_t rng = kBackoffJitterSeed + static_cast<uint64_t>(thread_index) * 0x9e3779b9ull + 1;
   int backoff_ms = 0;
   ThreadLedger* ledger = ledgers_[static_cast<size_t>(thread_index)].get();
 
@@ -173,12 +168,10 @@ void LoadClient::RunThread(int thread_index) {
       // Capped exponential backoff with jitter: double the window up to the
       // cap, sleep a uniform draw from [window/2, window] so the client
       // threads spread out instead of re-hammering in lockstep.
-      backoff_ms = backoff_ms == 0 ? config_.backoff_base_ms
-                                   : std::min(backoff_ms * 2, config_.backoff_max_ms);
+      backoff_ms = backoff_ms == 0 ? kBackoffFirstMs : std::min(backoff_ms * 2, kBackoffCapMs);
       int low = backoff_ms / 2 < 1 ? 1 : backoff_ms / 2;
       int jittered =
           low + static_cast<int>(NextRand(&rng) % static_cast<uint64_t>(backoff_ms - low + 1));
-      backoffs_.fetch_add(1, std::memory_order_relaxed);
       auto deadline =
           std::chrono::steady_clock::now() + std::chrono::milliseconds(jittered);
       while (std::chrono::steady_clock::now() < deadline &&
@@ -387,10 +380,6 @@ LoadClient::ConnOutcome LoadClient::RunRounds(int thread_index, int fd, ThreadLe
 
     ledger->request_ns.Add(NowNs() - t0);
     requests_.fetch_add(1, std::memory_order_relaxed);
-
-    if (config_.think_time_us > 0 && round + 1 < rounds) {
-      std::this_thread::sleep_for(std::chrono::microseconds(config_.think_time_us));
-    }
   }
   return ConnOutcome::kOk;
 }

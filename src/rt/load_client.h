@@ -67,14 +67,10 @@ struct LoadClientConfig {
   // in TIME_WAIT and the port is immediately reusable.
   std::vector<uint16_t> src_ports;
   // Bound on every blocking socket call (connect, read); also how fast
-  // Stop() is honored mid-connection.
+  // Stop() is honored mid-connection. A refused or timed-out connect backs
+  // off per kBackoffFirstMs/kBackoffCapMs (src/rt/reactor.h), jittered so
+  // client threads desynchronize.
   int connect_timeout_ms = 1000;
-  // Capped exponential backoff after ECONNREFUSED/ETIMEDOUT: first window
-  // backoff_base_ms, doubling to backoff_max_ms, with uniform jitter in
-  // [window/2, window] so client threads desynchronize.
-  int backoff_base_ms = 1;
-  int backoff_max_ms = 100;
-  uint64_t backoff_seed = 1;  // per-thread jitter streams derive from this
 
   // --- request/response traffic (must match the server's workload) ---
 
@@ -87,9 +83,6 @@ struct LoadClientConfig {
   int requests_per_conn = 1;
   // Request payload bytes before the terminating newline (echo/think).
   int payload_bytes = 64;
-  // Client-side pause between rounds on one connection, modeling user think
-  // time (0 = closed-loop as fast as responses return).
-  int think_time_us = 0;
   // kStatic: request keys cycle obj0..obj<num_keys-1>.
   int num_keys = 64;
   // Client-side fault seam (core = thread index); null = passthrough.
@@ -135,7 +128,6 @@ class LoadClient {
   // purpose): the client-side mirror of the server's rt_timeouts_* closes.
   // Always 0 with stall == kNone.
   uint64_t stalled_reaped() const { return stalled_reaped_.load(std::memory_order_relaxed); }
-  uint64_t backoffs() const { return backoffs_.load(std::memory_order_relaxed); }
   // Completed request/response rounds (0 under kAccept). Live.
   uint64_t requests() const { return requests_.load(std::memory_order_relaxed); }
 
@@ -196,7 +188,6 @@ class LoadClient {
   std::atomic<uint64_t> errors_{0};
   std::atomic<uint64_t> aborted_{0};
   std::atomic<uint64_t> stalled_reaped_{0};
-  std::atomic<uint64_t> backoffs_{0};
   std::atomic<uint64_t> requests_{0};
   std::atomic<bool> stop_{false};
   bool started_ = false;

@@ -20,11 +20,8 @@ namespace rt {
 
 namespace {
 
-// Capped exponential accept backoff after EMFILE/ENFILE: first window 1 ms,
-// doubling to at most 100 ms -- long enough for fds to free up, short
-// enough that the listen backlog keeps a bound on client-visible latency.
-constexpr int kBackoffFirstMs = 1;
-constexpr int kBackoffCapMs = 100;
+// How many idle conns one failed pool Alloc may evict (EvictIdleConns).
+constexpr int kEvictBatch = 4;
 
 uint64_t ToNs(std::chrono::steady_clock::duration d) {
   return static_cast<uint64_t>(
@@ -41,34 +38,6 @@ const char* RtModeName(RtMode mode) {
       return "fine";
     case RtMode::kAffinity:
       return "affinity";
-  }
-  return "?";
-}
-
-const char* OverloadPolicyName(OverloadPolicy policy) {
-  switch (policy) {
-    case OverloadPolicy::kAcceptThenRst:
-      return "accept_then_rst";
-    case OverloadPolicy::kLeaveInBacklog:
-      return "leave_in_backlog";
-  }
-  return "?";
-}
-
-const char* DeadlineKindName(DeadlineKind kind) {
-  switch (kind) {
-    case DeadlineKind::kNone:
-      return "none";
-    case DeadlineKind::kHandshake:
-      return "handshake";
-    case DeadlineKind::kIdle:
-      return "idle";
-    case DeadlineKind::kRead:
-      return "read";
-    case DeadlineKind::kWrite:
-      return "write";
-    case DeadlineKind::kLifetime:
-      return "lifetime";
   }
   return "?";
 }
@@ -105,7 +74,6 @@ void Reactor::ResolveHotCells() {
   hot_.timeouts[1] = hot_.timeouts_idle;
   hot_.timeouts[2] = hot_.timeouts_read;
   hot_.timeouts[3] = hot_.timeouts_write;
-  hot_.timeouts[4] = hot_.timeouts_lifetime;
   size_t num_queues = shared_->queues.size();
   hot_.ring_len.resize(num_queues);
   for (size_t qi = 0; qi < num_queues; ++qi) {
@@ -149,10 +117,9 @@ void Reactor::Run() {
   wheel_.reset(new timer::TimerWheel(kTimerTickNs, config_.clock->NowNs()));
   // In DeadlineKind order, kHandshake first.
   const int deadline_ms[] = {config_.handshake_timeout_ms, config_.idle_timeout_ms,
-                             config_.read_timeout_ms, config_.write_timeout_ms,
-                             config_.max_lifetime_ms};
+                             config_.read_timeout_ms, config_.write_timeout_ms};
   deadlines_enabled_ = false;
-  for (int k = 0; k < 5; ++k) {
+  for (int k = 0; k < 4; ++k) {
     deadline_ns_[k] = deadline_ms[k] > 0 ? static_cast<uint64_t>(deadline_ms[k]) * 1'000'000ull : 0;
     deadlines_enabled_ = deadlines_enabled_ || deadline_ns_[k] != 0;
   }
@@ -164,8 +131,6 @@ void Reactor::Run() {
   backoff_ms_ = 0;
   backoff_until_ = std::chrono::steady_clock::time_point{};
   backoff_unwatched_ = false;
-  drop_bucket_.reset(
-      new fault::TokenBucket(config_.drop_budget_per_sec, std::chrono::steady_clock::now()));
 
   bool migrate = shared_->director != nullptr && config_.migrate_interval_ms > 0;
   auto migrate_period = std::chrono::milliseconds(migrate ? config_.migrate_interval_ms : 1);
@@ -425,16 +390,16 @@ void Reactor::RstClose(int fd) {
   shared_->sys->Close(index_, fd);
 }
 
-bool Reactor::ShedOrDrop(int fd, size_t qi, std::chrono::steady_clock::time_point now) {
-  if (config_.overload == OverloadPolicy::kAcceptThenRst && drop_bucket_->TryTake(now)) {
+bool Reactor::ShedOrDrop(int fd, size_t qi) {
+  if (config_.overload == OverloadPolicy::kAcceptThenRst) {
     RstClose(fd);
     Trace({.type = obs::TraceEventType::kAdmissionShed,
            .src = static_cast<int16_t>(qi),
            .qlen = static_cast<uint32_t>(shared_->queues[qi]->size())});
     return true;
   }
-  // kLeaveInBacklog, or the RST budget is dry: orderly close, counted as an
-  // overflow drop -- the stage-1 backlog gate does the actual pushing back.
+  // kLeaveInBacklog: orderly close, counted as an overflow drop -- the
+  // stage-1 backlog gate does the actual pushing back.
   shared_->sys->Close(index_, fd);
   Trace({.type = obs::TraceEventType::kOverflowDrop,
          .src = static_cast<int16_t>(qi),
@@ -477,8 +442,7 @@ void Reactor::FdExhaustionRescue(int listen_fd) {
 
 void Reactor::AcceptBatch(const ListenSource& src) {
   const size_t default_qi = src.qi;
-  auto now = std::chrono::steady_clock::now();
-  if (now < backoff_until_) {
+  if (std::chrono::steady_clock::now() < backoff_until_) {
     // fd-exhaustion backoff window, opened by an earlier event of this
     // epoll batch: leave the backlog queued.
     return;
@@ -588,7 +552,7 @@ void Reactor::AcceptBatch(const ListenSource& src) {
   if (n == 0) {
     return;
   }
-  AdmitBatch(batch, n, now);
+  AdmitBatch(batch, n);
   if (owner_accepts > 0) {
     hot_.steer_owner_accepts->fetch_add(owner_accepts, std::memory_order_relaxed);
   }
@@ -597,11 +561,10 @@ void Reactor::AcceptBatch(const ListenSource& src) {
   }
 }
 
-void Reactor::AdmitBatch(const Accepted* batch, int n,
-                         std::chrono::steady_clock::time_point now) {
+void Reactor::AdmitBatch(const Accepted* batch, int n) {
   // Stage 2: pool blocks + ring pushes, aggregating per-ring counts.
-  // Connections that cannot be queued go through the admission policy:
-  // RST-shed while the drop budget lasts, orderly close otherwise.
+  // Connections that cannot be queued go through the admission policy
+  // (ShedOrDrop).
   uint32_t overflow_drops = 0;
   uint32_t admission_sheds = 0;
   uint32_t pool_drops = 0;
@@ -609,8 +572,7 @@ void Reactor::AdmitBatch(const Accepted* batch, int n,
     const Accepted& a = batch[i];
     size_t qi = a.qi;
     ConnHandle handle = shared_->pool->Alloc(index_);
-    if (handle == kNullConn && config_.pool_evict_batch > 0 &&
-        EvictIdleConns(config_.pool_evict_batch) > 0) {
+    if (handle == kNullConn && EvictIdleConns() > 0) {
       // Pool pressure: the oldest idle conns (slowloris holders, by
       // definition of idle) were just reaped, so the retry usually
       // succeeds -- new work displaces dead weight instead of being shed.
@@ -621,7 +583,7 @@ void Reactor::AdmitBatch(const Accepted* batch, int n,
       // means the rings are full anyway): same disposition as a ring
       // overflow, plus its own counter.
       ++pool_drops;
-      if (ShedOrDrop(a.fd, qi, now)) {
+      if (ShedOrDrop(a.fd, qi)) {
         ++admission_sheds;
       } else {
         ++overflow_drops;
@@ -630,14 +592,12 @@ void Reactor::AdmitBatch(const Accepted* batch, int n,
     }
     PendingConn* conn = shared_->pool->Get(handle);
     conn->fd = a.fd;
-    conn->accept_core = static_cast<int16_t>(index_);
-    conn->serve_core = -1;
     conn->accepted_at = std::chrono::steady_clock::now();
     conn->svc.Reset();
     size_t len_after = 0;
     if (!shared_->queues[qi]->Push(handle, &len_after)) {
       shared_->pool->Free(index_, handle);  // we just allocated it: local free
-      if (ShedOrDrop(a.fd, qi, now)) {
+      if (ShedOrDrop(a.fd, qi)) {
         ++admission_sheds;
       } else {
         ++overflow_drops;
@@ -784,14 +744,14 @@ void Reactor::Serve(ConnHandle handle, bool local) {
   // known. Core locality is a different fact from ring locality (`local`):
   // stock mode's one shared ring makes every pop ring-local, and steering
   // can queue a conn on a third core's ring -- the ledger compares CORES.
-  conn->serve_core = static_cast<int16_t>(index_);
-  bool core_local = conn->accept_core == static_cast<int16_t>(index_);
+  // The accepting core is the block's owner: AdmitBatch allocates from the
+  // accepting core's pool.
+  CoreId accept_core = shared_->pool->OwnerOf(handle);
+  bool core_local = accept_core == index_;
   // Distance ledger: how far this request travelled from its accepting
   // core (0 local, then LedgerBucket's same-LLC / cross-LLC / cross-node).
-  int dist_bucket = core_local
-                        ? 0
-                        : topo::LedgerBucket(shared_->topo->Between(
-                              static_cast<CoreId>(conn->accept_core), index_));
+  int dist_bucket =
+      core_local ? 0 : topo::LedgerBucket(shared_->topo->Between(accept_core, index_));
   if (!core_local) {
     hot_.conn_migrations->fetch_add(1, std::memory_order_relaxed);
   }
@@ -800,9 +760,7 @@ void Reactor::Serve(ConnHandle handle, bool local) {
   // recorded now and accounted per round and at close.
   svc::ConnState& st = conn->svc;
   st.remote_served = !local;
-  st.accept_local = core_local;
   st.accept_dist = static_cast<uint8_t>(dist_bucket);
-  st.opened = true;
   // Open from here on: the client can see OnAccept's reply before the call
   // returns, and a graceful drain ends once rt_conn_open and the rings read
   // empty.
@@ -818,19 +776,11 @@ void Reactor::Serve(ConnHandle handle, bool local) {
     // connection was stolen or re-steered here.
     --open_count_;
     hot_.open_conns->store(open_count_, std::memory_order_relaxed);
-    ReleaseConn(handle, conn, verdict == svc::Verdict::kRstClose, DeadlineKind::kNone);
+    ReleaseConn(handle, conn, verdict == svc::Verdict::kRstClose, /*unserved=*/nullptr);
     return;
   }
   OpenListAdd(handle, conn);
   Trace({.type = obs::TraceEventType::kConnOpen});
-  // The absolute lifetime cap starts once the connection outlives OnAccept
-  // and never re-arms; it rides in the pool block like the phase timer, on
-  // THIS reactor's wheel (the conn is pinned here until close).
-  if (DeadlineNs(DeadlineKind::kLifetime) > 0) {
-    wheel_->Arm(&conn->life_timer, config_.clock->NowNs() + DeadlineNs(DeadlineKind::kLifetime),
-                static_cast<uint8_t>(DeadlineKind::kLifetime),
-                static_cast<uint64_t>(handle));
-  }
   Finish(handle, conn, verdict);
 }
 
@@ -869,7 +819,7 @@ void Reactor::NoteRounds(PendingConn* conn, uint32_t prev_rounds) {
   // Ledger: the round ran on the core recorded at Serve() time. A held
   // connection never changes reactors mid-conversation, so the bucket set
   // there is exact for every round.
-  if (conn->svc.accept_local) {
+  if (conn->svc.accept_dist == 0) {
     hot_.requests_local_core->fetch_add(1, std::memory_order_relaxed);
   } else {
     hot_.requests_remote_core->fetch_add(1, std::memory_order_relaxed);
@@ -946,12 +896,11 @@ void Reactor::ArmPhaseDeadline(ConnHandle handle, PendingConn* conn, bool want_r
 }
 
 void Reactor::OnDeadlineExpiry(timer::TimerEntry* e) {
-  // Every close path cancels both of a conn's entries before the block can
-  // recycle, so a fired entry always refers to a conn this reactor still
-  // holds open.
+  // Every close path cancels the conn's entry before the block can recycle,
+  // so a fired entry always refers to a conn this reactor still holds open.
   ConnHandle handle = static_cast<ConnHandle>(e->data);
   PendingConn* conn = shared_->pool->Get(handle);
-  CloseConn(handle, conn, /*rst=*/true, static_cast<DeadlineKind>(e->kind));
+  CloseConn(handle, conn, /*rst=*/true, hot_.timeouts[e->kind - 1]);
 }
 
 int Reactor::NextWaitTimeoutMs() {
@@ -971,8 +920,8 @@ int Reactor::NextWaitTimeoutMs() {
   return ms < static_cast<uint64_t>(kWaitCapMs) ? static_cast<int>(ms) : kWaitCapMs;
 }
 
-int Reactor::EvictIdleConns(int max_evict) {
-  if (max_evict <= 0 || open_head_ == kNullConn) {
+int Reactor::EvictIdleConns() {
+  if (open_head_ == kNullConn) {
     return 0;
   }
   // open_head_ is newest-first, so walk to the tail and reap backwards:
@@ -991,14 +940,14 @@ int Reactor::EvictIdleConns(int max_evict) {
   int evicted = 0;
   for (int pass = 0; pass < 2 && evicted == 0; ++pass) {
     ConnHandle h = tail;
-    while (h != kNullConn && evicted < max_evict) {
+    while (h != kNullConn && evicted < kEvictBatch) {
       PendingConn* conn = shared_->pool->Get(h);
       ConnHandle prev = conn->svc.open_prev;
       if (conn->svc.IdleBetweenRequests() &&
           (pass == 1 || shared_->pool->OwnerOf(h) == index_)) {
         // Counted as an idle timeout (the conservation bucket an
         // early-reaped idle conn belongs to) plus the eviction counter.
-        CloseConn(h, conn, /*rst=*/true, DeadlineKind::kIdle);
+        CloseConn(h, conn, /*rst=*/true, hot_.timeouts_idle);
         ++evicted;
       }
       h = prev;
@@ -1012,37 +961,34 @@ int Reactor::EvictIdleConns(int max_evict) {
 }
 
 void Reactor::CloseConn(ConnHandle handle, PendingConn* conn, bool rst,
-                        DeadlineKind timeout) {
-  // Retire both deadline entries BEFORE the block can recycle: a dangling
+                        std::atomic<uint64_t>* unserved) {
+  // Retire the deadline entry BEFORE the block can recycle: a dangling
   // armed entry would leave the wheel pointing into a block another core
   // now owns.
   wheel_->Cancel(&conn->phase_timer);
-  wheel_->Cancel(&conn->life_timer);
   OpenListRemove(handle, conn);
   --open_count_;
   hot_.open_conns->store(open_count_, std::memory_order_relaxed);
   Trace({.type = obs::TraceEventType::kConnClose, .qlen = conn->svc.rounds_done});
-  ReleaseConn(handle, conn, rst, timeout);
+  ReleaseConn(handle, conn, rst, unserved);
 }
 
 void Reactor::ReleaseConn(ConnHandle handle, PendingConn* conn, bool rst,
-                          DeadlineKind timeout) {
+                          std::atomic<uint64_t>* unserved) {
   svc::ConnState& st = conn->svc;
-  if (st.opened) {
-    svc::ConnRef ref{&st, conn->fd, index_, shared_->sys};
-    shared_->handler->OnClose(ref);
-  }
+  svc::ConnRef ref{&st, conn->fd, index_, shared_->sys};
+  shared_->handler->OnClose(ref);
   if (rst) {
     RstClose(conn->fd);
   } else {
     shared_->sys->Close(index_, conn->fd);
   }
-  if (timeout != DeadlineKind::kNone) {
-    // A deadline expiry (or pool-pressure eviction) is not service: it
-    // lands in its classified rt_timeouts_* bucket -- the `timed_out` term
-    // of the conservation equation -- never in served.
-    hot_.timeouts[static_cast<int>(timeout) - 1]->fetch_add(
-        1, std::memory_order_relaxed);
+  if (unserved != nullptr) {
+    // A deadline expiry, pool-pressure eviction or stop-time abort is not
+    // service: it lands in its own bucket -- the `timed_out` or
+    // `aborted_at_stop` term of the conservation equation -- never in
+    // served.
+    unserved->fetch_add(1, std::memory_order_relaxed);
   } else {
     // Served accounting happens at close, under the locality recorded when
     // the connection was popped -- held-open connections are in
@@ -1098,27 +1044,10 @@ void Reactor::OpenListRemove(ConnHandle handle, PendingConn* conn) {
 }
 
 void Reactor::CloseAllOpen() {
-  uint64_t aborted = 0;
   while (open_head_ != kNullConn) {
     ConnHandle handle = open_head_;
-    PendingConn* conn = shared_->pool->Get(handle);
-    svc::ConnState& st = conn->svc;
-    if (st.opened) {
-      svc::ConnRef ref{&st, conn->fd, index_, shared_->sys};
-      shared_->handler->OnClose(ref);
-    }
-    wheel_->Cancel(&conn->phase_timer);
-    wheel_->Cancel(&conn->life_timer);
-    OpenListRemove(handle, conn);
-    shared_->sys->Close(index_, conn->fd);
-    FreeConn(handle);
-    ++aborted;
+    CloseConn(handle, shared_->pool->Get(handle), /*rst=*/false, hot_.aborted_at_stop);
   }
-  if (aborted > 0) {
-    hot_.aborted_at_stop->fetch_add(aborted, std::memory_order_relaxed);
-  }
-  open_count_ = 0;
-  hot_.open_conns->store(0, std::memory_order_relaxed);
 }
 
 }  // namespace rt

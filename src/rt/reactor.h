@@ -46,7 +46,6 @@
 #include "src/balance/balance_policy.h"
 #include "src/fault/failure_domain.h"
 #include "src/fault/sys_iface.h"
-#include "src/fault/token_bucket.h"
 #include "src/io/io_backend.h"
 #include "src/obs/hwprof/hwprof.h"
 #include "src/obs/metrics.h"
@@ -74,13 +73,21 @@ inline constexpr int kReactorBatch = 64;
 // milliseconds, so none is finer than one tick.
 inline constexpr uint64_t kTimerTickNs = 1'000'000;
 
+// Capped exponential backoff: the reactor's accept backoff after
+// EMFILE/ENFILE and the load client's reconnect backoff after a refused or
+// timed-out connect both open a 1 ms window and double it up to 100 ms --
+// long enough for fds (or a listener) to come back, short enough that the
+// listen backlog keeps a bound on client-visible latency. The client sleeps
+// a uniform draw from [window/2, window]; its per-thread jitter streams
+// derive from kBackoffJitterSeed.
+inline constexpr int kBackoffFirstMs = 1;
+inline constexpr int kBackoffCapMs = 100;
+inline constexpr uint64_t kBackoffJitterSeed = 1;
+
 // What to do with an accepted connection that cannot be queued (its target
 // ring is full or the conn pool is dry):
 //  - kAcceptThenRst sheds it immediately with an RST, telling the client to
-//    fail fast and retry elsewhere -- but only while the per-core drop
-//    budget (fault::TokenBucket) has tokens; a dry bucket degrades to the
-//    backlog behaviour below so an overload burst cannot become an RST
-//    flood.
+//    fail fast and retry elsewhere.
 //  - kLeaveInBacklog stops draining accept4 while the local ring is full,
 //    letting the kernel's listen backlog absorb the burst (the paper's
 //    Section 3.3 bounded-queue argument: overload turns into bounded
@@ -88,22 +95,15 @@ inline constexpr uint64_t kTimerTickNs = 1'000'000;
 //    the ring filled is closed in order (counted as an overflow drop).
 enum class OverloadPolicy : uint8_t { kAcceptThenRst, kLeaveInBacklog };
 
-const char* OverloadPolicyName(OverloadPolicy policy);
-
-// Which lifecycle deadline a connection is living under -- the TimerEntry
-// kind tag and the classified-close cause. Values 1..5 index the
-// rt_timeouts_{handshake,idle,read,write,lifetime} counters; kNone doubles
-// as "not a timeout" on the close path.
+// Which lifecycle phase deadline a connection is living under -- the
+// TimerEntry kind tag. Values 1..4 index the
+// rt_timeouts_{handshake,idle,read,write} counters.
 enum class DeadlineKind : uint8_t {
-  kNone = 0,
-  kHandshake,  // accepted, waiting for the first request byte ever
-  kIdle,       // between requests (>= 1 round done, nothing staged)
-  kRead,       // mid-request: first byte seen, line incomplete
-  kWrite,      // mid-response: flush parked on kWantWrite
-  kLifetime,   // absolute accept-to-close cap
+  kHandshake = 1,  // accepted, waiting for the first request byte ever
+  kIdle,           // between requests (>= 1 round done, nothing staged)
+  kRead,           // mid-request: first byte seen, line incomplete
+  kWrite,          // mid-response: flush parked on kWantWrite
 };
-
-const char* DeadlineKindName(DeadlineKind kind);
 
 // Event user-data tagging lives in src/io/io_backend.h (io::MakeConnToken /
 // io::MakeListenToken): bit 63 = connection handle + reuse generation,
@@ -239,9 +239,10 @@ class Reactor {
   // after a failover it also drains adopted shards.
   void AcceptBatch(const ListenSource& src);
   // Stages 2+3: pool blocks + ring pushes per accepted connection
-  // (ShedOrDrop on a full ring or dry pool), then one flush per touched
-  // ring (gauges + policy EWMA) and the batch counters.
-  void AdmitBatch(const Accepted* batch, int n, std::chrono::steady_clock::time_point now);
+  // (ShedOrDrop on a full ring or dry pool, after EvictIdleConns failed to
+  // refill the pool), then one flush per touched ring (gauges + policy
+  // EWMA) and the batch counters.
+  void AdmitBatch(const Accepted* batch, int n);
   // Serves up to kReactorBatch queued connections; returns how many.
   // Dequeue-side policy reporting is flushed once at the end of the batch.
   int ServeBatch();
@@ -267,24 +268,26 @@ class Reactor {
   // false; deadline arming must not touch the conn after that.
   bool Arm(ConnHandle handle, PendingConn* conn, uint32_t want);
   // Every close path for a connection on the open list: timer cancel,
-  // open-list removal, trace, then ReleaseConn. `timeout` != kNone marks a
-  // deadline-expiry (or eviction) close: it counts into the classified
-  // rt_timeouts_* instead of served.
+  // open-list removal, trace, then ReleaseConn. `unserved` is the ledger
+  // cell a close that is not service counts into instead of served: a
+  // deadline class's rt_timeouts_* (expiry or pool-pressure eviction) or
+  // rt_aborted_at_stop (CloseAllOpen). Null = served.
   void CloseConn(ConnHandle handle, PendingConn* conn, bool rst,
-                 DeadlineKind timeout = DeadlineKind::kNone);
+                 std::atomic<uint64_t>* unserved = nullptr);
   // The end every closed conversation shares, including one that OnAccept
   // closed before it joined the open list: OnClose hook, close (RST on
-  // protocol violations and timeouts), served/timed-out accounting, pool
-  // free.
-  void ReleaseConn(ConnHandle handle, PendingConn* conn, bool rst, DeadlineKind timeout);
+  // protocol violations and timeouts), served or `unserved` accounting,
+  // pool free.
+  void ReleaseConn(ConnHandle handle, PendingConn* conn, bool rst,
+                   std::atomic<uint64_t>* unserved);
   // Returns the block to its owner's pool, counting remote frees.
   void FreeConn(ConnHandle handle);
   void OpenListAdd(ConnHandle handle, PendingConn* conn);
   void OpenListRemove(ConnHandle handle, PendingConn* conn);
-  // Run() exit: close every connection still held open (counted as
-  // rt_aborted_at_stop, not served) so the pool drains and the conservation
-  // ledger stays exact. Runs on the kill path too: a "dead" reactor's
-  // process would have had its fds closed by the kernel anyway.
+  // Run() exit: CloseConn every connection still held open, an orderly
+  // close counted into rt_aborted_at_stop (not served), so the pool drains
+  // and the conservation ledger stays exact. Runs on the kill path too: a "dead"
+  // reactor's process would have had its fds closed by the kernel anyway.
   void CloseAllOpen();
   // Request-counter + latency-histogram bookkeeping after a handler call.
   // A call completes at most one round, so `rounds_done - prev_rounds` is 0
@@ -320,11 +323,13 @@ class Reactor {
   // The io_->Wait timeout: the 1 ms heartbeat/steal-visibility cap,
   // shortened when the wheel's next deadline is nearer.
   int NextWaitTimeoutMs();
-  // Pool-pressure reaper: closes up to `max_evict` of the OLDEST idle conns
-  // on this reactor's open list -- blocks owned by this core first, so the
-  // freed block lands on the freelist the failing Alloc reads. Returns how
-  // many were closed.
-  int EvictIdleConns(int max_evict);
+  // Pool-pressure reaper, run by every failed Alloc: closes up to
+  // kEvictBatch of the OLDEST idle conns on this reactor's open list --
+  // blocks owned by this core first, so the freed block lands on the
+  // freelist the failing Alloc reads. Returns how many were closed; 0 on a
+  // reactor that holds no idle conn (any accept-workload reactor), which
+  // then sheds.
+  int EvictIdleConns();
 
   // --- failure domains ---
   // Scans peer heartbeats; for each stalled peer attempts the failover CAS
@@ -344,7 +349,7 @@ class Reactor {
   // Disposes of an accepted-but-unqueueable connection per the admission
   // policy; returns true when it was shed with an RST (admission_shed),
   // false when it was closed in order (overflow_drop).
-  bool ShedOrDrop(int fd, size_t qi, std::chrono::steady_clock::time_point now);
+  bool ShedOrDrop(int fd, size_t qi);
   // RST-close: SO_LINGER{1,0} so the kernel sends a reset, telling the
   // client to fail fast rather than read a clean EOF.
   void RstClose(int fd);
@@ -374,11 +379,11 @@ class Reactor {
   // reactor arms, cancels, or advances it.
   std::unique_ptr<timer::TimerWheel> wheel_;
   // Per-class deadlines in ns, indexed by DeadlineKind - 1, from the
-  // config's *_timeout_ms at Run() start; 0 disables that class. Phase
-  // deadlines (handshake/idle/read/write) are re-armed only when the phase
-  // KIND changes -- within one phase the deadline is absolute, which is the
-  // slowloris defense: trickling bytes does not extend it.
-  uint64_t deadline_ns_[5] = {0, 0, 0, 0, 0};
+  // config's *_timeout_ms at Run() start; 0 disables that class. They are
+  // re-armed only when the phase KIND changes -- within one phase the
+  // deadline is absolute, which is the slowloris defense: trickling bytes
+  // does not extend it.
+  uint64_t deadline_ns_[4] = {0, 0, 0, 0};
   bool deadlines_enabled_ = false;  // any class above > 0
   uint64_t DeadlineNs(DeadlineKind kind) const {
     return deadline_ns_[static_cast<int>(kind) - 1];
@@ -391,7 +396,6 @@ class Reactor {
   std::chrono::steady_clock::time_point backoff_until_{};
   int backoff_ms_ = 0;
   bool backoff_unwatched_ = false;
-  std::unique_ptr<fault::TokenBucket> drop_bucket_;
 
   // This core's pre-resolved cell of every table metric (see
   // obs::MetricsRegistry::Cell), plus index views over some of them.
@@ -401,7 +405,7 @@ class Reactor {
     std::atomic<uint64_t>* requests_dist[3] = {nullptr, nullptr, nullptr};
     std::atomic<uint64_t>* steals_dist[3] = {nullptr, nullptr, nullptr};
     // Classified deadline-expiry closes, indexed by DeadlineKind - 1.
-    std::atomic<uint64_t>* timeouts[5] = {nullptr, nullptr, nullptr, nullptr, nullptr};
+    std::atomic<uint64_t>* timeouts[4] = {nullptr, nullptr, nullptr, nullptr};
     // rt_queue_len is labeled by ring, not by reactor: one cell per ring.
     std::vector<std::atomic<uint64_t>*> ring_len;
   };

@@ -83,7 +83,6 @@
     "conns closed by the between-requests idle deadline (incl. pool evictions)")                   \
   X(timeouts_read, "rt_timeouts_read", "conns closed by the per-request read deadline")            \
   X(timeouts_write, "rt_timeouts_write", "conns closed by the per-response write deadline")        \
-  X(timeouts_lifetime, "rt_timeouts_lifetime", "conns closed by the absolute max-lifetime cap")    \
   X(pool_evictions, "rt_pool_evictions",                                                           \
     "idle conns reaped under pool pressure (subset of rt_timeouts_idle)")                          \
   X(drained_gracefully, "rt_drained_gracefully",                                                   \

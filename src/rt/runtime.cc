@@ -26,32 +26,10 @@ bool ValidateRtConfig(const RtConfig& config, std::string* error) {
     }
     return false;
   }
-  // Lifecycle-deadline knobs: contradictory combinations configure a run
-  // that cannot mean what it says, so they fail here, not at 3am.
-  const struct {
-    int ms;
-    const char* name;
-  } phase_deadlines[] = {
-      {config.handshake_timeout_ms, "handshake_timeout_ms"},
-      {config.idle_timeout_ms, "idle_timeout_ms"},
-      {config.read_timeout_ms, "read_timeout_ms"},
-      {config.write_timeout_ms, "write_timeout_ms"},
-  };
-  bool any_deadline = config.max_lifetime_ms > 0;
-  for (const auto& p : phase_deadlines) {
-    if (p.ms <= 0) {
-      continue;
-    }
-    if (config.max_lifetime_ms > 0 && p.ms >= config.max_lifetime_ms) {
-      if (error != nullptr) {
-        *error = std::string(p.name) + " >= max_lifetime_ms: the lifetime cap always "
-                 "fires first, so the phase deadline can never trigger -- lower the "
-                 "phase deadline or raise max_lifetime_ms";
-      }
-      return false;
-    }
-    any_deadline = true;
-  }
+  // A drain needs some lifecycle deadline to end held conversations, or it
+  // cannot mean what it says; fail here, not at 3am.
+  bool any_deadline = config.handshake_timeout_ms > 0 || config.idle_timeout_ms > 0 ||
+                      config.read_timeout_ms > 0 || config.write_timeout_ms > 0;
   if (config.drain_deadline_ms > 0 && !any_deadline) {
     if (error != nullptr) {
       *error = "drain_deadline_ms set but every lifecycle timeout is disabled: an "
@@ -78,7 +56,7 @@ Runtime::Runtime(const RtConfig& config) : config_(config) {
   shared_.config = &config_;
   // Same split as ListenSocket: the backlog is divided evenly across the
   // per-core queues, and that share is the busy-tracking reference length.
-  max_local_len_ = std::max(1, config_.backlog / config_.num_threads);
+  max_local_len_ = std::max(1, kListenBacklog / config_.num_threads);
 
   // Register everything up front: registration is the only non-thread-safe
   // registry operation, and the reactor threads don't exist yet.
@@ -130,7 +108,7 @@ bool Runtime::Start(std::string* error) {
   int num_sockets = stock ? 1 : config_.num_threads;
   for (int i = 0; i < num_sockets; ++i) {
     // The first bind may pick the port; later shards must reuse it.
-    int fd = CreateListenSocket(&port_, config_.backlog, /*reuseport=*/!stock, error);
+    int fd = CreateListenSocket(&port_, kListenBacklog, /*reuseport=*/!stock, error);
     if (fd < 0) {
       for (int open_fd : shared_.listen_fds) {
         close(open_fd);
@@ -195,7 +173,7 @@ bool Runtime::Start(std::string* error) {
   shared_.topo = topo_.get();
 
   int num_queues = stock ? 1 : config_.num_threads;
-  size_t queue_cap = stock ? static_cast<size_t>(std::max(1, config_.backlog))
+  size_t queue_cap = stock ? static_cast<size_t>(kListenBacklog)
                            : static_cast<size_t>(max_local_len_);
   for (int i = 0; i < num_queues; ++i) {
     shared_.queues.emplace_back(new AcceptRing(queue_cap));

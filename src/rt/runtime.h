@@ -43,13 +43,14 @@
 namespace affinity {
 namespace rt {
 
+// listen() backlog per shard; also split across cores as the max local
+// accept queue length, exactly like ListenConfig::backlog.
+inline constexpr int kListenBacklog = 1024;
+
 struct RtConfig {
   RtMode mode = RtMode::kAffinity;
   int num_threads = 4;
   uint16_t port = 0;  // 0 = kernel-chosen; read back via Runtime::port()
-  // listen() backlog per shard; also split across cores as the max local
-  // accept queue length, exactly like ListenConfig::backlog.
-  int backlog = 1024;
   bool pin_threads = true;
 
   // Flow-group steering (affinity mode only): route each connection to the
@@ -74,43 +75,36 @@ struct RtConfig {
   // Peer-heartbeat timeout for the watchdog; <= 0 disables failure domains
   // entirely (no heartbeats, no failover).
   int watchdog_timeout_ms = 0;
-  // Shaped overload: disposition for connections that cannot be queued, and
-  // the per-core RST budget per second (0 = unlimited).
+  // Shaped overload: disposition for connections that cannot be queued.
   OverloadPolicy overload = OverloadPolicy::kAcceptThenRst;
-  int64_t drop_budget_per_sec = 0;
   // Overrides the automatic conn-pool sizing (0 = auto: every ring plus a
   // batch). Small values force pool exhaustion for overload tests. Note
   // that held request/response connections occupy blocks beyond the rings'
   // capacity; the auto sizing covers them as long as concurrent held conns
-  // stay under one backlog's worth, and exhaustion beyond that degrades to
-  // the admission shed path, never to a malloc.
+  // stay under one backlog's worth. Beyond that, an accept that finds no
+  // free block first evicts the oldest idle held conns (EvictIdleConns)
+  // and, failing that, takes the admission shed path -- never a malloc.
   uint32_t pool_blocks_per_core = 0;
 
   // --- connection-lifecycle deadlines (src/time) ---
 
-  // Per-connection deadlines, all 0 = disabled (the pre-deadline behavior:
-  // a stalled peer holds its pool block forever). Each expiry RST-closes
+  // Per-connection deadlines, all 0 = disabled (a stalled peer then holds
+  // its pool block until pool pressure evicts it). Each expiry RST-closes
   // the connection and counts into its class's rt_timeouts_* counter and
   // the conservation equation's timed_out term.
   //   handshake: accept to the first request byte ever.
   //   idle:      between requests (response flushed, next byte not begun).
   //   read:      a started request must finish arriving within this.
   //   write:     a started response must finish flushing within this.
-  //   lifetime:  absolute cap on one connection, whatever it is doing.
   // Phase deadlines are absolute per phase -- a slowloris trickling one
   // byte per second never extends its current deadline.
   int handshake_timeout_ms = 0;
   int idle_timeout_ms = 0;
   int read_timeout_ms = 0;
   int write_timeout_ms = 0;
-  int max_lifetime_ms = 0;
   // Test seam: a scripted clock (not owned). Null = CLOCK_MONOTONIC, which
   // the Runtime constructor fills in.
   timer::ClockSource* clock = nullptr;
-  // Pool-pressure eviction: when an accept finds no free conn block, reap
-  // up to this many idle (between-requests) connections -- oldest first --
-  // before refusing admission. 0 disables (exhaustion sheds, as before).
-  int pool_evict_batch = 0;
   // Default drain deadline for Stop(): stop accepting, let in-flight
   // conversations finish for up to this long, then abort the remainder.
   // 0 keeps the legacy immediate stop. Stop(drain_deadline_ms) overrides
@@ -157,9 +151,10 @@ struct RtConfig {
 
 // Rejects contradictory knob combinations BEFORE any socket is bound, with
 // an error naming the offending pair -- a scripted topology on a flat run,
-// or a deadline set that can never fire, means the caller misread what they
-// were testing. Called by Runtime::Start(); standalone for config parsers
-// and tests.
+// or a drain deadline with every lifecycle timeout off (an idle held
+// connection could never finish), means the caller misread what they were
+// testing. Called by Runtime::Start(); standalone for config parsers and
+// tests.
 bool ValidateRtConfig(const RtConfig& config, std::string* error);
 
 // Aggregated over all reactors. Valid at any time (live snapshot); see the
@@ -185,11 +180,10 @@ struct RtTotals : RtMetricFields<uint64_t, Histogram> {
   uint64_t hw_task_clock_ns = 0;
   uint64_t hw_context_switches = 0;
   uint64_t served() const { return served_local + served_remote; }
-  // Deadline-expired closes across all five classes: the timed_out term of
+  // Deadline-expired closes across all four classes: the timed_out term of
   // the conservation equation.
   uint64_t timed_out() const {
-    return timeouts_handshake + timeouts_idle + timeouts_read + timeouts_write +
-           timeouts_lifetime;
+    return timeouts_handshake + timeouts_idle + timeouts_read + timeouts_write;
   }
   // The locality score: fraction of requests served on their accepting
   // core (affinity mode should hold it near 1, stock/fine near

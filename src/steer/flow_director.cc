@@ -40,10 +40,9 @@ void FlowDirector::ReprogramLocked() {
     return;
   }
   std::vector<GroupException> exceptions = table_.Exceptions();
-  if (exceptions.size() > config_.max_exceptions) {
+  if (exceptions.size() > MaxCbpfExceptions()) {
     // The table no longer compresses into one program. The user-space
     // re-steer keeps enforcing it; the kernel keeps the last program.
-    ++cbpf_update_skips_;
     return;
   }
   std::vector<sock_filter> prog = BuildFlowDirectorProgram(
@@ -189,11 +188,6 @@ std::vector<Migration> FlowDirector::RunEpoch(BalancePolicy* policy, int num_cor
 uint64_t FlowDirector::cbpf_updates() const {
   std::lock_guard<std::mutex> lock(mu_);
   return cbpf_updates_;
-}
-
-uint64_t FlowDirector::cbpf_update_skips() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cbpf_update_skips_;
 }
 
 }  // namespace steer

@@ -71,9 +71,6 @@ struct Migration {
 struct FlowDirectorConfig {
   uint32_t num_groups = 4096;  // power of two (Section 3.1's 4,096)
   int num_cores = 1;
-  // Exception-list cap for the compiled program; beyond it kernel updates
-  // are skipped (counted) and user-space re-steer carries the table.
-  size_t max_exceptions = MaxCbpfExceptions();
   // Syscall surface for the cBPF attach; nullptr = real setsockopt. Chaos
   // runs pass the FaultInjector to exercise the kFallback degradation.
   fault::SysIface* sys = nullptr;
@@ -160,11 +157,10 @@ class FlowDirector {
   // returned.
   size_t RecoverCore(CoreId core);
 
-  // Successful program re-attaches / updates skipped because the exception
-  // list outgrew the program budget (table still authoritative via the
-  // user-space re-steer).
+  // Successful program attaches and re-attaches. A rewrite whose exception
+  // list outgrows MaxCbpfExceptions() skips the kernel update (the table
+  // stays authoritative via the user-space re-steer).
   uint64_t cbpf_updates() const;
-  uint64_t cbpf_update_skips() const;
 
  private:
   void ReprogramLocked();
@@ -178,7 +174,6 @@ class FlowDirector {
   // mu_ like the table it reads.
   FlowGroupPicker picker_;
   uint64_t cbpf_updates_ = 0;
-  uint64_t cbpf_update_skips_ = 0;
   // Per-core parking record from the last FailOverCore: which groups left
   // and where they went, so RecoverCore can bring back exactly the ones the
   // balancer has not since reassigned.

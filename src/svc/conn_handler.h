@@ -40,8 +40,6 @@ enum class Verdict : uint8_t {
   kRstClose,  // protocol violation: SO_LINGER{1,0} reset
 };
 
-const char* VerdictName(Verdict verdict);
-
 // Everything a handler callback needs, bundled so signatures stay flat.
 // `core` is the SERVING reactor's index -- the fault-injection key -- which
 // for a stolen connection is the thief, not the accepting core.

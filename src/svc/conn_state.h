@@ -39,18 +39,16 @@ enum class ConnPhase : uint8_t {
 struct ConnState {
   ConnPhase phase = ConnPhase::kReading;
   bool remote_served = false;  // popped from another core's ring (steal/re-steer)
-  // Locality-ledger bit: the serving core IS the accepting core. Distinct
-  // from !remote_served, which is about RINGS -- stock mode's single shared
-  // ring makes every pop "local" even when the conversation crossed cores,
-  // and steering can park a conn on a ring that is neither the accepting
-  // nor the serving core. Requests completed on this connection count into
-  // rt_requests_local_core / rt_requests_remote_core by this bit.
-  bool accept_local = true;
-  // Distance class of serving core vs accepting core (src/topo LedgerBucket:
-  // 0 local, 1 same LLC, 2 cross LLC, 3 cross node). Refines accept_local
-  // into the split distance ledger; always 0 when accept_local.
+  // Locality ledger: distance class of serving core vs accepting core
+  // (src/topo LedgerBucket: 0 local, 1 same LLC, 2 cross LLC, 3 cross
+  // node). 0 means the serving core IS the accepting core -- distinct from
+  // !remote_served, which is about RINGS: stock mode's single shared ring
+  // makes every pop "local" even when the conversation crossed cores, and
+  // steering can park a conn on a ring that is neither the accepting nor
+  // the serving core. Requests completed on this connection count into
+  // rt_requests_local_core (0) or rt_requests_remote_core plus the
+  // distance split (1..3).
   uint8_t accept_dist = 0;
-  bool opened = false;         // OnAccept ran; OnClose is owed exactly once
 
   uint32_t rounds_done = 0;  // completed request/response rounds
 
@@ -103,9 +101,7 @@ struct ConnState {
   void Reset(uint8_t = 0) {
     phase = ConnPhase::kReading;
     remote_served = false;
-    accept_local = true;
     accept_dist = 0;
-    opened = false;
     rounds_done = 0;
     armed = 0;
     req_len = 0;

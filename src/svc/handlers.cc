@@ -23,20 +23,6 @@ constexpr char kNotFound[] = "no such object";
 
 }  // namespace
 
-const char* VerdictName(Verdict verdict) {
-  switch (verdict) {
-    case Verdict::kWantRead:
-      return "want_read";
-    case Verdict::kWantWrite:
-      return "want_write";
-    case Verdict::kClose:
-      return "close";
-    case Verdict::kRstClose:
-      return "rst_close";
-  }
-  return "?";
-}
-
 const char* WorkloadName(WorkloadKind kind) {
   switch (kind) {
     case WorkloadKind::kAccept:

@@ -24,7 +24,7 @@ namespace affinity {
 namespace timer {
 
 // Intrusive wheel linkage. Embed one per independent deadline (e.g. the
-// reactor embeds a phase timer and a lifetime timer per connection).
+// reactor embeds a phase timer per connection).
 // Trivially destructible on purpose: it lives inside pool blocks that are
 // recycled without running destructors. `data` and `kind` are opaque user
 // cookies handed back on expiry (the reactor stores the conn handle and

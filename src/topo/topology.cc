@@ -7,22 +7,6 @@
 namespace affinity {
 namespace topo {
 
-const char* DistClassName(DistClass d) {
-  switch (d) {
-    case DistClass::kSelf:
-      return "self";
-    case DistClass::kSmtSibling:
-      return "smt";
-    case DistClass::kSameLlc:
-      return "same_llc";
-    case DistClass::kSameNode:
-      return "same_node";
-    case DistClass::kCrossNode:
-      return "cross_node";
-  }
-  return "?";
-}
-
 const char* TopoOriginName(TopoOrigin origin) {
   switch (origin) {
     case TopoOrigin::kSysfs:
@@ -30,16 +14,6 @@ const char* TopoOriginName(TopoOrigin origin) {
     case TopoOrigin::kScripted:
       return "scripted";
     case TopoOrigin::kFlat:
-      return "flat";
-  }
-  return "?";
-}
-
-const char* TopoModeName(TopoMode mode) {
-  switch (mode) {
-    case TopoMode::kAuto:
-      return "auto";
-    case TopoMode::kFlat:
       return "flat";
   }
   return "?";

@@ -41,8 +41,6 @@ enum class DistClass : uint8_t {
   kCrossNode = 4,   // remote socket (the ~460-cycle case)
 };
 
-const char* DistClassName(DistClass d);
-
 // The locality ledger's bucketing of a distance: 0 = local core,
 // 1 = same LLC (incl. SMT sibling), 2 = cross-LLC same node, 3 = cross-node.
 inline int LedgerBucket(DistClass d) {
@@ -74,8 +72,6 @@ enum class TopoMode : uint8_t {
   kAuto,  // sysfs discovery (or the configured source), flat on failure
   kFlat,  // skip discovery entirely; forced topology-blind behavior
 };
-
-const char* TopoModeName(TopoMode mode);
 
 // One logical core's placement, as reported by a TopologySource. Group ids
 // are arbitrary labels -- equal id means same group; FromMap() normalizes

@@ -1,6 +1,6 @@
 // Unit tests for src/fault: the deterministic injector, the failure-domain
-// state machine, the watchdog monitor, and the overload token bucket. All
-// time here is faked (time points are passed in), so nothing sleeps.
+// state machine and the watchdog monitor. All time here is faked (time
+// points are passed in), so nothing sleeps.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include "src/fault/fault_plan.h"
 #include "src/fault/injector.h"
 #include "src/fault/sys_iface.h"
-#include "src/fault/token_bucket.h"
 
 namespace affinity {
 namespace fault {
@@ -329,45 +328,6 @@ TEST(WatchdogMonitorTest, ReportsFrozenPeersAfterTimeout) {
   domains.Beat(2);
   monitor.Scan(t0 + std::chrono::milliseconds(45), &stalled);
   EXPECT_TRUE(stalled.empty());
-}
-
-TEST(TokenBucketTest, SpendsAndRefillsOnFakeTime) {
-  using Clock = TokenBucket::Clock;
-  Clock::time_point t0 = Clock::time_point() + std::chrono::seconds(5);
-  TokenBucket bucket(/*rate_per_sec=*/10, t0);
-  EXPECT_EQ(10, bucket.available(t0));  // starts full: one second of budget
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_TRUE(bucket.TryTake(t0)) << "token " << i;
-  }
-  EXPECT_FALSE(bucket.TryTake(t0));  // dry
-
-  // 50 ms at 10/s earns half a token -- nothing yet, remainder carried.
-  EXPECT_EQ(0, bucket.available(t0 + std::chrono::milliseconds(50)));
-  // By 100 ms the carried remainder completes one whole token.
-  EXPECT_TRUE(bucket.TryTake(t0 + std::chrono::milliseconds(100)));
-  EXPECT_FALSE(bucket.TryTake(t0 + std::chrono::milliseconds(100)));
-
-  // A long idle stretch caps at one second of budget, not unbounded burst.
-  EXPECT_EQ(10, bucket.available(t0 + std::chrono::seconds(60)));
-}
-
-TEST(TokenBucketTest, NonPositiveRateMeansUnlimited) {
-  using Clock = TokenBucket::Clock;
-  Clock::time_point t0 = Clock::time_point() + std::chrono::seconds(1);
-  TokenBucket bucket(0, t0);
-  EXPECT_TRUE(bucket.unlimited());
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_TRUE(bucket.TryTake(t0));
-  }
-}
-
-TEST(TokenBucketTest, TimeGoingBackwardsDoesNotMintTokens) {
-  using Clock = TokenBucket::Clock;
-  Clock::time_point t0 = Clock::time_point() + std::chrono::seconds(5);
-  TokenBucket bucket(/*rate_per_sec=*/2, t0);
-  EXPECT_TRUE(bucket.TryTake(t0));
-  EXPECT_TRUE(bucket.TryTake(t0));
-  EXPECT_FALSE(bucket.TryTake(t0 - std::chrono::seconds(1)));
 }
 
 }  // namespace

@@ -194,7 +194,6 @@ TEST_P(RtSvcAllocFreeTest, SteadyStateServesRequestsWithZeroHeapAllocations) {
   config.idle_timeout_ms = 2000;
   config.read_timeout_ms = 2000;
   config.write_timeout_ms = 2000;
-  config.max_lifetime_ms = 20'000;
   Runtime runtime(config);
   std::string error;
   ASSERT_TRUE(runtime.Start(&error)) << error;

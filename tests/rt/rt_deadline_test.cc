@@ -170,11 +170,9 @@ bool ReadUntilPeerClose(int fd) {
 // Scripted clock: every deadline class staged once, fired exactly once.
 // ---------------------------------------------------------------------------
 
-// Four connections, four deliberate lifecycle stalls, one scripted clock.
+// Three connections, three deliberate lifecycle stalls, one scripted clock.
 // Handshake (connect, send nothing), read (half a request line), idle (one
-// completed round, then silence) fire off a single 100 ms jump; lifetime
-// fires on a connection that keeps completing rounds -- every phase timer
-// keeps being re-armed, only the absolute cap can get it.
+// completed round, then silence) fire off a single 100 ms jump.
 TEST(RtDeadlineTest, StagedStallsFireEachClassExactlyOnceScripted) {
   timer::ScriptedClock clock;
   RtConfig config;
@@ -185,7 +183,6 @@ TEST(RtDeadlineTest, StagedStallsFireEachClassExactlyOnceScripted) {
   config.handshake_timeout_ms = 50;
   config.read_timeout_ms = 60;
   config.idle_timeout_ms = 70;
-  config.max_lifetime_ms = 500;
   Runtime runtime(config);
   std::string error;
   ASSERT_TRUE(runtime.Start(&error)) << error;
@@ -210,7 +207,7 @@ TEST(RtDeadlineTest, StagedStallsFireEachClassExactlyOnceScripted) {
   EXPECT_EQ(quiet.timed_out(), 0u);
 
   // ...then one 100 ms jump carries all three staged phase deadlines
-  // (50/60/70 ms) past due while staying under the 500 ms lifetime cap.
+  // (50/60/70 ms) past due.
   clock.Advance(Ms(100));
   EXPECT_TRUE(WaitFor(
       [&] {
@@ -226,33 +223,13 @@ TEST(RtDeadlineTest, StagedStallsFireEachClassExactlyOnceScripted) {
   ::close(stall_read);
   ::close(go_idle);
 
-  // Lifetime: a well-behaved connection that keeps completing rounds.
-  // Each 30 ms advance stays under the 70 ms idle deadline and every
-  // round re-arms the phase timer, so only the absolute cap can fire.
-  int long_lived = ConnectTcp(runtime.port());
-  ASSERT_GE(long_lived, 0);
-  for (int i = 0; i < 40 && runtime.Totals().timeouts_lifetime == 0; ++i) {
-    if (!EchoRound(long_lived)) {
-      break;  // reaped mid-round: the cap landed between rounds
-    }
-    clock.Advance(Ms(30));
-    WaitFor([&] { return runtime.Totals().timeouts_lifetime >= 1; },
-            std::chrono::milliseconds(100));
-  }
-  EXPECT_TRUE(WaitFor([&] { return runtime.Totals().timeouts_lifetime == 1; },
-                      std::chrono::seconds(10)))
-      << "lifetime cap never fired";
-  EXPECT_TRUE(ReadUntilPeerClose(long_lived));
-  ::close(long_lived);
-
   runtime.Stop();
   RtTotals totals = runtime.Totals();
   EXPECT_EQ(totals.timeouts_handshake, 1u);
   EXPECT_EQ(totals.timeouts_read, 1u);
   EXPECT_EQ(totals.timeouts_idle, 1u);
-  EXPECT_EQ(totals.timeouts_lifetime, 1u);
   EXPECT_EQ(totals.timeouts_write, 0u);
-  EXPECT_EQ(totals.accepted, 4u);
+  EXPECT_EQ(totals.accepted, 3u);
   EXPECT_EQ(totals.accepted, totals.accounted());
   ASSERT_NE(runtime.conn_pool(), nullptr);
   EXPECT_EQ(runtime.conn_pool()->live_objects(), 0u);
@@ -275,7 +252,6 @@ TEST(RtDeadlineTest, JammedReceiverFiresWriteDeadlineScripted) {
   config.handler.stream_chunks = 16384;
   config.clock = &clock;
   config.write_timeout_ms = 80;
-  config.max_lifetime_ms = 10'000;
   Runtime runtime(config);
   std::string error;
   ASSERT_TRUE(runtime.Start(&error)) << error;
@@ -321,8 +297,6 @@ TEST(RtDeadlineTest, SlowlorisStormIsReapedWhileServiceContinues) {
   config.idle_timeout_ms = 80;
   config.read_timeout_ms = 80;
   config.write_timeout_ms = 80;
-  config.max_lifetime_ms = 5000;
-  config.pool_evict_batch = 4;
   Runtime runtime(config);
   std::string error;
   ASSERT_TRUE(runtime.Start(&error)) << error;
@@ -379,7 +353,6 @@ TEST(RtDeadlineTest, PoolPressureEvictsOldestIdleInsteadOfStarving) {
   config.num_threads = 2;
   config.workload = svc::WorkloadKind::kEcho;
   config.pool_blocks_per_core = 8;  // 16 conns total against 24 holders
-  config.pool_evict_batch = 4;
   Runtime runtime(config);
   std::string error;
   ASSERT_TRUE(runtime.Start(&error)) << error;
@@ -418,9 +391,7 @@ TEST(RtDeadlineTest, PoolPressureEvictsOldestIdleInsteadOfStarving) {
   // With every timeout class disabled, eviction is the only source of
   // kIdle closes: the subset relation collapses to equality.
   EXPECT_EQ(totals.timeouts_idle, totals.pool_evictions);
-  EXPECT_EQ(totals.timeouts_handshake + totals.timeouts_read + totals.timeouts_write +
-                totals.timeouts_lifetime,
-            0u);
+  EXPECT_EQ(totals.timeouts_handshake + totals.timeouts_read + totals.timeouts_write, 0u);
   EXPECT_EQ(totals.accepted, totals.accounted());
   ASSERT_NE(runtime.conn_pool(), nullptr);
   EXPECT_EQ(runtime.conn_pool()->live_objects(), 0u);
@@ -440,7 +411,6 @@ TEST(RtDeadlineTest, DrainCompletesInFlightWorkWithoutAborts) {
   config.num_threads = 2;
   config.workload = svc::WorkloadKind::kEcho;
   config.idle_timeout_ms = 5000;      // far beyond the test's real-time span
-  config.max_lifetime_ms = 60'000;
   config.drain_deadline_ms = 10'000;  // generous: the drain must not expire
   Runtime runtime(config);
   std::string error;
@@ -511,15 +481,6 @@ TEST(RtDeadlineTest, DrainDeadlineAbortsTheHeldRemainder) {
 // ValidateRtConfig: contradictory lifecycle knobs fail at Start, not at 3am.
 // ---------------------------------------------------------------------------
 
-TEST(RtDeadlineTest, ValidateRejectsPhaseDeadlineBeyondLifetimeCap) {
-  RtConfig config;
-  config.idle_timeout_ms = 200;
-  config.max_lifetime_ms = 100;  // the cap would always fire first
-  std::string error;
-  EXPECT_FALSE(ValidateRtConfig(config, &error));
-  EXPECT_NE(error.find("max_lifetime_ms"), std::string::npos) << error;
-}
-
 TEST(RtDeadlineTest, ValidateRejectsDrainWithEveryTimeoutDisabled) {
   RtConfig config;
   config.drain_deadline_ms = 1000;  // nothing could ever finish draining
@@ -534,7 +495,6 @@ TEST(RtDeadlineTest, ValidateAcceptsACoherentDeadlineConfig) {
   config.idle_timeout_ms = 70;
   config.read_timeout_ms = 60;
   config.write_timeout_ms = 60;
-  config.max_lifetime_ms = 500;
   config.drain_deadline_ms = 1000;
   std::string error;
   EXPECT_TRUE(ValidateRtConfig(config, &error)) << error;

@@ -479,7 +479,6 @@ TEST(SvcHandlerTest, ResetMakesABlockConversationFresh) {
   ConnState st;
   st.phase = ConnPhase::kWriting;
   st.remote_served = true;
-  st.opened = true;
   st.rounds_done = 7;
   st.armed = EPOLLOUT;
   st.req_len = 99;
@@ -489,7 +488,6 @@ TEST(SvcHandlerTest, ResetMakesABlockConversationFresh) {
   st.Reset();
   EXPECT_EQ(st.phase, ConnPhase::kReading);
   EXPECT_FALSE(st.remote_served);
-  EXPECT_FALSE(st.opened);
   EXPECT_EQ(st.rounds_done, 0u);
   EXPECT_EQ(st.armed, 0u);
   EXPECT_EQ(st.req_len, 0u);
