@@ -68,7 +68,7 @@
 //                                     permanently. Both arm the watchdog and
 //                                     print the failover ledger. --baseline
 //                                     runs with injection disabled regardless)
-//   --workload=accept|echo|static|think|stream
+//   --workload=accept|echo|static|stream
 //                                    (what each connection carries: "accept"
 //                                     is the connection-per-request cycle
 //                                     (one byte, then close); the others run
@@ -89,9 +89,7 @@
 //                                     the paper's persistent-connection sweep
 //                                     centers on a handful of requests/conn)
 //   --payload=N                      (request payload bytes before the newline
-//                                     for echo/think; default 64)
-//   --think-us=N                     (server-side per-request CPU burn for
-//                                     --workload=think; default 100)
+//                                     for echo; default 64)
 //   --sweep=N                        (backpressure sweep: N steps of offered
 //                                     load -- step k runs k*--clients client
 //                                     threads -- against one affinity server
@@ -160,6 +158,7 @@
 #include <cstring>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -198,8 +197,7 @@ struct Options {
   std::string chaos = "none";  // none | stall | kill
   svc::WorkloadKind workload = svc::WorkloadKind::kAccept;
   int rpc = 8;        // requests per connection (request/response workloads)
-  int payload = 64;   // request payload bytes (echo/think)
-  int think_us = 100; // server-side burn per request (think)
+  int payload = 64;   // request payload bytes (echo)
   int sweep = 0;      // >0: backpressure sweep with this many load steps
   std::string sweep_policy = "rst";  // rst | backlog (overload disposition)
   bool hwprof = true;                // perf_event counters + locality columns
@@ -264,8 +262,6 @@ Options ParseOptions(int argc, char** argv) {
       opt.rpc = atoi(v);
     } else if (ParseFlag(argv[i], "--payload", &v)) {
       opt.payload = atoi(v);
-    } else if (ParseFlag(argv[i], "--think-us", &v)) {
-      opt.think_us = atoi(v);
     } else if (ParseFlag(argv[i], "--sweep", &v)) {
       opt.sweep = atoi(v);
     } else if (ParseFlag(argv[i], "--sweep-policy", &v)) {
@@ -302,8 +298,8 @@ Options ParseOptions(int argc, char** argv) {
               "[--stats-interval=N] [--json=FILE] [--baseline=FILE] [--skew=G] "
               "[--steer=off|on|fallback] [--connect-timeout-ms=N] "
               "[--chaos=none|stall|kill] "
-              "[--workload=accept|echo|static|think|stream] [--rpc=N] [--payload=N] "
-              "[--think-us=N] [--stream-chunk=N] [--stream-chunks=N] [--sweep=N] "
+              "[--workload=accept|echo|static|stream] [--rpc=N] [--payload=N] "
+              "[--stream-chunk=N] [--stream-chunks=N] [--sweep=N] "
               "[--sweep-policy=rst|backlog] [--hwprof=on|off] "
               "[--topo=auto|flat|script:FILE] "
               "[--stall=none|handshake|midrequest|midread] [--timeout-ms=N] "
@@ -335,7 +331,6 @@ Options ParseOptions(int argc, char** argv) {
   if (opt.connect_timeout_ms < 1) opt.connect_timeout_ms = 1;
   if (opt.rpc < 1) opt.rpc = 1;
   if (opt.payload < 1) opt.payload = 1;
-  if (opt.think_us < 0) opt.think_us = 0;
   if (opt.sweep < 0) opt.sweep = 0;
   if (opt.sweep_policy != "rst" && opt.sweep_policy != "backlog") {
     fprintf(stderr, "unknown --sweep-policy=%s\n", opt.sweep_policy.c_str());
@@ -419,6 +414,14 @@ struct RunResult {
   double p95_us = 0;
   double p99_us = 0;
   RtTotals totals;
+  // Read off the runtime's own objects before it goes away: the resolved
+  // topology, the pool's mbind-bound arenas and the profiler's whole-run
+  // estimates (zero unless some reactor's counter group opened).
+  std::optional<topo::Topology> topo;
+  int numa_bound_arenas = 0;
+  bool hw_available = false;
+  uint64_t hw_cycles = 0;
+  uint64_t hw_llc_misses = 0;
   uint64_t client_completed = 0;
   uint64_t client_errors = 0;
   // Request/response workloads: client-side per-request ledger.
@@ -461,10 +464,6 @@ double SteadyRemoteFrac(const RunResult& r) {
   return local + remote > 0 ? remote / (local + remote) : 0.0;
 }
 
-bool HwAvailable(const RunResult& r) {
-  return r.totals.hwprof_enabled && r.totals.hw_available_cores > 0;
-}
-
 // Counter total / requests (an accept-workload connection is one request),
 // or 0 when the event never counted -- either the whole group failed to
 // open (perf_event_paranoid, containers) or just this event did (VMs
@@ -472,7 +471,7 @@ bool HwAvailable(const RunResult& r) {
 // a live cycles counter cannot read zero across thousands of requests). The
 // degraded path is a reported state, not a failure.
 double HwPerReq(const RunResult& r, uint64_t numer) {
-  if (!HwAvailable(r) || r.totals.requests == 0) {
+  if (!r.hw_available || r.totals.requests == 0) {
     return 0;
   }
   return static_cast<double>(numer) / static_cast<double>(r.totals.requests);
@@ -497,10 +496,11 @@ std::string LocalityCell(const RunResult& r) {
 // model everything folds into the first slot (there is only one LLC).
 void PrintTopoLine(const std::string& label, const RunResult& r) {
   const RtTotals& t = r.totals;
+  const topo::Topology& model = *r.topo;
   std::printf("    [%s] topo: %s nodes=%d llc=%d", label.c_str(),
-              topo::TopoOriginName(t.topo_origin), t.numa_nodes, t.llc_domains);
-  if (!t.topo_flat_reason.empty()) {
-    std::printf(" (%s)", t.topo_flat_reason.c_str());
+              topo::TopoOriginName(model.origin()), model.num_nodes(), model.num_llc_domains());
+  if (!model.flat_reason().empty()) {
+    std::printf(" (%s)", model.flat_reason().c_str());
   }
   std::printf("  req llc/xllc/xnode=%llu/%llu/%llu  steal=%llu/%llu/%llu"
               "  park=%llu/%llu/%llu  numa-bound arenas=%d\n",
@@ -512,8 +512,7 @@ void PrintTopoLine(const std::string& label, const RunResult& r) {
               static_cast<unsigned long long>(t.steals_cross_node),
               static_cast<unsigned long long>(t.park_same_llc),
               static_cast<unsigned long long>(t.park_cross_llc),
-              static_cast<unsigned long long>(t.park_cross_node),
-              t.pool_numa_bound_cores);
+              static_cast<unsigned long long>(t.park_cross_node), r.numa_bound_arenas);
 }
 
 // Renders the sampler's per-interval series as a JSON array: per-core
@@ -589,8 +588,8 @@ void PrintIntervalLine(const std::string& label, const obs::IntervalSample& s) {
 
 // One --json results row. The registry snapshot rides along whole under
 // "metrics"; the keys before it are what the registry does not hold: run
-// labels, client-side numbers, the topology model and park distances, drain
-// timing, and the derived headline numbers. The row opens with "mode" then
+// labels, client-side numbers, the topology model, drain timing, and the
+// derived headline numbers. The row opens with "mode" then
 // "conns_per_sec", the pair ReadBaselineAffinityRate scans for.
 std::string RowJson(const std::string& label, const RunResult& r, const Options& opt) {
   const RtTotals& t = r.totals;
@@ -618,12 +617,12 @@ std::string RowJson(const std::string& label, const RunResult& r, const Options&
   w.Key("stalled_reaped").UInt(r.client_stalled_reaped);
   double f = t.locality_fraction();
   w.Key("locality_pct").Double(f >= 0 ? 100.0 * f : 0);
-  w.Key("hwprof_available").Bool(HwAvailable(r));
-  w.Key("cycles_per_req").Double(HwPerReq(r, t.hw_cycles));
-  w.Key("llc_miss_per_req").Double(HwPerReq(r, t.hw_llc_misses));
-  w.Key("topo_origin").String(topo::TopoOriginName(t.topo_origin));
-  w.Key("numa_nodes").Int(t.numa_nodes);
-  w.Key("llc_domains").Int(t.llc_domains);
+  w.Key("hwprof_available").Bool(r.hw_available);
+  w.Key("cycles_per_req").Double(HwPerReq(r, r.hw_cycles));
+  w.Key("llc_miss_per_req").Double(HwPerReq(r, r.hw_llc_misses));
+  w.Key("topo_origin").String(topo::TopoOriginName(r.topo->origin()));
+  w.Key("numa_nodes").Int(r.topo->num_nodes());
+  w.Key("llc_domains").Int(r.topo->num_llc_domains());
   w.Key("drain_deadline_ms").Int(opt.drain_ms);
   w.Key("drain_ms").Double(r.drain_window_ms);
   if (!r.intervals.empty()) {
@@ -642,7 +641,6 @@ RunResult RunMode(const RunSpec& spec, const Options& opt) {
   config.num_threads = opt.threads;
   config.pin_threads = opt.pin;
   config.workload = opt.workload;
-  config.handler.think_us = opt.think_us;
   config.handler.stream_chunk_bytes = opt.stream_chunk;
   config.handler.stream_chunks = opt.stream_chunks;
   config.steer = spec.steer;
@@ -678,7 +676,7 @@ RunResult RunMode(const RunSpec& spec, const Options& opt) {
     return result;
   }
   if (runtime.director() != nullptr) {
-    result.kernel_steering = steer::KernelSteeringName(runtime.kernel_steering());
+    result.kernel_steering = steer::KernelSteeringName(runtime.director()->kernel_steering());
   }
 
   LoadClientConfig client_config;
@@ -741,8 +739,15 @@ RunResult RunMode(const RunSpec& spec, const Options& opt) {
 
   result.totals = runtime.Totals();
   result.metrics_json = obs::ToJson(runtime.metrics().Snapshot());
-  if (runtime.hwprof() != nullptr && runtime.hwprof()->AvailableCores() == 0) {
-    result.hwprof_reason = runtime.hwprof()->unavailable_reason(0);
+  result.topo.emplace(*runtime.topology());
+  result.numa_bound_arenas = runtime.conn_pool()->numa_bound_cores();
+  if (const obs::hwprof::HwProf* hw = runtime.hwprof(); hw != nullptr) {
+    result.hw_available = hw->AvailableCores() > 0;
+    result.hw_cycles = hw->EstimatedTotal(obs::hwprof::HwEvent::kCycles);
+    result.hw_llc_misses = hw->EstimatedTotal(obs::hwprof::HwEvent::kLlcMisses);
+    if (!result.hw_available) {
+      result.hwprof_reason = hw->unavailable_reason(0);
+    }
   }
   result.client_completed = client.completed();
   result.client_errors = client.errors();
@@ -878,9 +883,6 @@ int main(int argc, char** argv) {
   if (opt.workload != svc::WorkloadKind::kAccept) {
     PrintKv("requests/conn", std::to_string(opt.rpc));
     PrintKv("payload", std::to_string(opt.payload) + " B");
-    if (opt.workload == svc::WorkloadKind::kThink) {
-      PrintKv("think time", std::to_string(opt.think_us) + " us/request");
-    }
     if (opt.workload == svc::WorkloadKind::kStream) {
       PrintKv("stream response", std::to_string(opt.stream_chunks) + " x " +
                                      std::to_string(opt.stream_chunk) + " B chunks");
@@ -1084,8 +1086,8 @@ int main(int argc, char** argv) {
     cells.push_back(TablePrinter::Num(r.p99_us, 1));
     cells.push_back(TablePrinter::Num(local_pct, 1));
     cells.push_back(LocalityCell(r));
-    cells.push_back(HwPerReqCell(r, r.totals.hw_cycles, 0));
-    cells.push_back(HwPerReqCell(r, r.totals.hw_llc_misses, 2));
+    cells.push_back(HwPerReqCell(r, r.hw_cycles, 0));
+    cells.push_back(HwPerReqCell(r, r.hw_llc_misses, 2));
     cells.push_back(TablePrinter::Int(r.totals.steals));
     cells.push_back(TablePrinter::Int(r.totals.migrations));
     cells.push_back(TablePrinter::Int(r.totals.overflow_drops));

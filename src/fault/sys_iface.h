@@ -12,8 +12,6 @@
 //
 // Every method takes the calling reactor's core index first: the injector
 // keys its schedules by (call site, core), and the passthrough ignores it.
-// One virtual dispatch per syscall is noise next to the syscall itself
-// (bench_rt_loopback's --baseline gate holds with the passthrough in place).
 
 #ifndef AFFINITY_SRC_FAULT_SYS_IFACE_H_
 #define AFFINITY_SRC_FAULT_SYS_IFACE_H_

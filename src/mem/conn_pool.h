@@ -17,9 +17,7 @@
 //    other core CAS-pushes onto the owner's remote-free stack (a Treiber
 //    stack of block indices), so frees *return to the owner* instead of
 //    polluting the freeing core's pool -- the remote deallocation the paper
-//    measures as the slow path, made explicit and counted, split by how far
-//    the freeing core sits from the owner (same LLC / cross LLC / cross
-//    node -- the Table-1 cost cliff),
+//    measures as the slow path, made explicit and counted,
 //  - the owner reclaims its whole remote-free stack with one exchange when
 //    its local freelist runs dry (batch reclaim: one coherence miss per
 //    batch, not per block).
@@ -62,9 +60,7 @@ class PerCorePool {
   static constexpr Handle kNullHandle = 0xFFFFFFFFu;
 
   // `topo` (not owned, may be null = flat) places each core's arena on its
-  // NUMA node and classifies remote frees by distance; without it every
-  // arena binds to node 0's default policy and all remote frees count as
-  // same-LLC (one LLC is all a flat machine has).
+  // NUMA node; without it every arena binds to node 0's default policy.
   PerCorePool(int num_cores, uint32_t blocks_per_core, const topo::Topology* topo = nullptr)
       : num_cores_(num_cores < 1 ? 1 : num_cores),
         blocks_per_core_(blocks_per_core < 1 ? 1 : blocks_per_core) {
@@ -72,18 +68,6 @@ class PerCorePool {
     assert(blocks_per_core_ < (1u << kIndexBits));
     assert(topo == nullptr || topo->num_cores() >= num_cores_);
     cores_.reset(new CoreState[static_cast<size_t>(num_cores_)]);
-    dist_bucket_.reset(new uint8_t[static_cast<size_t>(num_cores_) *
-                                   static_cast<size_t>(num_cores_)]);
-    for (int from = 0; from < num_cores_; ++from) {
-      for (int to = 0; to < num_cores_; ++to) {
-        int bucket = 1;  // flat: every remote peer shares the one LLC
-        if (topo != nullptr) {
-          bucket = topo::LedgerBucket(topo->Between(from, to));
-        }
-        dist_bucket_[static_cast<size_t>(from) * static_cast<size_t>(num_cores_) +
-                     static_cast<size_t>(to)] = static_cast<uint8_t>(bucket);
-      }
-    }
     size_t arena_bytes = sizeof(Block) * static_cast<size_t>(blocks_per_core_);
     for (int core = 0; core < num_cores_; ++core) {
       CoreState& cs = cores_[static_cast<size_t>(core)];
@@ -157,18 +141,6 @@ class PerCorePool {
     CoreState& freeing = cores_[static_cast<size_t>(core)];
     freeing.remote_frees.fetch_add(1, std::memory_order_relaxed);
     freeing.frees.fetch_add(1, std::memory_order_relaxed);
-    switch (dist_bucket_[static_cast<size_t>(core) * static_cast<size_t>(num_cores_) +
-                         static_cast<size_t>(owner)]) {
-      case 2:
-        freeing.remote_frees_cross_llc.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case 3:
-        freeing.remote_frees_cross_node.fetch_add(1, std::memory_order_relaxed);
-        break;
-      default:  // same LLC / SMT sibling; bucket 0 needs owner == core
-        freeing.remote_frees_same_llc.fetch_add(1, std::memory_order_relaxed);
-        break;
-    }
   }
 
   int num_cores() const { return num_cores_; }
@@ -176,7 +148,7 @@ class PerCorePool {
 
   // Cores whose arena the kernel accepted an mbind node binding for (0 on
   // hosts without mbind or when the heap fallback allocator served the
-  // arena). Exposed for the locality ledger and the allocation-free test.
+  // arena). Read by bench_rt_loopback's topo line and the pool tests.
   int numa_bound_cores() const {
     int bound = 0;
     for (int core = 0; core < num_cores_; ++core) {
@@ -197,12 +169,6 @@ class PerCorePool {
       stats.frees += cs.frees.load(std::memory_order_relaxed);
       stats.remote_frees += cs.remote_frees.load(std::memory_order_relaxed);
       stats.recycled += cs.recycled.load(std::memory_order_relaxed);
-      stats.remote_frees_same_llc +=
-          cs.remote_frees_same_llc.load(std::memory_order_relaxed);
-      stats.remote_frees_cross_llc +=
-          cs.remote_frees_cross_llc.load(std::memory_order_relaxed);
-      stats.remote_frees_cross_node +=
-          cs.remote_frees_cross_node.load(std::memory_order_relaxed);
     }
     return stats;
   }
@@ -235,9 +201,6 @@ class PerCorePool {
     std::atomic<uint64_t> frees{0};
     std::atomic<uint64_t> remote_frees{0};
     std::atomic<uint64_t> recycled{0};
-    std::atomic<uint64_t> remote_frees_same_llc{0};
-    std::atomic<uint64_t> remote_frees_cross_llc{0};
-    std::atomic<uint64_t> remote_frees_cross_node{0};
   };
 
   static Handle MakeHandle(CoreId core, uint32_t index) {
@@ -281,9 +244,6 @@ class PerCorePool {
   int num_cores_;
   uint32_t blocks_per_core_;
   std::unique_ptr<CoreState[]> cores_;
-  // Freeing-core x owner-core LedgerBucket matrix (0 self, 1 same LLC,
-  // 2 cross LLC, 3 cross node), precomputed so Free stays branch-cheap.
-  std::unique_ptr<uint8_t[]> dist_bucket_;
 };
 
 }  // namespace affinity

@@ -18,13 +18,6 @@ struct SlabStats {
   uint64_t frees = 0;
   uint64_t remote_frees = 0;  // freed on a core != the core that allocated
   uint64_t recycled = 0;      // allocation satisfied from a freelist
-  // Distance split of remote_frees by the freeing core's position relative
-  // to the owner (src/topo LedgerBucket classes). The simulated slab has no
-  // hardware placement and leaves them zero; the runtime pool guarantees
-  // same_llc + cross_llc + cross_node == remote_frees.
-  uint64_t remote_frees_same_llc = 0;
-  uint64_t remote_frees_cross_llc = 0;   // different LLC, same node
-  uint64_t remote_frees_cross_node = 0;
 };
 
 }  // namespace affinity

@@ -299,7 +299,7 @@ LoadClient::ConnOutcome LoadClient::RunRounds(int thread_index, int fd, ThreadLe
       return ConnOutcome::kAbortedAtStop;
     }
     // Build the request line in place (no allocation): a fixed 'x' payload
-    // for echo/think, a rotating "obj<k>" key for static content.
+    // for echo, a rotating "obj<k>" key for static content.
     int req_len;
     if (config_.workload == svc::WorkloadKind::kStatic) {
       uint64_t key = ledger->key_cursor++ % static_cast<uint64_t>(config_.num_keys);

@@ -2,7 +2,7 @@
 // runtime and drive its workload. Under kAccept (the legacy mode) each
 // connection reads the one-byte response until EOF and reconnects --
 // connection-per-request, like the paper's ab/apachebench setup. Under the
-// request/response workloads (echo/static/think) each connection carries
+// request/response workloads (echo/static/stream) each connection carries
 // `requests_per_conn` newline-terminated requests, reading back the
 // "<len>\n<payload>" response per round and stamping a per-request latency
 // into a per-thread histogram ledger -- the paper's persistent-connection
@@ -81,7 +81,7 @@ struct LoadClientConfig {
   // (HandlerParams::echo_rounds > 0) set this to N; the server closes after
   // the Nth response either way.
   int requests_per_conn = 1;
-  // Request payload bytes before the terminating newline (echo/think).
+  // Request payload bytes before the terminating newline (echo).
   int payload_bytes = 64;
   // kStatic: request keys cycle obj0..obj<num_keys-1>.
   int num_keys = 64;

@@ -752,9 +752,6 @@ void Reactor::Serve(ConnHandle handle, bool local) {
   // core (0 local, then LedgerBucket's same-LLC / cross-LLC / cross-node).
   int dist_bucket =
       core_local ? 0 : topo::LedgerBucket(shared_->topo->Between(accept_core, index_));
-  if (!core_local) {
-    hot_.conn_migrations->fetch_add(1, std::memory_order_relaxed);
-  }
   // The connection enters service on THIS reactor and stays here until a
   // close verdict -- the locality decision was made at the pop, so it is
   // recorded now and accounted per round and at close.
@@ -1015,6 +1012,8 @@ void Reactor::FreeConn(ConnHandle handle) {
   CoreId owner = shared_->pool->OwnerOf(handle);
   shared_->pool->Free(index_, handle);
   if (owner != index_) {
+    // The paper's remote deallocation. Serve() ran on this core too, so
+    // this is also the one count of connections served off their acceptor.
     hot_.conn_remote_frees->fetch_add(1, std::memory_order_relaxed);
   }
 }

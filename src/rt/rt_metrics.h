@@ -55,14 +55,12 @@
   /* Counted by Stop() after the reactors joined, labeled by ring. */                              \
   X(drained_at_stop, "rt_drained_at_stop", "queued connections closed unserved by Stop()")         \
   /* Connection-locality ledger: rounds served on vs off their accepting                           \
-     core (the two sum to rt_requests), and connections whose first                                \
-     serving core differed from the acceptor. */                                                   \
+     core (the two sum to rt_requests). Connections served off their                               \
+     acceptor are rt_conn_remote_frees: the serving core frees the block. */                       \
   X(requests_local_core, "rt_requests_local_core",                                                 \
     "requests served on the core that accepted the connection")                                    \
   X(requests_remote_core, "rt_requests_remote_core",                                               \
     "requests served on a core other than the acceptor")                                           \
-  X(conn_migrations, "rt_conn_migrations",                                                         \
-    "connections first served by a core other than their acceptor")                                \
   /* Distance split of the remote half (src/topo LedgerBucket): the three                          \
      sum to requests_remote_core, and the steal triplet to steals. A flat                          \
      topology folds everything into same_llc. */                                                   \

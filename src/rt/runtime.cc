@@ -228,13 +228,11 @@ bool Runtime::Start(std::string* error) {
   return true;
 }
 
-void Runtime::Stop() { Stop(config_.drain_deadline_ms); }
-
-void Runtime::Stop(int drain_deadline_ms) {
+void Runtime::Stop() {
   if (!started_) {
     return;
   }
-  if (drain_deadline_ms > 0) {
+  if (config_.drain_deadline_ms > 0) {
     // Drain window: flipping `draining` makes each reactor unwatch its
     // listen sources on the next loop pass (no new accepts) while it keeps
     // serving its rings and open conversations. We poll the open-conns
@@ -244,7 +242,7 @@ void Runtime::Stop(int drain_deadline_ms) {
     // Wall-clock on purpose: the deadline bounds THIS call's blocking time,
     // which must hold even when the conn deadlines run on a scripted clock.
     auto start = std::chrono::steady_clock::now();
-    auto deadline = start + std::chrono::milliseconds(drain_deadline_ms);
+    auto deadline = start + std::chrono::milliseconds(config_.drain_deadline_ms);
     shared_.draining.store(true, std::memory_order_release);
     for (;;) {
       bool quiet = metrics_->Total(ids_.open_conns) == 0;
@@ -302,29 +300,6 @@ RtTotals Runtime::Totals() const {
   AFFINITY_RT_HISTOGRAMS(AFFINITY_RT_MERGED)
 #undef AFFINITY_RT_TOTAL
 #undef AFFINITY_RT_MERGED
-  if (pool_ != nullptr) {
-    totals.pool = pool_->StatsSnapshot();
-  }
-  if (topo_ != nullptr) {
-    totals.topo_origin = topo_->origin();
-    totals.numa_nodes = topo_->num_nodes();
-    totals.llc_domains = topo_->num_llc_domains();
-    totals.topo_flat_reason = topo_->flat_reason();
-  }
-  if (pool_ != nullptr) {
-    totals.pool_numa_bound_cores = pool_->numa_bound_cores();
-  }
-  if (hwprof_ != nullptr) {
-    totals.hwprof_enabled = true;
-    totals.hw_available_cores = hwprof_->AvailableCores();
-    totals.hw_cycles = hwprof_->EstimatedTotal(obs::hwprof::HwEvent::kCycles);
-    totals.hw_instructions = hwprof_->EstimatedTotal(obs::hwprof::HwEvent::kInstructions);
-    totals.hw_llc_loads = hwprof_->EstimatedTotal(obs::hwprof::HwEvent::kLlcLoads);
-    totals.hw_llc_misses = hwprof_->EstimatedTotal(obs::hwprof::HwEvent::kLlcMisses);
-    totals.hw_task_clock_ns = hwprof_->EstimatedTotal(obs::hwprof::HwEvent::kTaskClock);
-    totals.hw_context_switches =
-        hwprof_->EstimatedTotal(obs::hwprof::HwEvent::kContextSwitches);
-  }
   return totals;
 }
 

@@ -28,7 +28,6 @@
 #include "src/fault/failure_domain.h"
 #include "src/fault/fault_plan.h"
 #include "src/fault/injector.h"
-#include "src/mem/pool_stats.h"
 #include "src/obs/hwprof/hwprof.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace_ring.h"
@@ -105,10 +104,9 @@ struct RtConfig {
   // Test seam: a scripted clock (not owned). Null = CLOCK_MONOTONIC, which
   // the Runtime constructor fills in.
   timer::ClockSource* clock = nullptr;
-  // Default drain deadline for Stop(): stop accepting, let in-flight
-  // conversations finish for up to this long, then abort the remainder.
-  // 0 keeps the legacy immediate stop. Stop(drain_deadline_ms) overrides
-  // per call. Positive values require at least one deadline enabled
+  // Stop()'s drain deadline: stop accepting, let in-flight conversations
+  // finish for up to this long, then abort the remainder. 0 keeps the
+  // immediate stop. Positive values require at least one deadline enabled
   // (validation): without per-connection timeouts an idle held connection
   // never finishes, so every drain would just burn the full deadline.
   int drain_deadline_ms = 0;
@@ -158,27 +156,11 @@ struct RtConfig {
 bool ValidateRtConfig(const RtConfig& config, std::string* error);
 
 // Aggregated over all reactors. Valid at any time (live snapshot); see the
-// header comment for the mid-run semantics. One field per table metric
-// (src/rt/rt_metrics.h): counters and gauges summed over their labels,
-// histograms merged. The fields below are what the registry does not hold.
+// header comment for the mid-run semantics. Exactly the metric table
+// (src/rt/rt_metrics.h) summed: counters and gauges over their labels,
+// histograms merged. Facts the table does not count come from the object
+// that owns them: topology(), conn_pool() and hwprof().
 struct RtTotals : RtMetricFields<uint64_t, Histogram> {
-  SlabStats pool;  // the ConnPool's own per-core accounting
-  // The resolved hardware topology behind the distance classes.
-  topo::TopoOrigin topo_origin = topo::TopoOrigin::kFlat;
-  int numa_nodes = 1;
-  int llc_domains = 1;
-  std::string topo_flat_reason;  // empty unless the model degraded to flat
-  int pool_numa_bound_cores = 0;  // arenas the kernel accepted an mbind for
-  // Hardware profile (config.hwprof): whole-run extrapolated estimates from
-  // the sampled phase attributions; zero when the PMU was unavailable.
-  bool hwprof_enabled = false;
-  int hw_available_cores = 0;  // reactors whose counter group opened
-  uint64_t hw_cycles = 0;
-  uint64_t hw_instructions = 0;
-  uint64_t hw_llc_loads = 0;
-  uint64_t hw_llc_misses = 0;
-  uint64_t hw_task_clock_ns = 0;
-  uint64_t hw_context_switches = 0;
   uint64_t served() const { return served_local + served_remote; }
   // Deadline-expired closes across all four classes: the timed_out term of
   // the conservation equation.
@@ -203,6 +185,8 @@ struct RtTotals : RtMetricFields<uint64_t, Histogram> {
            admission_shed + timed_out();
   }
 };
+static_assert(sizeof(RtTotals) == sizeof(RtMetricFields<uint64_t, Histogram>),
+              "RtTotals is the metric table; read other facts from their owner");
 
 class Runtime {
  public:
@@ -220,19 +204,17 @@ class Runtime {
   // still-queued connections. Idempotent, and the Runtime is restartable:
   // a later Start() launches a fresh set of reactors (new port when
   // config.port == 0). Metrics accumulate across restarts, so the
-  // conservation equation holds cumulatively. Drains for
-  // config.drain_deadline_ms first (see the overload); 0 = immediate.
+  // conservation equation holds cumulatively.
+  //
+  // With config.drain_deadline_ms > 0 (validated by Start()) it drains
+  // first: new connections are refused (listen fds unwatched; the kernel
+  // RSTs or times out late SYNs once the sockets close), in-flight
+  // conversations keep being served until they finish or the deadline
+  // elapses, then the reactors exit and abort whatever remains
+  // (aborted_at_stop). Conns that finish during the window count into
+  // rt_drained_gracefully; the drain's wall duration is one sample in the
+  // rt_drain_duration_ns histogram. 0 = immediate.
   void Stop();
-
-  // Graceful drain, then stop: new connections are refused (listen fds
-  // unwatched; the kernel RSTs or times out late SYNs once the sockets
-  // close), in-flight conversations keep being served until they finish or
-  // `drain_deadline_ms` elapses, then the reactors exit and abort whatever
-  // remains (aborted_at_stop). Conns that finish during the window count
-  // into rt_drained_gracefully; the drain's wall duration is one sample in
-  // the rt_drain_duration_ns histogram. drain_deadline_ms <= 0 degenerates
-  // to the immediate Stop().
-  void Stop(int drain_deadline_ms);
 
   // The bound port (after Start()).
   uint16_t port() const { return port_; }
@@ -267,13 +249,6 @@ class Runtime {
   // The flow-group steering table; null unless config.steer was on in
   // affinity mode. Valid while the reactors run.
   const steer::FlowDirector* director() const { return director_.get(); }
-
-  // Where SYN steering happens (kFallback until Start(), or forever when
-  // the cBPF attach was refused/disabled).
-  steer::KernelSteering kernel_steering() const {
-    return director_ != nullptr ? director_->kernel_steering()
-                                : steer::KernelSteering::kFallback;
-  }
 
   // The chaos injector; null unless config.fault_plan has rules. Valid
   // while the reactors run.

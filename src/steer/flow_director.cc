@@ -31,7 +31,6 @@ bool FlowDirector::Attach(int fd, std::string* error) {
   }
   attach_fd_ = fd;
   status_.store(1, std::memory_order_release);
-  ++cbpf_updates_;
   return true;
 }
 
@@ -48,9 +47,7 @@ void FlowDirector::ReprogramLocked() {
   std::vector<sock_filter> prog = BuildFlowDirectorProgram(
       table_.num_groups(), static_cast<uint32_t>(table_.num_cores()), exceptions);
   std::string error;
-  if (AttachReuseportProgram(attach_fd_, prog, &error, config_.sys)) {
-    ++cbpf_updates_;
-  } else {
+  if (!AttachReuseportProgram(attach_fd_, prog, &error, config_.sys)) {
     // A kernel that accepted the first program should accept every rebuild;
     // if it stops, degrade rather than steer with a stale table forever.
     status_.store(0, std::memory_order_release);
@@ -183,11 +180,6 @@ std::vector<Migration> FlowDirector::RunEpoch(BalancePolicy* policy, int num_cor
     }
   }
   return out;
-}
-
-uint64_t FlowDirector::cbpf_updates() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cbpf_updates_;
 }
 
 }  // namespace steer

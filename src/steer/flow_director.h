@@ -157,11 +157,6 @@ class FlowDirector {
   // returned.
   size_t RecoverCore(CoreId core);
 
-  // Successful program attaches and re-attaches. A rewrite whose exception
-  // list outgrows MaxCbpfExceptions() skips the kernel update (the table
-  // stays authoritative via the user-space re-steer).
-  uint64_t cbpf_updates() const;
-
  private:
   void ReprogramLocked();
 
@@ -173,7 +168,6 @@ class FlowDirector {
   // The shared Section 3.3.2 group choice (migration_epoch.h); guarded by
   // mu_ like the table it reads.
   FlowGroupPicker picker_;
-  uint64_t cbpf_updates_ = 0;
   // Per-core parking record from the last FailOverCore: which groups left
   // and where they went, so RecoverCore can bring back exactly the ones the
   // balancer has not since reassigned.

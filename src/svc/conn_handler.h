@@ -78,7 +78,6 @@ enum class WorkloadKind : uint8_t {
   kAccept,  // one connection per request: 1 byte, then close (AcceptHandler)
   kEcho,    // echo-N: mirror each request line back, N rounds per connection
   kStatic,  // in-memory object table keyed by the request line
-  kThink,   // CPU burn before echoing (app::ComputeJob-style think time)
   kStream,  // chunked static content: one response larger than any buffer
 };
 
@@ -87,11 +86,9 @@ bool ParseWorkload(const char* name, WorkloadKind* out);
 
 // Knobs for the built-in handlers (unused fields ignored per kind).
 struct HandlerParams {
-  // kEcho/kThink: server closes after this many rounds; 0 = serve until the
-  // client closes.
+  // kEcho/kStream: server closes after this many rounds; 0 = serve until
+  // the client closes.
   int echo_rounds = 0;
-  // kThink: busy-burn per request, the paper's Figure 8 think-time knob.
-  int think_us = 100;
   // kStatic: object table shape ("obj<i>" keys, deterministic contents).
   int num_objects = 64;
   int object_bytes = 512;

@@ -64,7 +64,7 @@ struct ConnState {
   // survives kWantWrite parking without the state machine growing a phase.
   uint32_t stream_remaining = 0;
 
-  // Response cursor. resp_data points into req_buf (echo/think) or into
+  // Response cursor. resp_data points into req_buf (echo) or into
   // handler-owned storage that outlives every connection (static content);
   // the handler never copies payload bytes.
   const char* resp_data = nullptr;

@@ -31,8 +31,6 @@ const char* WorkloadName(WorkloadKind kind) {
       return "echo";
     case WorkloadKind::kStatic:
       return "static";
-    case WorkloadKind::kThink:
-      return "think";
     case WorkloadKind::kStream:
       return "stream";
   }
@@ -46,8 +44,6 @@ bool ParseWorkload(const char* name, WorkloadKind* out) {
     *out = WorkloadKind::kEcho;
   } else if (std::strcmp(name, "static") == 0) {
     *out = WorkloadKind::kStatic;
-  } else if (std::strcmp(name, "think") == 0) {
-    *out = WorkloadKind::kThink;
   } else if (std::strcmp(name, "stream") == 0) {
     *out = WorkloadKind::kStream;
   } else {
@@ -57,17 +53,6 @@ bool ParseWorkload(const char* name, WorkloadKind* out) {
 }
 
 const char* StaticNotFoundBody() { return kNotFound; }
-
-void BurnCpuUs(uint64_t us) {
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::microseconds(us);
-  // volatile sink so the arithmetic is real work the optimizer keeps.
-  volatile uint64_t sink = 0;
-  while (std::chrono::steady_clock::now() < deadline) {
-    for (int i = 0; i < 64; ++i) {
-      sink = sink + static_cast<uint64_t>(i);
-    }
-  }
-}
 
 Verdict AcceptHandler::OnAccept(const ConnRef& c) {
   // One byte is enough for the client to observe end-to-end completion. The
@@ -274,17 +259,6 @@ void StaticHandler::BuildResponse(const ConnRef& c, uint32_t req_len) {
   StageHead(st, st->resp_len);
 }
 
-void ThinkHandler::BuildResponse(const ConnRef& c, uint32_t req_len) {
-  // The think time is application CPU attributable to the request, burned
-  // on the SERVING core -- which for a stolen connection is the thief, the
-  // locality cost the paper's Figure 8 sweep measures.
-  BurnCpuUs(static_cast<uint64_t>(think_us_));
-  ConnState* st = c.st;
-  st->resp_data = st->req_buf;
-  st->resp_len = req_len;
-  StageHead(st, req_len);
-}
-
 StreamHandler::StreamHandler(int chunk_bytes, int chunks, int max_rounds)
     : RequestResponseHandler(max_rounds),
       chunk_bytes_(chunk_bytes < 1 ? 1u : static_cast<uint32_t>(chunk_bytes)),
@@ -327,9 +301,6 @@ std::unique_ptr<ConnHandler> MakeHandler(WorkloadKind kind, const HandlerParams&
     case WorkloadKind::kStatic:
       return std::unique_ptr<ConnHandler>(
           new StaticHandler(params.num_objects, params.object_bytes));
-    case WorkloadKind::kThink:
-      return std::unique_ptr<ConnHandler>(
-          new ThinkHandler(params.think_us, params.echo_rounds));
     case WorkloadKind::kStream:
       return std::unique_ptr<ConnHandler>(new StreamHandler(
           params.stream_chunk_bytes, params.stream_chunks, params.echo_rounds));

@@ -4,9 +4,7 @@
 //  - EchoHandler:    echo-N, the request-reuse axis of Figure 7 (N rounds
 //                    per connection amortize the accept),
 //  - StaticHandler:  in-memory object table keyed by the request line, the
-//                    static-content file-size axis of Figure 9,
-//  - ThinkHandler:   CPU burn before the reply, the think-time axis of
-//                    Figure 8 (app::ComputeJob's busy-loop, live).
+//                    static-content file-size axis of Figure 9.
 //
 // Protocol of the request/response handlers (shared with rt::LoadClient): a
 // request is one newline-terminated line; a response is "<payload-len>\n"
@@ -116,19 +114,6 @@ class StaticHandler : public RequestResponseHandler {
   std::vector<std::string> objects_;
 };
 
-class ThinkHandler : public RequestResponseHandler {
- public:
-  ThinkHandler(int think_us, int max_rounds)
-      : RequestResponseHandler(max_rounds), think_us_(think_us) {}
-  const char* name() const override { return "think"; }
-
- protected:
-  void BuildResponse(const ConnRef& c, uint32_t req_len) override;
-
- private:
-  int think_us_;
-};
-
 // Chunked static content: every request is answered with one response of
 // stream_chunks * stream_chunk_bytes payload bytes, framed with the total
 // up front but staged one chunk at a time through RestageChunk. The point
@@ -154,9 +139,6 @@ class StreamHandler : public RequestResponseHandler {
   uint32_t chunk_bytes_;
   uint32_t chunks_;
 };
-
-// Busy-burns approximately `us` microseconds of CPU (steady-clock bounded).
-void BurnCpuUs(uint64_t us);
 
 // The fixed not-found payload StaticHandler serves for unknown keys.
 const char* StaticNotFoundBody();

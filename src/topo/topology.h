@@ -4,9 +4,9 @@
 // The whole paper rests on the Table-1 cost cliff: a local L3 hit costs
 // ~28 cycles, a remote-socket L3 hit ~460. Every layer of this runtime that
 // picks a "peer core" -- the 5:1 steal scan (Section 3.3.1), failover group
-// parking, the PerCorePool's remote-free slow path -- pays that cliff, so
-// every one of them consults this model instead of treating all cores as
-// equidistant.
+// parking -- or places connection memory -- the PerCorePool's per-node
+// arenas -- pays that cliff, so every one of them consults this model
+// instead of treating all cores as equidistant.
 //
 // Discovery follows the established seam style (fault::SysIface,
 // obs::hwprof::CounterSource): a TopologySource virtual interface with a

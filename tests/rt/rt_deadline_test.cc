@@ -449,6 +449,7 @@ TEST(RtDeadlineTest, DrainDeadlineAbortsTheHeldRemainder) {
   config.num_threads = 2;
   config.workload = svc::WorkloadKind::kEcho;
   config.idle_timeout_ms = 60'000;  // enabled, but far past the drain window
+  config.drain_deadline_ms = 250;
   Runtime runtime(config);
   std::string error;
   ASSERT_TRUE(runtime.Start(&error)) << error;
@@ -458,7 +459,7 @@ TEST(RtDeadlineTest, DrainDeadlineAbortsTheHeldRemainder) {
   ASSERT_TRUE(EchoRound(fd));  // now held open, idle, never closing
 
   auto t0 = std::chrono::steady_clock::now();
-  runtime.Stop(/*drain_deadline_ms=*/250);
+  runtime.Stop();
   auto elapsed = std::chrono::steady_clock::now() - t0;
   EXPECT_GE(elapsed, std::chrono::milliseconds(250));
 

@@ -106,10 +106,13 @@ TEST_P(RtRuntimeTest, ServesLoopbackConnections) {
   // Pool books balance: every accepted connection got exactly one block
   // (unless the pool itself refused, which counts as an overflow drop) and
   // every block went back to its owner by the time Stop() returned.
-  EXPECT_EQ(totals.pool.allocs, totals.accepted - totals.pool_exhausted);
-  EXPECT_EQ(totals.pool.frees, totals.pool.allocs);
   ASSERT_NE(runtime.conn_pool(), nullptr);
+  EXPECT_EQ(runtime.conn_pool()->StatsSnapshot().allocs,
+            totals.accepted - totals.pool_exhausted);
   EXPECT_EQ(runtime.conn_pool()->live_objects(), 0u);
+  // An accept-workload connection is one round, and its serving core frees
+  // its block: the remote frees are the rounds served off the acceptor.
+  EXPECT_EQ(totals.conn_remote_frees, totals.requests_remote_core);
   if (GetParam() == RtMode::kStock) {
     // One shared queue: everything counts as local, nothing is stolen.
     EXPECT_EQ(totals.served_remote, 0u);
@@ -263,21 +266,22 @@ TEST_P(RtLocalityTest, LedgerConservesAndHwprofCountsThroughScriptedSeam) {
     // 0.9 is a generous floor for a test host; the bench reports the real
     // number (~1.0) alongside stock/fine for the strict comparison.
     EXPECT_GE(totals.locality_fraction(), 0.9);
-    // Every remote-served request sits on a connection that migrated.
+    // Every remote-served request sits on a connection served off its
+    // acceptor, whose block the serving core freed remotely.
     if (totals.requests_remote_core > 0) {
-      EXPECT_GT(totals.conn_migrations, 0u);
+      EXPECT_GT(totals.conn_remote_frees, 0u);
     }
   }
   // hwprof through the scripted seam: every reactor's group opened and the
-  // synthetic counters flowed through phase attribution into the totals.
-  EXPECT_TRUE(totals.hwprof_enabled);
-  EXPECT_EQ(totals.hw_available_cores, 4);
-  EXPECT_GT(totals.hw_cycles, 0u);
-  EXPECT_GT(totals.hw_task_clock_ns, 0u);
-  ASSERT_NE(runtime.hwprof(), nullptr);
-  EXPECT_GT(runtime.hwprof()->PhaseEntries(obs::hwprof::Phase::kEpollWait), 0u);
-  EXPECT_GT(runtime.hwprof()->PhaseEntries(obs::hwprof::Phase::kServe), 0u);
-  EXPECT_GT(runtime.hwprof()->PhaseEntries(obs::hwprof::Phase::kAccept), 0u);
+  // synthetic counters flowed through phase attribution into the estimates.
+  const obs::hwprof::HwProf* hwprof = runtime.hwprof();
+  ASSERT_NE(hwprof, nullptr);
+  EXPECT_EQ(hwprof->AvailableCores(), 4);
+  EXPECT_GT(hwprof->EstimatedTotal(obs::hwprof::HwEvent::kCycles), 0u);
+  EXPECT_GT(hwprof->EstimatedTotal(obs::hwprof::HwEvent::kTaskClock), 0u);
+  EXPECT_GT(hwprof->PhaseEntries(obs::hwprof::Phase::kEpollWait), 0u);
+  EXPECT_GT(hwprof->PhaseEntries(obs::hwprof::Phase::kServe), 0u);
+  EXPECT_GT(hwprof->PhaseEntries(obs::hwprof::Phase::kAccept), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, RtLocalityTest,
@@ -319,13 +323,13 @@ TEST(RtHwprofTest, UnavailablePmuDegradesButStillServes) {
   EXPECT_EQ(client.errors(), 0u);
 
   RtTotals totals = runtime.Totals();
-  EXPECT_TRUE(totals.hwprof_enabled);
-  EXPECT_EQ(totals.hw_available_cores, 0);
-  EXPECT_EQ(totals.hw_cycles, 0u);
-  EXPECT_EQ(totals.hw_task_clock_ns, 0u);
-  ASSERT_NE(runtime.hwprof(), nullptr);
-  EXPECT_EQ(runtime.hwprof()->unavailable_reason(0), "scripted: perf_event_paranoid=3");
-  EXPECT_GT(runtime.hwprof()->PhaseEntries(obs::hwprof::Phase::kServe), 0u);
+  const obs::hwprof::HwProf* hwprof = runtime.hwprof();
+  ASSERT_NE(hwprof, nullptr);
+  EXPECT_EQ(hwprof->AvailableCores(), 0);
+  EXPECT_EQ(hwprof->EstimatedTotal(obs::hwprof::HwEvent::kCycles), 0u);
+  EXPECT_EQ(hwprof->EstimatedTotal(obs::hwprof::HwEvent::kTaskClock), 0u);
+  EXPECT_EQ(hwprof->unavailable_reason(0), "scripted: perf_event_paranoid=3");
+  EXPECT_GT(hwprof->PhaseEntries(obs::hwprof::Phase::kServe), 0u);
   ASSERT_GT(totals.requests, 0u);
   EXPECT_EQ(totals.requests_local_core + totals.requests_remote_core, totals.requests);
 }

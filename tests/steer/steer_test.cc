@@ -394,7 +394,7 @@ TEST(SteerEndToEndTest, CbpfDeliversConnectionsToTheOwningShard) {
   rt::Runtime runtime(SteerConfig(/*force_fallback=*/false, /*migrate_interval_ms=*/0));
   std::string error;
   ASSERT_TRUE(runtime.Start(&error)) << error;
-  if (runtime.kernel_steering() != KernelSteering::kAttached) {
+  if (runtime.director()->kernel_steering() != KernelSteering::kAttached) {
     GTEST_SKIP() << "SO_ATTACH_REUSEPORT_CBPF unavailable here; fallback covered below";
   }
 
@@ -416,8 +416,8 @@ TEST(SteerEndToEndTest, FallbackServesCorrectly) {
   rt::Runtime runtime(SteerConfig(/*force_fallback=*/true, /*migrate_interval_ms=*/0));
   std::string error;
   ASSERT_TRUE(runtime.Start(&error)) << error;
-  EXPECT_EQ(runtime.kernel_steering(), KernelSteering::kFallback);
   ASSERT_NE(runtime.director(), nullptr);
+  EXPECT_EQ(runtime.director()->kernel_steering(), KernelSteering::kFallback);
 
   EXPECT_EQ(RunClient(runtime.port(), 400, {}), 0u);
   runtime.Stop();
@@ -427,7 +427,7 @@ TEST(SteerEndToEndTest, FallbackServesCorrectly) {
   EXPECT_EQ(totals.accepted, totals.accounted());
   EXPECT_EQ(totals.admission_shed, 0u);
   EXPECT_EQ(totals.migrations, 0u);
-  EXPECT_EQ(runtime.director()->cbpf_updates(), 0u);
+  EXPECT_EQ(totals.steer_cbpf, 0u);
 }
 
 // Skewed load (every source port's group owned by core 0) plus the 100 ms
@@ -483,7 +483,7 @@ TEST(SteerEndToEndTest, CbpfGaugeFollowsAMidRunDegrade) {
   rt::Runtime runtime(config);
   std::string error;
   ASSERT_TRUE(runtime.Start(&error)) << error;
-  if (runtime.kernel_steering() != KernelSteering::kAttached) {
+  if (runtime.director()->kernel_steering() != KernelSteering::kAttached) {
     GTEST_SKIP() << "the kernel refused the first SO_ATTACH_REUSEPORT_CBPF, so there is no "
                     "attached state to degrade from";
   }
@@ -499,7 +499,7 @@ TEST(SteerEndToEndTest, CbpfGaugeFollowsAMidRunDegrade) {
 
   rt::RtTotals totals = runtime.Totals();
   EXPECT_GT(totals.migrations, 0u);
-  EXPECT_EQ(runtime.kernel_steering(), KernelSteering::kFallback);
+  EXPECT_EQ(runtime.director()->kernel_steering(), KernelSteering::kFallback);
   EXPECT_EQ(totals.steer_cbpf, 0u);
   EXPECT_EQ(totals.steer_groups_owned, runtime.director()->table().num_groups());
   EXPECT_EQ(totals.accepted, totals.accounted());

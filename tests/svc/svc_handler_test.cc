@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -363,20 +362,6 @@ TEST(SvcHandlerTest, StaticServesKnownKeyAndRejectsUnknown) {
   }
 }
 
-TEST(SvcHandlerTest, ThinkBurnsAtLeastTheConfiguredCpu) {
-  ScriptedSys sys;
-  sys.reads = {ScriptedSys::Data("work\n")};
-  ThinkHandler handler(/*think_us=*/2000, /*max_rounds=*/0);
-  ConnState st;
-  ConnRef c = MakeConn(&st, &sys);
-
-  auto t0 = std::chrono::steady_clock::now();
-  EXPECT_EQ(handler.OnAccept(c), Verdict::kWantRead);
-  auto burned = std::chrono::steady_clock::now() - t0;
-  EXPECT_GE(std::chrono::duration_cast<std::chrono::microseconds>(burned).count(), 2000);
-  EXPECT_EQ(sys.written, "4\nwork");
-}
-
 TEST(SvcHandlerTest, StreamServesTheFullFramedPayloadAcrossChunks) {
   ScriptedSys sys;
   sys.reads = {ScriptedSys::Data("go\n")};
@@ -443,8 +428,7 @@ TEST(SvcHandlerTest, StreamHonorsMaxRounds) {
 
 TEST(SvcHandlerTest, WorkloadNamesRoundTrip) {
   for (WorkloadKind kind : {WorkloadKind::kAccept, WorkloadKind::kEcho,
-                            WorkloadKind::kStatic, WorkloadKind::kThink,
-                            WorkloadKind::kStream}) {
+                            WorkloadKind::kStatic, WorkloadKind::kStream}) {
     WorkloadKind parsed;
     ASSERT_TRUE(ParseWorkload(WorkloadName(kind), &parsed)) << WorkloadName(kind);
     EXPECT_EQ(parsed, kind);
@@ -464,9 +448,6 @@ TEST(SvcHandlerTest, MakeHandlerMatchesWorkloads) {
   auto stat = MakeHandler(WorkloadKind::kStatic, params);
   ASSERT_NE(stat, nullptr);
   EXPECT_STREQ(stat->name(), "static");
-  auto think = MakeHandler(WorkloadKind::kThink, params);
-  ASSERT_NE(think, nullptr);
-  EXPECT_STREQ(think->name(), "think");
   params.stream_chunk_bytes = 16;
   params.stream_chunks = 8;
   auto stream = MakeHandler(WorkloadKind::kStream, params);

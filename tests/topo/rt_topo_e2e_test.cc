@@ -46,37 +46,44 @@ void ExpectDistanceConservation(const RtTotals& totals) {
                                totals.steals_cross_node);
 }
 
-RtTotals RunOnce(RtMode mode, topo::TopologySource* source, topo::TopoMode topo_mode,
-                 uint64_t conns) {
+RtConfig TopoConfig(RtMode mode, topo::TopologySource* source, topo::TopoMode topo_mode) {
   RtConfig config;
   config.mode = mode;
   config.num_threads = 4;
   config.topo_mode = topo_mode;
   config.topo_source = source;
-  Runtime runtime(config);
+  return config;
+}
+
+// Serves `conns` connections and stops the runtime; its topology stays
+// readable on runtime->topology().
+RtTotals RunOnce(Runtime* runtime, uint64_t conns) {
   std::string error;
-  EXPECT_TRUE(runtime.Start(&error)) << error;
+  EXPECT_TRUE(runtime->Start(&error)) << error;
 
   LoadClientConfig client_config;
-  client_config.port = runtime.port();
+  client_config.port = runtime->port();
   client_config.num_threads = 4;
   client_config.max_conns = conns;
   LoadClient client(client_config);
   client.Start();
   client.WaitForMaxConns();
   client.Stop();
-  runtime.Stop();
-  return runtime.Totals();
+  runtime->Stop();
+  return runtime->Totals();
 }
 
 TEST(RtTopoE2eTest, DistanceLedgerConservesInEveryMode) {
   topo::ScriptedTopologySource source(topo::TwoSocketMap(4));
   for (RtMode mode : {RtMode::kStock, RtMode::kFine, RtMode::kAffinity}) {
-    RtTotals totals = RunOnce(mode, &source, topo::TopoMode::kAuto, 200);
-    EXPECT_EQ(topo::TopoOrigin::kScripted, totals.topo_origin) << RtModeName(mode);
-    EXPECT_EQ(2, totals.numa_nodes) << RtModeName(mode);
-    EXPECT_EQ(2, totals.llc_domains) << RtModeName(mode);
-    EXPECT_TRUE(totals.topo_flat_reason.empty()) << totals.topo_flat_reason;
+    Runtime runtime(TopoConfig(mode, &source, topo::TopoMode::kAuto));
+    RtTotals totals = RunOnce(&runtime, 200);
+    ASSERT_NE(runtime.topology(), nullptr);
+    const topo::Topology& model = *runtime.topology();
+    EXPECT_EQ(topo::TopoOrigin::kScripted, model.origin()) << RtModeName(mode);
+    EXPECT_EQ(2, model.num_nodes()) << RtModeName(mode);
+    EXPECT_EQ(2, model.num_llc_domains()) << RtModeName(mode);
+    EXPECT_TRUE(model.flat_reason().empty()) << model.flat_reason();
     ExpectDistanceConservation(totals);
   }
 }
@@ -84,12 +91,14 @@ TEST(RtTopoE2eTest, DistanceLedgerConservesInEveryMode) {
 TEST(RtTopoE2eTest, ForcedFlatCollapsesEveryDistanceClass) {
   // topo_mode=flat ignores discovery: one node, one LLC, and the whole
   // remote split folds into same_llc -- with the reason spelled out.
-  RtTotals totals = RunOnce(RtMode::kAffinity, nullptr, topo::TopoMode::kFlat, 200);
-  EXPECT_EQ(topo::TopoOrigin::kFlat, totals.topo_origin);
-  EXPECT_EQ(1, totals.numa_nodes);
-  EXPECT_EQ(1, totals.llc_domains);
-  EXPECT_NE(std::string::npos, totals.topo_flat_reason.find("configured"))
-      << totals.topo_flat_reason;
+  Runtime runtime(TopoConfig(RtMode::kAffinity, nullptr, topo::TopoMode::kFlat));
+  RtTotals totals = RunOnce(&runtime, 200);
+  ASSERT_NE(runtime.topology(), nullptr);
+  const topo::Topology& model = *runtime.topology();
+  EXPECT_EQ(topo::TopoOrigin::kFlat, model.origin());
+  EXPECT_EQ(1, model.num_nodes());
+  EXPECT_EQ(1, model.num_llc_domains());
+  EXPECT_NE(std::string::npos, model.flat_reason().find("configured")) << model.flat_reason();
   EXPECT_EQ(0u, totals.requests_cross_llc);
   EXPECT_EQ(0u, totals.requests_cross_node);
   ExpectDistanceConservation(totals);
@@ -99,9 +108,11 @@ TEST(RtTopoE2eTest, ScriptedSourceRejectingTheRunDegradesToFlatLoudly) {
   // A 2-core script under a 4-reactor run cannot describe the machine; the
   // runtime must come up flat and say why, not guess.
   topo::ScriptedTopologySource source(topo::TwoSocketMap(2));
-  RtTotals totals = RunOnce(RtMode::kAffinity, &source, topo::TopoMode::kAuto, 100);
-  EXPECT_EQ(topo::TopoOrigin::kFlat, totals.topo_origin);
-  EXPECT_FALSE(totals.topo_flat_reason.empty());
+  Runtime runtime(TopoConfig(RtMode::kAffinity, &source, topo::TopoMode::kAuto));
+  RtTotals totals = RunOnce(&runtime, 100);
+  ASSERT_NE(runtime.topology(), nullptr);
+  EXPECT_EQ(topo::TopoOrigin::kFlat, runtime.topology()->origin());
+  EXPECT_FALSE(runtime.topology()->flat_reason().empty());
   ExpectDistanceConservation(totals);
 }
 

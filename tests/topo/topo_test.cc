@@ -1,7 +1,7 @@
 // Tests for src/topo/: sysfs discovery against canned trees, the scripted
 // source and its script parser, the Topology distance model, and the three
-// consumers whose peer-core choices it orders -- the steal scan, failover
-// parking, and the PerCorePool's remote-free distance ledger. The flat
+// consumers it places work or memory for -- the steal scan, failover
+// parking, and the PerCorePool's node-local arenas. The flat
 // cases pin the degradation contract: no topology and a flat topology must
 // behave byte-for-byte like the legacy topology-blind code.
 
@@ -407,54 +407,7 @@ TEST(FlowDirectorTopoTest, EveryoneBusyStillParksOnTheNearestClass) {
   EXPECT_EQ(4u, parks.same_llc);
 }
 
-// --- the pool's remote-free distance ledger ---
-
-TEST(ConnPoolTopoTest, RemoteFreesSplitByDistanceClass) {
-  // Hybrid map: cores 0-2 on node 0 (0 and 1 share an LLC, 2 has its own),
-  // core 3 on node 1 -- one freeing core per distance class.
-  TopoMap map;
-  map.cores.resize(4);
-  map.cores[0] = CorePlace{-1, 0, 0};
-  map.cores[1] = CorePlace{-1, 0, 0};
-  map.cores[2] = CorePlace{-1, 1, 0};
-  map.cores[3] = CorePlace{-1, 2, 1};
-  Topology topo = Topology::FromMap(map, TopoOrigin::kScripted);
-  PerCorePool<uint64_t> pool(4, 8, &topo);
-
-  PerCorePool<uint64_t>::Handle a = pool.Alloc(0);
-  PerCorePool<uint64_t>::Handle b = pool.Alloc(0);
-  PerCorePool<uint64_t>::Handle c = pool.Alloc(0);
-  PerCorePool<uint64_t>::Handle d = pool.Alloc(0);
-  ASSERT_NE(PerCorePool<uint64_t>::kNullHandle, d);
-
-  pool.Free(0, a);  // owner free: not remote at all
-  pool.Free(1, b);  // same LLC
-  pool.Free(2, c);  // same node, different LLC
-  pool.Free(3, d);  // remote socket
-
-  SlabStats stats = pool.StatsSnapshot();
-  EXPECT_EQ(3u, stats.remote_frees);
-  EXPECT_EQ(1u, stats.remote_frees_same_llc);
-  EXPECT_EQ(1u, stats.remote_frees_cross_llc);
-  EXPECT_EQ(1u, stats.remote_frees_cross_node);
-  EXPECT_EQ(stats.remote_frees, stats.remote_frees_same_llc +
-                                    stats.remote_frees_cross_llc +
-                                    stats.remote_frees_cross_node);
-}
-
-TEST(ConnPoolTopoTest, FlatPoolCountsEveryRemoteFreeAsSameLlc) {
-  PerCorePool<uint64_t> pool(4, 8, nullptr);
-  PerCorePool<uint64_t>::Handle a = pool.Alloc(0);
-  PerCorePool<uint64_t>::Handle b = pool.Alloc(0);
-  pool.Free(2, a);
-  pool.Free(3, b);
-  SlabStats stats = pool.StatsSnapshot();
-  EXPECT_EQ(2u, stats.remote_frees);
-  // One LLC is all a flat machine has: the conservation law still holds.
-  EXPECT_EQ(2u, stats.remote_frees_same_llc);
-  EXPECT_EQ(0u, stats.remote_frees_cross_llc);
-  EXPECT_EQ(0u, stats.remote_frees_cross_node);
-}
+// --- the pool's node-local arenas ---
 
 TEST(ConnPoolTopoTest, ArenasStayRecyclableAcrossDistanceClasses) {
   // Free-from-everywhere then re-alloc everything: the remote-free stacks
