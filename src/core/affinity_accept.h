@@ -20,9 +20,7 @@
 #define AFFINITY_SRC_CORE_AFFINITY_ACCEPT_H_
 
 #include "src/balance/balance_policy.h"
-#include "src/balance/busy_tracker.h"
 #include "src/balance/flow_migrator.h"
-#include "src/balance/steal_policy.h"
 #include "src/core/experiment.h"
 #include "src/core/reporter.h"
 #include "src/hw/nic.h"

@@ -25,10 +25,6 @@ const char* TraceEventTypeName(TraceEventType type) {
       return "reactor_recover";
     case TraceEventType::kAdmissionShed:
       return "admission_shed";
-    case TraceEventType::kConnOpen:
-      return "conn_open";
-    case TraceEventType::kConnClose:
-      return "conn_close";
   }
   return "?";
 }
@@ -133,13 +129,6 @@ std::string TraceRing::DumpToString() const {
         std::snprintf(line, sizeof(line), "%12llu ns seq=%llu core=%d admission_shed qlen=%u\n",
                       static_cast<unsigned long long>(ev.t_ns),
                       static_cast<unsigned long long>(ev.seq), ev.core, ev.qlen);
-        break;
-      case TraceEventType::kConnOpen:
-      case TraceEventType::kConnClose:
-        std::snprintf(line, sizeof(line), "%12llu ns seq=%llu core=%d %s reqs=%u\n",
-                      static_cast<unsigned long long>(ev.t_ns),
-                      static_cast<unsigned long long>(ev.seq), ev.core,
-                      TraceEventTypeName(ev.type), ev.qlen);
         break;
     }
     out += line;

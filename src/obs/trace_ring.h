@@ -31,9 +31,6 @@ enum class TraceEventType : uint8_t {
   kReactorDead,   // watchdog failover: src reactor marked dead by core's reactor
   kReactorRecover,  // src reactor came back; failover reversed
   kAdmissionShed,   // shaped overload: connection accepted then shed (RST)
-  kConnOpen,        // handler conn entered service on `core`
-  kConnClose,       // handler conn left service on `core`; qlen = requests
-                    // served on the connection
 };
 
 const char* TraceEventTypeName(TraceEventType type);

@@ -106,8 +106,8 @@ void Reactor::Run() {
   ListenSource own;
   own.fd = shared_->listen_fds[stock ? 0 : static_cast<size_t>(index_)];
   own.qi = stock ? 0u : static_cast<uint32_t>(index_);
-  io_.WatchListen(own.fd);
   sources_.assign(1, own);
+  listening_ = false;
   open_head_ = kNullConn;
   open_count_ = 0;
   // The deadline wheel, anchored to the config clock's current reading.
@@ -123,14 +123,13 @@ void Reactor::Run() {
     deadline_ns_[k] = deadline_ms[k] > 0 ? static_cast<uint64_t>(deadline_ms[k]) * 1'000'000ull : 0;
     deadlines_enabled_ = deadlines_enabled_ || deadline_ns_[k] != 0;
   }
-  drain_unwatched_ = false;
 
   // EMFILE rescue reserve: one fd held back so fd exhaustion can still
   // accept-and-RST (keeping the backlog moving) instead of wedging.
   reserve_fd_ = open("/dev/null", O_RDONLY | O_CLOEXEC);
   backoff_ms_ = 0;
   backoff_until_ = std::chrono::steady_clock::time_point{};
-  backoff_unwatched_ = false;
+  SyncListenWatch(std::chrono::steady_clock::now());
 
   bool migrate = shared_->director != nullptr && config_.migrate_interval_ms > 0;
   auto migrate_period = std::chrono::milliseconds(migrate ? config_.migrate_interval_ms : 1);
@@ -158,14 +157,6 @@ void Reactor::Run() {
         // A peer failed us over while we were stalled; reverse it.
         SelfRecover();
       }
-    }
-    if (shared_->draining.load(std::memory_order_acquire) && !drain_unwatched_) {
-      // Graceful drain: stop accepting (unwatch every listen source) but
-      // keep serving queued and open connections.
-      for (const ListenSource& src : sources_) {
-        io_.UnwatchListen(src.fd);
-      }
-      drain_unwatched_ = true;
     }
     // The 1 ms cap keeps stop and cross-ring work (stolen connections pushed
     // by other shards) noticed even when our own shard is idle; the wheel's
@@ -223,14 +214,9 @@ void Reactor::Run() {
                       [this](timer::TimerEntry* e) { OnDeadlineExpiry(e); });
     }
     auto now = std::chrono::steady_clock::now();
-    if (backoff_unwatched_ && now >= backoff_until_ && !drain_unwatched_) {
-      // The fd-exhaustion window has closed: listen again, adopted shards
-      // included. The 1 ms wait cap bounds how late this pass comes.
-      for (const ListenSource& src : sources_) {
-        io_.WatchListen(src.fd);
-      }
-      backoff_unwatched_ = false;
-    }
+    // A drain stops accepting and an fd-exhaustion window pauses it; the
+    // 1 ms wait cap bounds how late this pass notices either.
+    SyncListenWatch(now);
     if (migrate && now >= next_migrate) {
       // The paper's long-term balancer: every 100 ms each (non-busy) core
       // makes its own migration decision. The epoll timeout above bounds
@@ -317,16 +303,16 @@ void Reactor::TryFailover(int dead) {
   // there (and, in fallback steering, keeps hashing there) would otherwise
   // strand. Stock mode's shared fd needs no adoption; every reactor polls
   // it already. Accepts land on the dead core's ring by default, where
-  // forced-busy stealing drains them. A draining runtime adopts nothing:
-  // accepting is over for everyone. Inside an fd-exhaustion window the
-  // shard joins the epoll set with the other sources when the window ends.
-  if (config_.mode != RtMode::kStock &&
-      !shared_->draining.load(std::memory_order_acquire)) {
+  // forced-busy stealing drains them. The shard is watched with this
+  // reactor's other sources: now if it is listening, else when
+  // SyncListenWatch next listens (never, once draining).
+  if (config_.mode != RtMode::kStock) {
     ListenSource src;
     src.fd = shared_->listen_fds[static_cast<size_t>(dead)];
     src.qi = static_cast<uint32_t>(dead);
-    if (backoff_unwatched_ || io_.WatchListen(src.fd)) {
-      sources_.push_back(src);
+    sources_.push_back(src);
+    if (listening_) {
+      io_.WatchListen(src.fd);
     }
   }
   Trace({.type = obs::TraceEventType::kReactorDead, .src = static_cast<int16_t>(dead)});
@@ -361,7 +347,9 @@ void Reactor::SelfRecover() {
 void Reactor::ReleaseRecoveredAdoptions() {
   for (size_t i = sources_.size(); i-- > 1;) {
     if (!shared_->domains->IsDead(static_cast<int>(sources_[i].qi))) {
-      io_.UnwatchListen(sources_[i].fd);
+      if (listening_) {
+        io_.UnwatchListen(sources_[i].fd);
+      }
       sources_.erase(sources_.begin() + static_cast<long>(i));
     }
   }
@@ -430,21 +418,32 @@ void Reactor::FdExhaustionRescue(int listen_fd) {
   // are level-triggered, so they leave the epoll set for the window: else
   // every epoll_wait would return at once and spin the loop until it ends.
   backoff_ms_ = backoff_ms_ == 0 ? kBackoffFirstMs : std::min(backoff_ms_ * 2, kBackoffCapMs);
-  backoff_until_ = std::chrono::steady_clock::now() + std::chrono::milliseconds(backoff_ms_);
+  auto now = std::chrono::steady_clock::now();
+  backoff_until_ = now + std::chrono::milliseconds(backoff_ms_);
   hot_.accept_backoff->fetch_add(1, std::memory_order_relaxed);
-  if (!backoff_unwatched_) {
-    for (const ListenSource& src : sources_) {
+  SyncListenWatch(now);
+}
+
+void Reactor::SyncListenWatch(std::chrono::steady_clock::time_point now) {
+  const bool listen = !shared_->draining.load(std::memory_order_acquire) && now >= backoff_until_;
+  if (listen == listening_) {
+    return;
+  }
+  for (const ListenSource& src : sources_) {
+    if (listen) {
+      io_.WatchListen(src.fd);
+    } else {
       io_.UnwatchListen(src.fd);
     }
-    backoff_unwatched_ = true;
   }
+  listening_ = listen;
 }
 
 void Reactor::AcceptBatch(const ListenSource& src) {
   const size_t default_qi = src.qi;
-  if (std::chrono::steady_clock::now() < backoff_until_) {
-    // fd-exhaustion backoff window, opened by an earlier event of this
-    // epoll batch: leave the backlog queued.
+  if (!listening_) {
+    // An earlier event of this epoll batch opened an fd-exhaustion backoff
+    // window: leave the backlog queued.
     return;
   }
   // Stage 0: how many connections wait. A TCP listener reports its accept
@@ -768,7 +767,7 @@ void Reactor::Serve(ConnHandle handle, bool local) {
   NoteRounds(conn, /*prev_rounds=*/0);
   if (verdict == svc::Verdict::kClose || verdict == svc::Verdict::kRstClose) {
     // Over in one call (every accept-workload connection): no open-list
-    // entry, no timer, no open/close trace -- only the shared release,
+    // entry, no timer -- only the shared release,
     // whose pool free is the paper's remote deallocation when this
     // connection was stolen or re-steered here.
     --open_count_;
@@ -777,7 +776,6 @@ void Reactor::Serve(ConnHandle handle, bool local) {
     return;
   }
   OpenListAdd(handle, conn);
-  Trace({.type = obs::TraceEventType::kConnOpen});
   Finish(handle, conn, verdict);
 }
 
@@ -966,7 +964,6 @@ void Reactor::CloseConn(ConnHandle handle, PendingConn* conn, bool rst,
   OpenListRemove(handle, conn);
   --open_count_;
   hot_.open_conns->store(open_count_, std::memory_order_relaxed);
-  Trace({.type = obs::TraceEventType::kConnClose, .qlen = conn->svc.rounds_done});
   ReleaseConn(handle, conn, rst, unserved);
 }
 

@@ -268,7 +268,7 @@ class Reactor {
   // false; deadline arming must not touch the conn after that.
   bool Arm(ConnHandle handle, PendingConn* conn, uint32_t want);
   // Every close path for a connection on the open list: timer cancel,
-  // open-list removal, trace, then ReleaseConn. `unserved` is the ledger
+  // open-list removal, then ReleaseConn. `unserved` is the ledger
   // cell a close that is not service counts into instead of served: a
   // deadline class's rt_timeouts_* (expiry or pool-pressure eviction) or
   // rt_aborted_at_stop (CloseAllOpen). Null = served.
@@ -359,6 +359,11 @@ class Reactor {
   // epoll set until the window closes, so the loop sleeps instead of
   // spinning on a readiness it will not act on.
   void FdExhaustionRescue(int listen_fd);
+  // The one listen-watch rule: puts every listen source in the epoll set
+  // when this reactor should accept (not draining, and `now` past any
+  // fd-exhaustion window) and takes them out otherwise, then records the
+  // answer in `listening_`. Run() calls it once per loop pass.
+  void SyncListenWatch(std::chrono::steady_clock::time_point now);
 
   int index_;
   ReactorShared* shared_;
@@ -388,14 +393,14 @@ class Reactor {
   uint64_t DeadlineNs(DeadlineKind kind) const {
     return deadline_ns_[static_cast<int>(kind) - 1];
   }
-  // Drain entry is edge-triggered per reactor: the first loop iteration
-  // that observes shared_->draining unwatches every listen source once.
-  bool drain_unwatched_ = false;
-  // Capped exponential accept backoff after fd exhaustion. While
-  // `backoff_unwatched_`, the listen sources are out of the epoll set.
+  // Capped exponential accept backoff after fd exhaustion: no accept4
+  // before `backoff_until_`.
   std::chrono::steady_clock::time_point backoff_until_{};
   int backoff_ms_ = 0;
-  bool backoff_unwatched_ = false;
+  // The listen sources are in the epoll set: this reactor is not draining
+  // and no fd-exhaustion window is open. SyncListenWatch keeps it true to
+  // both.
+  bool listening_ = false;
 
   // This core's pre-resolved cell of every table metric (see
   // obs::MetricsRegistry::Cell), plus index views over some of them.

@@ -237,7 +237,7 @@ class Runtime {
   const topo::Topology* topology() const { return topo_.get(); }
 
   // Balancer decision trace: each core's trailing window of decisions
-  // (steals, busy flips, drops, migrations, failovers, conn open/close),
+  // (steals, busy flips, drops and sheds, migrations, failovers),
   // capacity_per_core() slots deep. Never null.
   const obs::TraceRing* trace() const { return trace_.get(); }
 

@@ -237,7 +237,7 @@ Connection* ListenSocket::OnAck(ExecCtx& ctx, const Packet& packet, uint64_t con
 
   queue.connections.push_back(conn);
   if (config_.variant == AcceptVariant::kAffinity) {
-    if (balance_.OnEnqueue(core, queue.connections.size())) {
+    if (balance_.OnEnqueueBatch(core, 1, queue.connections.size())) {
       ctx.MemLine(busy_bits_line_, kWrite);  // busy bit flipped
     }
   }
@@ -328,7 +328,7 @@ Connection* ListenSocket::DequeueFrom(ExecCtx& ctx, size_t qi, LockContext conte
   }
   ctx.EndLock(lock);
   if (conn != nullptr && config_.variant == AcceptVariant::kAffinity) {
-    if (balance_.OnDequeue(static_cast<CoreId>(qi), queue.connections.size())) {
+    if (balance_.OnDequeueBatch(static_cast<CoreId>(qi), 1, queue.connections.size())) {
       ctx.MemLine(busy_bits_line_, kWrite);
     }
   }

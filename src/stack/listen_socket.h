@@ -106,12 +106,9 @@ class ListenSocket {
   void ParkPoller(Thread* thread, CoreId core);
 
   // --- balancer hooks ---
-  // The watermark/EWMA/proportional-share policy, through the interface the
-  // runtime (src/rt/) shares. The concrete trackers stay reachable for cost
-  // accounting and tests.
+  // The watermark/EWMA/proportional-share policy, the class the runtime
+  // (src/rt/) runs behind its lock.
   BalancePolicy& balance() { return balance_; }
-  BusyTracker& busy_tracker() { return balance_.busy(); }
-  StealPolicy& steal_policy() { return balance_.steals(); }
   const ListenStats& stats() const { return stats_; }
   void ResetStats() { stats_ = ListenStats{}; }
   int max_local_queue_len() const { return max_local_len_; }
@@ -169,7 +166,7 @@ class ListenSocket {
   LineId rr_cursor_line_ = 0;             // Fine-Accept's shared dequeue cursor
 
   int max_local_len_;
-  WatermarkBalancePolicy balance_;
+  BalancePolicy balance_;
   uint64_t rr_cursor_ = 0;
   ListenStats stats_;
 };

@@ -1,14 +1,16 @@
-// BalancePolicy adapter tests: the simulator's WatermarkBalancePolicy and
-// the runtime's LockedBalancePolicy must make byte-for-byte identical
-// decisions from identical event sequences -- that equivalence is what lets
-// the live-socket runtime claim to execute the paper's policy, not a
-// reimplementation of it.
+// BalancePolicy tests: the simulator's BalancePolicy and the runtime's
+// LockedBalancePolicy must make byte-for-byte identical decisions from
+// identical event sequences -- that equivalence is what lets the
+// live-socket runtime claim to execute the paper's policy, not a
+// reimplementation of it. The lock must also cover every call the runtime
+// makes through a BalancePolicy*.
 
 #include "src/balance/balance_policy.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 namespace affinity {
@@ -31,11 +33,11 @@ class Lcg {
 };
 
 TEST(BalancePolicyTest, FiveToOneProportionalShare) {
-  WatermarkBalancePolicy sim(kCores, kMaxLocalLen);
+  BalancePolicy sim(kCores, kMaxLocalLen);
   LockedBalancePolicy rt(kCores, kMaxLocalLen);
 
   // With the paper's 5:1 tuning, exactly one accept in every six goes
-  // remote, on both adapters, in the same positions.
+  // remote, on both policies, in the same positions.
   int sim_steals = 0;
   int rt_steals = 0;
   for (int i = 1; i <= 60; ++i) {
@@ -57,7 +59,7 @@ TEST(BalancePolicyTest, FiveToOneProportionalShare) {
 TEST(BalancePolicyTest, CustomStealRatioRespected) {
   BalanceTuning tuning;
   tuning.steal_ratio = 2;  // 2 local : 1 remote
-  WatermarkBalancePolicy sim(kCores, kMaxLocalLen, tuning);
+  BalancePolicy sim(kCores, kMaxLocalLen, tuning);
   LockedBalancePolicy rt(kCores, kMaxLocalLen, tuning);
   for (int i = 1; i <= 12; ++i) {
     bool expected = i % 3 == 0;
@@ -67,18 +69,18 @@ TEST(BalancePolicyTest, CustomStealRatioRespected) {
 }
 
 TEST(BalancePolicyTest, WatermarkTransitionsMatchOnBothAdapters) {
-  WatermarkBalancePolicy sim(kCores, kMaxLocalLen);
+  BalancePolicy sim(kCores, kMaxLocalLen);
   LockedBalancePolicy rt(kCores, kMaxLocalLen);
 
   // Below the 75% high watermark: not busy.
-  EXPECT_FALSE(sim.OnEnqueue(0, 75));
-  EXPECT_FALSE(rt.OnEnqueue(0, 75));
+  EXPECT_FALSE(sim.OnEnqueueBatch(0, 1, 75));
+  EXPECT_FALSE(rt.OnEnqueueBatch(0, 1, 75));
   EXPECT_FALSE(sim.IsBusy(0));
   EXPECT_FALSE(rt.IsBusy(0));
 
-  // Crossing it flips the bit (both adapters report the flip).
-  EXPECT_TRUE(sim.OnEnqueue(0, 76));
-  EXPECT_TRUE(rt.OnEnqueue(0, 76));
+  // Crossing it flips the bit (both policies report the flip).
+  EXPECT_TRUE(sim.OnEnqueueBatch(0, 1, 76));
+  EXPECT_TRUE(rt.OnEnqueueBatch(0, 1, 76));
   EXPECT_TRUE(sim.IsBusy(0));
   EXPECT_TRUE(rt.IsBusy(0));
   EXPECT_TRUE(sim.AnyBusy());
@@ -88,19 +90,19 @@ TEST(BalancePolicyTest, WatermarkTransitionsMatchOnBothAdapters) {
 
   // An instantaneous dip does NOT clear the bit: the EWMA (seeded at 76)
   // must first decay below the 10% low watermark.
-  EXPECT_FALSE(sim.OnDequeue(0, 0));
-  EXPECT_FALSE(rt.OnDequeue(0, 0));
+  EXPECT_FALSE(sim.OnDequeueBatch(0, 1, 0));
+  EXPECT_FALSE(rt.OnDequeueBatch(0, 1, 0));
   EXPECT_TRUE(sim.IsBusy(0));
   EXPECT_TRUE(rt.IsBusy(0));
 
-  // Drain: both adapters shed the busy bit on the same event.
+  // Drain: both policies shed the busy bit on the same event.
   int sim_cleared_at = -1;
   int rt_cleared_at = -1;
   for (int i = 0; i < 2000 && (sim_cleared_at < 0 || rt_cleared_at < 0); ++i) {
-    if (sim.OnDequeue(0, 0) && sim_cleared_at < 0) {
+    if (sim.OnDequeueBatch(0, 1, 0) && sim_cleared_at < 0) {
       sim_cleared_at = i;
     }
-    if (rt.OnDequeue(0, 0) && rt_cleared_at < 0) {
+    if (rt.OnDequeueBatch(0, 1, 0) && rt_cleared_at < 0) {
       rt_cleared_at = i;
     }
   }
@@ -113,13 +115,13 @@ TEST(BalancePolicyTest, WatermarkTransitionsMatchOnBothAdapters) {
 }
 
 TEST(BalancePolicyTest, VictimSelectionRoundRobinMatches) {
-  WatermarkBalancePolicy sim(kCores, kMaxLocalLen);
+  BalancePolicy sim(kCores, kMaxLocalLen);
   LockedBalancePolicy rt(kCores, kMaxLocalLen);
 
-  // Make cores 1 and 3 busy on both adapters.
+  // Make cores 1 and 3 busy on both policies.
   for (CoreId busy_core : {1, 3}) {
-    EXPECT_TRUE(sim.OnEnqueue(busy_core, 80));
-    EXPECT_TRUE(rt.OnEnqueue(busy_core, 80));
+    EXPECT_TRUE(sim.OnEnqueueBatch(busy_core, 1, 80));
+    EXPECT_TRUE(rt.OnEnqueueBatch(busy_core, 1, 80));
   }
 
   // Round-robin one past the last victim: 1, 3, 1, 3, ... for thief 0.
@@ -145,10 +147,10 @@ TEST(BalancePolicyTest, VictimSelectionRoundRobinMatches) {
   EXPECT_EQ(rt.PickAnyVictim(0, only_thief), kNoCore);
 }
 
-// Lock-step fuzz: a long randomized event sequence applied to both adapters
+// Lock-step fuzz: a long randomized event sequence applied to both policies
 // must produce identical observable behaviour at every single step.
 TEST(BalancePolicyTest, LockStepFuzzParity) {
-  WatermarkBalancePolicy sim(kCores, kMaxLocalLen);
+  BalancePolicy sim(kCores, kMaxLocalLen);
   LockedBalancePolicy rt(kCores, kMaxLocalLen);
   Lcg rng(0xA11FEEDu);
   std::vector<size_t> queue_len(kCores, 0);
@@ -165,7 +167,8 @@ TEST(BalancePolicyTest, LockStepFuzzParity) {
             break;
           }
           ++len;
-          ASSERT_EQ(sim.OnEnqueue(core, len), rt.OnEnqueue(core, len)) << "step " << step;
+          ASSERT_EQ(sim.OnEnqueueBatch(core, 1, len), rt.OnEnqueueBatch(core, 1, len))
+              << "step " << step;
         }
         break;
       }
@@ -178,7 +181,8 @@ TEST(BalancePolicyTest, LockStepFuzzParity) {
             break;
           }
           --len;
-          ASSERT_EQ(sim.OnDequeue(core, len), rt.OnDequeue(core, len)) << "step " << step;
+          ASSERT_EQ(sim.OnDequeueBatch(core, 1, len), rt.OnDequeueBatch(core, 1, len))
+              << "step " << step;
         }
         break;
       }
@@ -210,7 +214,7 @@ TEST(BalancePolicyTest, LockStepFuzzParity) {
 }
 
 TEST(BalancePolicyTest, ForcedBusyOverridesWatermarks) {
-  WatermarkBalancePolicy policy(kCores, kMaxLocalLen);
+  BalancePolicy policy(kCores, kMaxLocalLen);
   EXPECT_FALSE(policy.IsBusy(2));
   EXPECT_FALSE(policy.AnyBusy());
 
@@ -232,12 +236,12 @@ TEST(BalancePolicyTest, ForcedBusyOverridesWatermarks) {
 }
 
 TEST(BalancePolicyTest, ForcedBusySuppressesFlipReportsButNotState) {
-  WatermarkBalancePolicy policy(kCores, kMaxLocalLen);
+  BalancePolicy policy(kCores, kMaxLocalLen);
   policy.SetForcedBusy(1, true);
 
   // While forced, crossing the high watermark cannot flip the effective bit
   // (it is already pinned on), so no flip is reported...
-  EXPECT_FALSE(policy.OnEnqueue(1, static_cast<size_t>(kMaxLocalLen)));
+  EXPECT_FALSE(policy.OnEnqueueBatch(1, 1, static_cast<size_t>(kMaxLocalLen)));
   uint64_t to_busy = policy.transitions_to_busy();
 
   // ...but the underlying watermark state did update: after the pin lifts,
@@ -248,8 +252,8 @@ TEST(BalancePolicyTest, ForcedBusySuppressesFlipReportsButNotState) {
   // empty-queue updates to decay below the low watermark.
   for (int i = 0; i < 1000 && policy.IsBusy(1); ++i) {
     EXPECT_FALSE(policy.IsForcedBusy(1));
-    policy.OnDequeue(1, 0);
-    policy.OnEnqueue(1, 0);
+    policy.OnDequeueBatch(1, 1, 0);
+    policy.OnEnqueueBatch(1, 1, 0);
   }
   EXPECT_FALSE(policy.IsBusy(1));
   EXPECT_GE(policy.transitions_to_busy(), to_busy);
@@ -264,6 +268,65 @@ TEST(BalancePolicyTest, ForcedBusyLockedAdapterMatches) {
   policy.SetForcedBusy(3, false);
   EXPECT_FALSE(policy.IsBusy(3));
   EXPECT_FALSE(policy.AnyBusy());
+}
+
+// Four threads drive every virtual method through the base pointer the
+// runtime holds. Each override takes the mutex, so the threads never touch
+// the policy's state at once: an override that went missing would run the
+// unlocked body, which TSan reports as a race and which can lose a steal.
+TEST(BalancePolicyTest, LockedPolicySerializesThroughTheBasePointer) {
+  LockedBalancePolicy locked(kCores, kMaxLocalLen);
+  BalancePolicy* policy = &locked;
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 2000;
+  std::vector<uint64_t> steals(kThreads, 0);
+  std::vector<uint64_t> sinks(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([policy, t, &steals, &sinks] {
+      const CoreId me = static_cast<CoreId>(t);
+      const CoreId peer = static_cast<CoreId>((t + 1) % kCores);
+      uint64_t sink = 0;
+      for (int i = 0; i < kRounds; ++i) {
+        // Queue lengths sweep past the high watermark, so busy bits flip.
+        size_t len = static_cast<size_t>(i % kMaxLocalLen);
+        sink += policy->OnEnqueueBatch(me, 1, len) ? 1 : 0;
+        sink += policy->OnDequeueBatch(me, 1, len / 2) ? 1 : 0;
+        policy->SetForcedBusy(me, i % 64 == 0);
+        sink += policy->IsBusy(peer) ? 1 : 0;
+        sink += policy->AnyBusy() ? 1 : 0;
+        sink += policy->EwmaValue(peer) > 0.0 ? 1 : 0;
+        sink += policy->ShouldStealThisTime(me) ? 1 : 0;
+        CoreId victim = policy->PickBusyVictim(me);
+        if (victim != kNoCore) {
+          policy->OnSteal(me, victim);
+          ++steals[static_cast<size_t>(t)];
+        }
+        victim = policy->PickAnyVictim(me, [](CoreId c) { return c % 2 == 0; });
+        if (victim != kNoCore) {
+          policy->OnSteal(me, victim);
+          ++steals[static_cast<size_t>(t)];
+        }
+        if (i % 100 == 99) {
+          CoreId top = policy->TopVictimOf(me);
+          if (top != kNoCore) {
+            sink += policy->EpochSteals(me, top);
+          }
+          policy->ResetEpochCounts(me);
+        }
+      }
+      sinks[static_cast<size_t>(t)] = sink;
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  uint64_t counted = 0;
+  for (uint64_t n : steals) {
+    counted += n;
+  }
+  EXPECT_GT(counted, 0u);
+  EXPECT_EQ(locked.total_steals(), counted);
 }
 
 }  // namespace

@@ -4,112 +4,110 @@
 #include <gtest/gtest.h>
 
 #include "src/balance/balance_policy.h"
-#include "src/balance/busy_tracker.h"
 #include "src/balance/flow_migrator.h"
-#include "src/balance/steal_policy.h"
 #include "src/sim/event_loop.h"
 
 namespace affinity {
 namespace {
 
-TEST(BusyTrackerTest, StartsNonBusy) {
-  BusyTracker tracker(4, 64);
+TEST(BalancePolicyBusyTest, StartsNonBusy) {
+  BalancePolicy policy(4, 64);
   for (CoreId c = 0; c < 4; ++c) {
-    EXPECT_FALSE(tracker.IsBusy(c));
+    EXPECT_FALSE(policy.IsBusy(c));
   }
-  EXPECT_FALSE(tracker.AnyBusy());
+  EXPECT_FALSE(policy.AnyBusy());
 }
 
-TEST(BusyTrackerTest, WatermarksFromMaxLocalLen) {
-  BusyTracker tracker(4, 64);
-  EXPECT_EQ(tracker.high_watermark(), 48u);  // 75% of 64
-  EXPECT_EQ(tracker.low_watermark(), 6u);    // 10% of 64
+TEST(BalancePolicyBusyTest, WatermarksFromMaxLocalLen) {
+  BalancePolicy policy(4, 64);
+  EXPECT_EQ(policy.high_watermark(), 48u);  // 75% of 64
+  EXPECT_EQ(policy.low_watermark(), 6u);    // 10% of 64
 }
 
-TEST(BusyTrackerTest, EwmaAlphaIsHalfInverseMaxLen) {
+TEST(BalancePolicyBusyTest, EwmaAlphaIsHalfInverseMaxLen) {
   // "EWMA's alpha parameter is set to one over twice the max local accept
   //  queue length (for example, if ... 64, alpha is set to 1/128)".
-  BusyTracker tracker(1, 64);
-  tracker.OnEnqueue(0, 32);  // below the high watermark: pure EWMA update
-  EXPECT_NEAR(tracker.EwmaValue(0), 32.0 / 128.0, 1e-9);
+  BalancePolicy policy(1, 64);
+  policy.OnEnqueueBatch(0, 1, 32);  // below the high watermark: pure EWMA update
+  EXPECT_NEAR(policy.EwmaValue(0), 32.0 / 128.0, 1e-9);
 }
 
-TEST(BusyTrackerTest, InstantaneousLengthAboveHighMarksBusy) {
-  BusyTracker tracker(2, 64);
-  EXPECT_FALSE(tracker.OnEnqueue(0, 48));  // at the watermark: not yet
-  EXPECT_TRUE(tracker.OnEnqueue(0, 49));   // above: busy (bit flipped)
-  EXPECT_TRUE(tracker.IsBusy(0));
-  EXPECT_TRUE(tracker.AnyBusy());
-  EXPECT_EQ(tracker.busy_count(), 1);
+TEST(BalancePolicyBusyTest, InstantaneousLengthAboveHighMarksBusy) {
+  BalancePolicy policy(2, 64);
+  EXPECT_FALSE(policy.OnEnqueueBatch(0, 1, 48));  // at the watermark: not yet
+  EXPECT_TRUE(policy.OnEnqueueBatch(0, 1, 49));   // above: busy (bit flipped)
+  EXPECT_TRUE(policy.IsBusy(0));
+  EXPECT_TRUE(policy.AnyBusy());
+  EXPECT_FALSE(policy.IsBusy(1));
 }
 
-TEST(BusyTrackerTest, SecondCrossingDoesNotReflip) {
-  BusyTracker tracker(2, 64);
-  tracker.OnEnqueue(0, 50);
-  EXPECT_FALSE(tracker.OnEnqueue(0, 55));  // already busy: no transition
+TEST(BalancePolicyBusyTest, SecondCrossingDoesNotReflip) {
+  BalancePolicy policy(2, 64);
+  policy.OnEnqueueBatch(0, 1, 50);
+  EXPECT_FALSE(policy.OnEnqueueBatch(0, 1, 55));  // already busy: no transition
 }
 
-TEST(BusyTrackerTest, ClearingRequiresEwmaBelowLowWatermark) {
-  BusyTracker tracker(2, 64);
-  tracker.OnEnqueue(0, 60);
-  EXPECT_TRUE(tracker.IsBusy(0));
+TEST(BalancePolicyBusyTest, ClearingRequiresEwmaBelowLowWatermark) {
+  BalancePolicy policy(2, 64);
+  policy.OnEnqueueBatch(0, 1, 60);
+  EXPECT_TRUE(policy.IsBusy(0));
   // One short queue sample does not clear it: the EWMA is still high.
-  EXPECT_FALSE(tracker.OnEnqueue(0, 0));
-  EXPECT_TRUE(tracker.IsBusy(0));
+  EXPECT_FALSE(policy.OnEnqueueBatch(0, 1, 0));
+  EXPECT_TRUE(policy.IsBusy(0));
   // Sustained empty queue decays the average below 10% eventually.
   bool cleared = false;
   for (int i = 0; i < 1000 && !cleared; ++i) {
-    cleared = tracker.OnEnqueue(0, 0);
+    cleared = policy.OnEnqueueBatch(0, 1, 0);
   }
   EXPECT_TRUE(cleared);
-  EXPECT_FALSE(tracker.IsBusy(0));
+  EXPECT_FALSE(policy.IsBusy(0));
 }
 
-TEST(BusyTrackerTest, OscillationDoesNotClearBusy) {
+TEST(BalancePolicyBusyTest, OscillationDoesNotClearBusy) {
   // The hysteresis the paper designed for: bursts make the instantaneous
   // length oscillate around a high average; the busy bit must hold.
-  BusyTracker tracker(2, 64);
-  tracker.OnEnqueue(0, 60);
+  BalancePolicy policy(2, 64);
+  policy.OnEnqueueBatch(0, 1, 60);
   for (int i = 0; i < 200; ++i) {
-    tracker.OnEnqueue(0, i % 2 == 0 ? 30 : 50);
+    policy.OnEnqueueBatch(0, 1, i % 2 == 0 ? 30 : 50);
   }
-  EXPECT_TRUE(tracker.IsBusy(0));
+  EXPECT_TRUE(policy.IsBusy(0));
 }
 
-TEST(BusyTrackerTest, DequeueDecayClearsDrainedCore) {
-  BusyTracker tracker(2, 64);
-  tracker.OnEnqueue(0, 60);
+TEST(BalancePolicyBusyTest, DequeueDecayClearsDrainedCore) {
+  BalancePolicy policy(2, 64);
+  policy.OnEnqueueBatch(0, 1, 60);
   bool cleared = false;
   for (int i = 0; i < 2000 && !cleared; ++i) {
-    cleared = tracker.OnDequeue(0, 0);
+    cleared = policy.OnDequeueBatch(0, 1, 0);
   }
   EXPECT_TRUE(cleared);
 }
 
-TEST(BusyTrackerTest, TransitionCountersTrack) {
-  BusyTracker tracker(2, 8);
-  tracker.OnEnqueue(0, 7);  // busy (high = 6)
+TEST(BalancePolicyBusyTest, TransitionCountersTrack) {
+  BalancePolicy policy(2, 8);
+  policy.OnEnqueueBatch(0, 1, 7);  // busy (high = 6)
   for (int i = 0; i < 500; ++i) {
-    tracker.OnDequeue(0, 0);
+    policy.OnDequeueBatch(0, 1, 0);
   }
-  EXPECT_EQ(tracker.transitions_to_busy(), 1u);
-  EXPECT_EQ(tracker.transitions_to_nonbusy(), 1u);
+  EXPECT_EQ(policy.transitions_to_busy(), 1u);
+  EXPECT_EQ(policy.transitions_to_nonbusy(), 1u);
 }
 
 class WatermarkSweepTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(WatermarkSweepTest, HighWatermarkScalesWithMaxLen) {
   int max_len = GetParam();
-  BusyTracker tracker(2, max_len);
-  size_t high = tracker.high_watermark();
-  EXPECT_FALSE(tracker.OnEnqueue(0, high));
-  EXPECT_TRUE(tracker.OnEnqueue(0, high + 1));
+  BalancePolicy policy(2, max_len);
+  size_t high = policy.high_watermark();
+  EXPECT_FALSE(policy.OnEnqueueBatch(0, 1, high));
+  EXPECT_TRUE(policy.OnEnqueueBatch(0, 1, high + 1));
 }
 
 INSTANTIATE_TEST_SUITE_P(MaxLens, WatermarkSweepTest, ::testing::Values(8, 64, 128, 256, 1024));
 
-TEST(StealPolicyTest, ProportionalShareRatioFiveToOne) {
-  StealPolicy policy(4, 5);
+TEST(BalancePolicyStealTest, ProportionalShareRatioFiveToOne) {
+  BalancePolicy policy(4, 8);
   int steals = 0;
   for (int i = 0; i < 60; ++i) {
     if (policy.ShouldStealThisTime(0)) {
@@ -119,8 +117,8 @@ TEST(StealPolicyTest, ProportionalShareRatioFiveToOne) {
   EXPECT_EQ(steals, 10);  // exactly 1 in 6
 }
 
-TEST(StealPolicyTest, ShareCountersArePerCore) {
-  StealPolicy policy(2, 5);
+TEST(BalancePolicyStealTest, ShareCountersArePerCore) {
+  BalancePolicy policy(2, 8);
   for (int i = 0; i < 5; ++i) {
     EXPECT_FALSE(policy.ShouldStealThisTime(0));
   }
@@ -132,43 +130,40 @@ TEST(StealPolicyTest, ShareCountersArePerCore) {
   EXPECT_TRUE(policy.ShouldStealThisTime(1));
 }
 
-TEST(StealPolicyTest, PickBusyVictimRoundRobin) {
-  StealPolicy policy(4, 5);
-  BusyTracker busy(4, 8);
-  busy.OnEnqueue(1, 8);
-  busy.OnEnqueue(3, 8);
+TEST(BalancePolicyStealTest, PickBusyVictimRoundRobin) {
+  BalancePolicy policy(4, 8);
+  policy.OnEnqueueBatch(1, 1, 8);
+  policy.OnEnqueueBatch(3, 1, 8);
   // "starts searching for the next busy core one past the last core".
-  EXPECT_EQ(policy.PickBusyVictim(0, busy), 1);
-  EXPECT_EQ(policy.PickBusyVictim(0, busy), 3);
-  EXPECT_EQ(policy.PickBusyVictim(0, busy), 1);
+  EXPECT_EQ(policy.PickBusyVictim(0), 1);
+  EXPECT_EQ(policy.PickBusyVictim(0), 3);
+  EXPECT_EQ(policy.PickBusyVictim(0), 1);
 }
 
-TEST(StealPolicyTest, NoBusyVictim) {
-  StealPolicy policy(4, 5);
-  BusyTracker busy(4, 8);
-  EXPECT_EQ(policy.PickBusyVictim(0, busy), kNoCore);
+TEST(BalancePolicyStealTest, NoBusyVictim) {
+  BalancePolicy policy(4, 8);
+  EXPECT_EQ(policy.PickBusyVictim(0), kNoCore);
 }
 
-TEST(StealPolicyTest, NeverPicksSelf) {
-  StealPolicy policy(2, 5);
-  BusyTracker busy(2, 8);
-  busy.OnEnqueue(0, 8);  // the thief itself is busy
-  EXPECT_EQ(policy.PickBusyVictim(0, busy), kNoCore);
+TEST(BalancePolicyStealTest, NeverPicksSelf) {
+  BalancePolicy policy(2, 8);
+  policy.OnEnqueueBatch(0, 1, 8);  // the thief itself is busy
+  EXPECT_EQ(policy.PickBusyVictim(0), kNoCore);
 }
 
-TEST(StealPolicyTest, StealCountsAndTopVictim) {
-  StealPolicy policy(4, 5);
+TEST(BalancePolicyStealTest, StealCountsAndTopVictim) {
+  BalancePolicy policy(4, 8);
   policy.OnSteal(0, 1);
   policy.OnSteal(0, 2);
   policy.OnSteal(0, 2);
-  EXPECT_EQ(policy.steals(0, 2), 2u);
+  EXPECT_EQ(policy.EpochSteals(0, 2), 2u);
   EXPECT_EQ(policy.TopVictimOf(0), 2);
   EXPECT_EQ(policy.TopVictimOf(3), kNoCore);
   EXPECT_EQ(policy.total_steals(), 3u);
 }
 
-TEST(StealPolicyTest, ResetEpochClearsOneThief) {
-  StealPolicy policy(4, 5);
+TEST(BalancePolicyStealTest, ResetEpochClearsOneThief) {
+  BalancePolicy policy(4, 8);
   policy.OnSteal(0, 1);
   policy.OnSteal(2, 1);
   policy.ResetEpochCounts(0);
@@ -176,11 +171,11 @@ TEST(StealPolicyTest, ResetEpochClearsOneThief) {
   EXPECT_EQ(policy.TopVictimOf(2), 1);  // other thieves unaffected
 }
 
-TEST(StealPolicyTest, PickAnyVictimUsesPredicate) {
-  StealPolicy policy(4, 5);
-  CoreId victim = policy.PickAnyVictim(0, 4, [](CoreId c) { return c == 2; });
+TEST(BalancePolicyStealTest, PickAnyVictimUsesPredicate) {
+  BalancePolicy policy(4, 8);
+  CoreId victim = policy.PickAnyVictim(0, [](CoreId c) { return c == 2; });
   EXPECT_EQ(victim, 2);
-  victim = policy.PickAnyVictim(0, 4, [](CoreId) { return false; });
+  victim = policy.PickAnyVictim(0, [](CoreId) { return false; });
   EXPECT_EQ(victim, kNoCore);
 }
 
@@ -201,8 +196,8 @@ class FlowMigratorTest : public ::testing::Test {
 };
 
 TEST_F(FlowMigratorTest, MigratesOneGroupFromTopVictim) {
-  WatermarkBalancePolicy policy(4, 8);
-  policy.OnEnqueue(3, 8);  // core 3 busy
+  BalancePolicy policy(4, 8);
+  policy.OnEnqueueBatch(3, 1, 8);  // core 3 busy
   policy.OnSteal(0, 3);
   policy.OnSteal(0, 3);
 
@@ -218,21 +213,21 @@ TEST_F(FlowMigratorTest, MigratesOneGroupFromTopVictim) {
 }
 
 TEST_F(FlowMigratorTest, BusyCoresDoNotPull) {
-  WatermarkBalancePolicy policy(4, 8);
-  policy.OnEnqueue(0, 8);  // the would-be thief is itself busy
+  BalancePolicy policy(4, 8);
+  policy.OnEnqueueBatch(0, 1, 8);  // the would-be thief is itself busy
   policy.OnSteal(0, 3);
   migrator_->RunEpoch(loop_.Now(), &policy, 4);
   EXPECT_EQ(migrator_->migrations(), 0u);
 }
 
 TEST_F(FlowMigratorTest, NoStealsNoMigration) {
-  WatermarkBalancePolicy policy(4, 8);
+  BalancePolicy policy(4, 8);
   migrator_->RunEpoch(loop_.Now(), &policy, 4);
   EXPECT_EQ(migrator_->migrations(), 0u);
 }
 
 TEST_F(FlowMigratorTest, RepeatedEpochsDrainVictimGroups) {
-  WatermarkBalancePolicy policy(4, 8);
+  BalancePolicy policy(4, 8);
   // Victim 3 starts with 4 of 16 groups. Three epochs move three of them.
   for (int epoch = 0; epoch < 3; ++epoch) {
     policy.OnSteal(0, 3);

@@ -179,7 +179,7 @@ TEST(ExperimentTest, MigrationMovesFlowGroupsUnderImbalance) {
   }
   experiment.RunFor(SecToCycles(1.0));
   // Steals happened from the hogged cores and groups moved off their rings.
-  EXPECT_GT(experiment.kernel().listen().steal_policy().total_steals(), 0u);
+  EXPECT_GT(experiment.kernel().listen().balance().total_steals(), 0u);
   int groups_on_hogged = 0;
   const SimNic& nic = experiment.kernel().nic();
   for (uint32_t g = 0; g < nic.config().num_flow_groups; ++g) {

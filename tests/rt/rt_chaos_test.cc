@@ -159,6 +159,54 @@ TEST(RtChaosTest, ReactorKillSurvivorsKeepAccepting) {
   EXPECT_NE(runtime.trace()->DumpToString().find("reactor_dead"), std::string::npos);
 }
 
+// The trace ring holds balancer decisions, not per-connection events: the
+// failover's reactor_dead must still be in the adopter's ring after the
+// survivor has served twice a ring's worth of held connections. Fallback
+// steering parks the dead core's groups on the survivor, so its accepts
+// queue locally and it records no steals of its own.
+TEST(RtChaosTest, FailoverDecisionOutlivesHeldConnectionTraffic) {
+  RtConfig config;
+  config.mode = RtMode::kAffinity;
+  config.num_threads = 2;
+  config.steer = true;
+  config.steer_force_fallback = true;
+  config.watchdog_timeout_ms = 50;
+  config.workload = svc::WorkloadKind::kEcho;
+  config.fault_plan = fault::FaultPlan::ReactorKill(/*core=*/1, /*after_calls=*/200);
+  Runtime runtime(config);
+  std::string error;
+  ASSERT_TRUE(runtime.Start(&error)) << error;
+
+  LoadClientConfig client_config;
+  client_config.port = runtime.port();
+  client_config.num_threads = 4;
+  client_config.workload = svc::WorkloadKind::kEcho;
+  client_config.requests_per_conn = 8;
+  client_config.connect_timeout_ms = 2000;
+  LoadClient client(client_config);
+  client.Start();
+
+  EXPECT_TRUE(WaitFor([&] { return runtime.Totals().failovers >= 1; },
+                      std::chrono::seconds(10)))
+      << "watchdog never failed the killed reactor over";
+  ASSERT_NE(runtime.trace(), nullptr);
+  const uint64_t ring_slots = runtime.trace()->capacity_per_core();
+  const uint64_t served_at_failover = runtime.Totals().served();
+  EXPECT_TRUE(WaitFor(
+      [&] { return runtime.Totals().served() >= served_at_failover + 2 * ring_slots; },
+      std::chrono::seconds(30)))
+      << "the survivor stopped serving after the failover";
+
+  client.Stop();
+  runtime.Stop();
+
+  ExpectBooksBalance(runtime, client);
+  std::string trace = runtime.trace()->DumpToString();
+  EXPECT_NE(trace.find("reactor_dead"), std::string::npos)
+      << runtime.trace()->recorded() << " events recorded, " << runtime.trace()->dropped()
+      << " overwritten";
+}
+
 TEST(RtChaosTest, EmfileStormBacksOffAndBalances) {
   RtConfig config;
   config.mode = RtMode::kAffinity;

@@ -190,8 +190,8 @@ TEST_F(ListenSocketTest, HighWatermarkMarksBusy) {
   for (uint16_t i = 0; i < 4; ++i) {
     ASSERT_NE(Establish(3, static_cast<uint16_t>(100 + i), i + 1), nullptr);
   }
-  EXPECT_TRUE(listen_->busy_tracker().IsBusy(3));
-  EXPECT_FALSE(listen_->busy_tracker().IsBusy(0));
+  EXPECT_TRUE(listen_->balance().IsBusy(3));
+  EXPECT_FALSE(listen_->balance().IsBusy(0));
 }
 
 TEST_F(ListenSocketTest, NonBusyCoreStealsFromBusyCore) {
@@ -199,7 +199,7 @@ TEST_F(ListenSocketTest, NonBusyCoreStealsFromBusyCore) {
   for (uint16_t i = 0; i < 4; ++i) {
     Establish(3, static_cast<uint16_t>(100 + i), i + 1);
   }
-  ASSERT_TRUE(listen_->busy_tracker().IsBusy(3));
+  ASSERT_TRUE(listen_->balance().IsBusy(3));
 
   // Core 0 (non-busy, empty local queue) accepts: it must steal from core 3.
   Thread* t = sched_->Spawn(0, 0, true, [](ExecCtx&, Thread&) {});
@@ -209,7 +209,7 @@ TEST_F(ListenSocketTest, NonBusyCoreStealsFromBusyCore) {
   EXPECT_EQ(stolen->softirq_core, 3);
   EXPECT_EQ(stolen->accept_core, 0);
   EXPECT_EQ(listen_->stats().accepted_remote, 1u);
-  EXPECT_EQ(listen_->steal_policy().steals(0, 3), 1u);
+  EXPECT_EQ(listen_->balance().EpochSteals(0, 3), 1u);
   delete stolen;
 }
 
@@ -232,7 +232,7 @@ TEST_F(ListenSocketTest, BusyCoreNeverSteals) {
     Establish(2, static_cast<uint16_t>(100 + i), i + 1);
     Establish(3, static_cast<uint16_t>(200 + i), 10 + i);
   }
-  ASSERT_TRUE(listen_->busy_tracker().IsBusy(2));
+  ASSERT_TRUE(listen_->balance().IsBusy(2));
   // Core 2 accepts: local only, even though core 3 is also busy.
   Thread* t = sched_->Spawn(2, 0, true, [](ExecCtx&, Thread&) {});
   Connection* conn = nullptr;
@@ -252,8 +252,8 @@ TEST_F(ListenSocketTest, ProportionalShareStealsOneInSix) {
   for (uint16_t i = 0; i < 12; ++i) {
     Establish(0, static_cast<uint16_t>(100 + i), 1 + i);
   }
-  ASSERT_TRUE(listen_->busy_tracker().IsBusy(3));
-  ASSERT_FALSE(listen_->busy_tracker().IsBusy(0));
+  ASSERT_TRUE(listen_->balance().IsBusy(3));
+  ASSERT_FALSE(listen_->balance().IsBusy(0));
 
   Thread* t = sched_->Spawn(0, 0, true, [](ExecCtx&, Thread&) {});
   int local = 0;
@@ -277,7 +277,7 @@ TEST_F(ListenSocketTest, OnlyABlockingAcceptPollsANonBusyPeer) {
   Init(AcceptVariant::kAffinity, /*backlog=*/16);
   Connection* queued = Establish(2, 100, 1);
   ASSERT_NE(queued, nullptr);
-  ASSERT_FALSE(listen_->busy_tracker().IsBusy(2));
+  ASSERT_FALSE(listen_->balance().IsBusy(2));
   ASSERT_EQ(listen_->QueueLength(0), 0u);
 
   Thread* t = sched_->Spawn(0, 0, true, [](ExecCtx&, Thread&) {});
@@ -293,7 +293,7 @@ TEST_F(ListenSocketTest, OnlyABlockingAcceptPollsANonBusyPeer) {
   RunOnCore(0, [&](ExecCtx& ctx) { conn = listen_->Accept(ctx, t, /*park_on_empty=*/true); });
   ASSERT_EQ(conn, queued);
   EXPECT_EQ(conn->accept_core, 0);
-  EXPECT_EQ(listen_->steal_policy().steals(0, 2), 1u);
+  EXPECT_EQ(listen_->balance().EpochSteals(0, 2), 1u);
   EXPECT_EQ(listen_->stats().accepted_remote, 1u);
   EXPECT_EQ(listen_->stats().parked_accepts, 0u);
   delete conn;
@@ -318,7 +318,7 @@ TEST_F(ListenSocketTest, BusyVictimWithAnEmptyQueueFallsBackToLocal) {
     EXPECT_EQ(conn->softirq_core, 0) << "accept " << i;
     delete conn;
   }
-  EXPECT_EQ(listen_->steal_policy().steals(0, 3), 0u);
+  EXPECT_EQ(listen_->balance().EpochSteals(0, 3), 0u);
   EXPECT_EQ(listen_->stats().accepted_local, 6u);
   EXPECT_EQ(listen_->stats().accepted_remote, 0u);
 }

@@ -43,12 +43,12 @@ class SteerParityTest : public ::testing::Test {
 
   // Every policy event goes to both sides, so their histories are identical.
   void Enqueue(CoreId core, size_t len_after) {
-    sim_policy_.OnEnqueue(core, len_after);
-    rt_policy_.OnEnqueue(core, len_after);
+    sim_policy_.OnEnqueueBatch(core, 1, len_after);
+    rt_policy_.OnEnqueueBatch(core, 1, len_after);
   }
   void Dequeue(CoreId core, size_t len_after) {
-    sim_policy_.OnDequeue(core, len_after);
-    rt_policy_.OnDequeue(core, len_after);
+    sim_policy_.OnDequeueBatch(core, 1, len_after);
+    rt_policy_.OnDequeueBatch(core, 1, len_after);
   }
   void Steal(CoreId thief, CoreId victim) {
     sim_policy_.OnSteal(thief, victim);
@@ -84,8 +84,8 @@ class SteerParityTest : public ::testing::Test {
   std::unique_ptr<SimNic> nic_;
   std::unique_ptr<FlowGroupMigrator> migrator_;
   std::unique_ptr<FlowDirector> director_;
-  WatermarkBalancePolicy sim_policy_;
-  WatermarkBalancePolicy rt_policy_;
+  BalancePolicy sim_policy_;
+  LockedBalancePolicy rt_policy_;
   topo::Topology topo_ = topo::Topology::Flat(kCores, "parity default");
 };
 

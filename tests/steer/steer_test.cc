@@ -161,7 +161,7 @@ TEST(FlowDirectorTest, MigratesOneGroupFromTopVictim) {
   config.num_groups = 16;
   config.num_cores = 4;
   FlowDirector director(config);
-  WatermarkBalancePolicy policy(4, 8);
+  BalancePolicy policy(4, 8);
 
   // Core 0 stole three times from core 1, once from core 2.
   policy.OnSteal(0, 1);
@@ -188,9 +188,9 @@ TEST(FlowDirectorTest, BusyCoresDoNotPullGroups) {
   config.num_groups = 16;
   config.num_cores = 4;
   FlowDirector director(config);
-  WatermarkBalancePolicy policy(4, 8);
+  BalancePolicy policy(4, 8);
   policy.OnSteal(0, 1);
-  policy.OnEnqueue(0, 8);  // over the high watermark: core 0 is busy
+  policy.OnEnqueueBatch(0, 1, 8);  // over the high watermark: core 0 is busy
   Migration m;
   EXPECT_FALSE(director.MigrateForCore(0, &policy, &m));
   EXPECT_EQ(director.table().OwnedBy(0), 4);
@@ -202,7 +202,7 @@ TEST(FlowDirectorTest, RepeatedMigrationsRotateGroups) {
   config.num_groups = 16;
   config.num_cores = 4;
   FlowDirector director(config);
-  WatermarkBalancePolicy policy(4, 8);
+  BalancePolicy policy(4, 8);
   std::set<uint32_t> moved;
   for (int epoch = 0; epoch < 4; ++epoch) {
     policy.OnSteal(2, 3);
@@ -225,7 +225,7 @@ TEST(FlowDirectorTest, FailOverMovesEveryGroupAndRecoveryReverses) {
   config.num_groups = 16;
   config.num_cores = 4;
   FlowDirector director(config);
-  WatermarkBalancePolicy policy(4, 8);
+  BalancePolicy policy(4, 8);
 
   // The runtime pins the dead core busy before mass-migrating; mirror that,
   // so the dead core cannot be picked as its own failover target.
@@ -252,9 +252,9 @@ TEST(FlowDirectorTest, FailOverAvoidsBusySurvivors) {
   config.num_groups = 16;
   config.num_cores = 4;
   FlowDirector director(config);
-  WatermarkBalancePolicy policy(4, 8);
+  BalancePolicy policy(4, 8);
   policy.SetForcedBusy(1, true);
-  policy.OnEnqueue(3, 8);  // over the high watermark: core 3 is overloaded
+  policy.OnEnqueueBatch(3, 1, 8);  // over the high watermark: core 3 is overloaded
   ASSERT_TRUE(policy.IsBusy(3));
 
   EXPECT_EQ(4u, director.FailOverCore(1, &policy).total());
@@ -274,7 +274,7 @@ TEST(FlowDirectorTest, ChainedFailoverForwardsParksAndRecoveryReclaimsThemAll) {
   config.num_groups = 16;
   config.num_cores = 4;
   FlowDirector director(config);
-  WatermarkBalancePolicy policy(4, 8);
+  BalancePolicy policy(4, 8);
 
   // Core 1 dies; its groups park across {0, 2, 3}.
   policy.SetForcedBusy(1, true);
@@ -308,7 +308,7 @@ TEST(FlowDirectorTest, RecoveryLeavesBalancerRehomedGroupsWithTheirNewOwner) {
   config.num_groups = 16;
   config.num_cores = 4;
   FlowDirector director(config);
-  WatermarkBalancePolicy policy(4, 8);
+  BalancePolicy policy(4, 8);
 
   policy.SetForcedBusy(1, true);
   ASSERT_EQ(4u, director.FailOverCore(1, &policy).total());
@@ -324,7 +324,7 @@ TEST(FlowDirectorTest, RecoveryLeavesBalancerRehomedGroupsWithTheirNewOwner) {
     }
   }
   ASSERT_NE(kNoCore, park_host);
-  policy.OnEnqueue(park_host, 8);  // park host goes busy...
+  policy.OnEnqueueBatch(park_host, 1, 8);  // park host goes busy...
   ASSERT_TRUE(policy.IsBusy(park_host));
   CoreId thief = park_host == 3 ? 0 : 3;
   policy.OnSteal(thief, park_host);  // ...and a thief earns a migration
@@ -356,7 +356,7 @@ TEST(FlowDirectorTest, FailOverNeedsASurvivor) {
   config.num_groups = 4;
   config.num_cores = 1;
   FlowDirector director(config);
-  WatermarkBalancePolicy policy(1, 8);
+  BalancePolicy policy(1, 8);
   EXPECT_EQ(0u, director.FailOverCore(0, &policy).total());
   EXPECT_EQ(4, director.table().OwnedBy(0));
 }

@@ -15,8 +15,6 @@
 #include <vector>
 
 #include "src/balance/balance_policy.h"
-#include "src/balance/busy_tracker.h"
-#include "src/balance/steal_policy.h"
 #include "src/mem/conn_pool.h"
 #include "src/steer/flow_director.h"
 #include "src/topo/scripted_source.h"
@@ -268,9 +266,9 @@ TEST(ScriptedSourceTest, SourceDeclinesWhenMapIsTooSmall) {
 
 // --- the steal scan's victim order ---
 
-TEST(StealPolicyTopoTest, VictimClassesFollowTheDistanceModel) {
+TEST(BalancePolicyTopoTest, VictimClassesFollowTheDistanceModel) {
   Topology topo = Topology::FromMap(TwoSocketMap(4), TopoOrigin::kScripted);
-  StealPolicy policy(4, 5, &topo);
+  BalancePolicy policy(4, 8, BalanceTuning{}, &topo);
   const std::vector<std::vector<CoreId>>& classes = policy.VictimClasses(0);
   ASSERT_EQ(2u, classes.size());
   EXPECT_EQ((std::vector<CoreId>{1}), classes[0]);       // same LLC first
@@ -281,44 +279,46 @@ TEST(StealPolicyTopoTest, VictimClassesFollowTheDistanceModel) {
   EXPECT_EQ((std::vector<CoreId>{0, 1}), remote[1]);
 }
 
-TEST(StealPolicyTopoTest, SameLlcVictimBeatsRemoteEveryTime) {
+TEST(BalancePolicyTopoTest, SameLlcVictimBeatsRemoteEveryTime) {
   Topology topo = Topology::FromMap(TwoSocketMap(4), TopoOrigin::kScripted);
-  StealPolicy policy(4, 5, &topo);
-  BusyTracker busy(4, 8);
-  busy.SetForcedBusy(1, true);  // same LLC as thief 0
-  busy.SetForcedBusy(2, true);  // remote socket
+  BalancePolicy policy(4, 8, BalanceTuning{}, &topo);
+  policy.SetForcedBusy(1, true);  // same LLC as thief 0
+  policy.SetForcedBusy(2, true);  // remote socket
   // The legacy round-robin would alternate 1, 2, 1, 2...; the distance
   // order re-picks the same-LLC victim as long as it stays busy.
   for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(1, policy.PickBusyVictim(0, busy)) << "pick " << i;
+    EXPECT_EQ(1, policy.PickBusyVictim(0)) << "pick " << i;
   }
   // Only when the whole nearer class goes quiet does the scan pay the
   // cross-socket steal.
-  busy.SetForcedBusy(1, false);
-  EXPECT_EQ(2, policy.PickBusyVictim(0, busy));
+  policy.SetForcedBusy(1, false);
+  EXPECT_EQ(2, policy.PickBusyVictim(0));
 }
 
-TEST(StealPolicyTopoTest, FlatTopologyMatchesNoTopologyScanExactly) {
+TEST(BalancePolicyTopoTest, FlatTopologyMatchesNoTopologyScanExactly) {
   // The degradation contract: a flat Topology and no topology at all must
   // produce the same victim sequence for every busy pattern and cursor
   // state -- the legacy scan, byte for byte.
   const int kCores = 5;
   Topology flat = Topology::Flat(kCores, "test");
-  StealPolicy with_flat(kCores, 5, &flat);
-  StealPolicy without(kCores, 5, nullptr);
-  BusyTracker busy(kCores, 8);
+  BalancePolicy with_flat(kCores, 8, BalanceTuning{}, &flat);
+  BalancePolicy without(kCores, 8, BalanceTuning{}, nullptr);
+  // Both policies see the same busy pattern.
+  auto set_forced = [&](CoreId core, bool forced) {
+    with_flat.SetForcedBusy(core, forced);
+    without.SetForcedBusy(core, forced);
+  };
   // A busy pattern that shifts every few picks, exercising cursor wrap.
   for (int round = 0; round < 40; ++round) {
     for (int c = 0; c < kCores; ++c) {
-      busy.SetForcedBusy(c, ((round >> (c % 3)) & 1) != 0);
+      set_forced(c, ((round >> (c % 3)) & 1) != 0);
     }
     for (CoreId thief = 0; thief < kCores; ++thief) {
-      bool thief_busy = busy.IsBusy(thief);
-      busy.SetForcedBusy(thief, false);
-      EXPECT_EQ(without.PickBusyVictim(thief, busy),
-                with_flat.PickBusyVictim(thief, busy))
+      bool thief_busy = without.IsBusy(thief);
+      set_forced(thief, false);
+      EXPECT_EQ(without.PickBusyVictim(thief), with_flat.PickBusyVictim(thief))
           << "round " << round << " thief " << thief;
-      busy.SetForcedBusy(thief, thief_busy);
+      set_forced(thief, thief_busy);
     }
   }
 }
@@ -332,7 +332,7 @@ TEST(FlowDirectorTopoTest, FailoverParksOnTheSameLlcPeer) {
   config.num_cores = 4;
   config.topo = &topo;
   steer::FlowDirector director(config);
-  WatermarkBalancePolicy policy(4, 8);
+  BalancePolicy policy(4, 8);
 
   // Core 1 dies; core 0 shares its LLC and is idle, so every group parks
   // there -- nothing pays the cross-socket park.
@@ -361,12 +361,12 @@ TEST(FlowDirectorTopoTest, BusySameLlcPeerPushesParksAcrossTheSocket) {
   config.num_cores = 4;
   config.topo = &topo;
   steer::FlowDirector director(config);
-  WatermarkBalancePolicy policy(4, 8);
+  BalancePolicy policy(4, 8);
 
   // The whole near class is busy: the groups go remote rather than bury
   // the overloaded LLC-mate, rotating over both remote survivors.
   policy.SetForcedBusy(1, true);
-  policy.OnEnqueue(0, 8);
+  policy.OnEnqueueBatch(0, 1, 8);
   ASSERT_TRUE(policy.IsBusy(0));
   steer::ParkDistances parks = director.FailOverCore(1, &policy);
   ASSERT_EQ(4u, parks.total());
@@ -391,7 +391,7 @@ TEST(FlowDirectorTopoTest, EveryoneBusyStillParksOnTheNearestClass) {
   config.num_cores = 4;
   config.topo = &topo;
   steer::FlowDirector director(config);
-  WatermarkBalancePolicy policy(4, 8);
+  BalancePolicy policy(4, 8);
   for (int c = 0; c < 4; ++c) {
     policy.SetForcedBusy(c, true);
   }
