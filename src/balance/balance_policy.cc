@@ -1,7 +1,6 @@
 #include "src/balance/balance_policy.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace affinity {
 
@@ -10,113 +9,131 @@ BalancePolicy::BalancePolicy(int num_cores, int max_local_len, const BalanceTuni
     : num_cores_(num_cores),
       high_(static_cast<size_t>(std::max(1.0, tuning.high_watermark * max_local_len))),
       low_(static_cast<size_t>(std::max(1.0, tuning.low_watermark * max_local_len))),
-      busy_(static_cast<size_t>(num_cores), false),
-      forced_(static_cast<size_t>(num_cores), false),
+      // "EWMA's alpha parameter is set to one over twice the max local
+      //  accept queue length" (Section 3.3.1).
+      alpha_(1.0 / (2.0 * static_cast<double>(max_local_len))),
       steal_ratio_(tuning.steal_ratio),
-      share_counter_(static_cast<size_t>(num_cores), 0),
-      classes_(static_cast<size_t>(num_cores)),
-      cursors_(static_cast<size_t>(num_cores)),
-      counts_(static_cast<size_t>(num_cores) * static_cast<size_t>(num_cores), 0) {
-  assert(num_cores > 0);
+      cores_(new CachePadded<CoreSlot>[static_cast<size_t>(num_cores)]) {
+  assert(num_cores > 0 && num_cores <= kMaxCores);
   assert(max_local_len > 0);
   assert(steal_ratio_ >= 1);
   assert(topo == nullptr || topo->num_cores() >= num_cores);
-  // "EWMA's alpha parameter is set to one over twice the max local accept
-  //  queue length" (Section 3.3.1).
-  double alpha = 1.0 / (2.0 * static_cast<double>(max_local_len));
-  ewma_.reserve(static_cast<size_t>(num_cores));
   for (CoreId core = 0; core < num_cores; ++core) {
-    ewma_.emplace_back(alpha, 0.0);
-    classes_[Slot(core)] = topo::NearestFirstPeers(topo, core, num_cores);
-    cursors_[Slot(core)].assign(classes_[Slot(core)].size(), 0);
+    CoreSlot& slot = cores_[Slot(core)].value;
+    slot.classes = topo::NearestFirstPeers(topo, core, num_cores);
+    slot.cursors.assign(slot.classes.size(), 0);
+    slot.epoch_steals.assign(static_cast<size_t>(num_cores), 0);
+  }
+}
+
+void BalancePolicy::BindOwner(CoreId core) {
+  cores_[Slot(core)].value.owner.store(std::this_thread::get_id(), std::memory_order_relaxed);
+}
+
+double BalancePolicy::UpdateEwma(CoreId core, size_t len) {
+  std::atomic<double>& ewma = cores_[Slot(core)].value.ewma;
+  const double sample = static_cast<double>(len);
+  double v = ewma.load(std::memory_order_relaxed);
+  for (;;) {
+    const double next = v + alpha_ * (sample - v);
+    if (ewma.compare_exchange_weak(v, next, std::memory_order_relaxed)) {
+      return next;
+    }
   }
 }
 
 bool BalancePolicy::SetBusy(CoreId core, bool busy) {
-  if (busy_[Slot(core)] == busy) {
+  std::atomic<uint64_t>& word = bits_.busy[Word(core)];
+  const uint64_t mask = Mask(core);
+  // Read first: a report that flips nothing leaves the line shared.
+  if (((word.load(std::memory_order_relaxed) & mask) != 0) == busy) {
     return false;
   }
-  busy_[Slot(core)] = busy;
-  busy_count_ += busy ? 1 : -1;
-  if (busy) {
-    ++to_busy_;
-  } else {
-    ++to_nonbusy_;
+  const uint64_t old = busy ? word.fetch_or(mask, std::memory_order_relaxed)
+                            : word.fetch_and(~mask, std::memory_order_relaxed);
+  if (((old & mask) != 0) == busy) {
+    return false;  // a racing reporter made this flip
   }
+  (busy ? bits_.to_busy : bits_.to_nonbusy).fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
-bool BalancePolicy::ClearIfDecayed(CoreId core) {
-  if (busy_[Slot(core)] && ewma_[Slot(core)].value() < static_cast<double>(low_)) {
-    return SetBusy(core, false) && !forced_[Slot(core)];
+bool BalancePolicy::ClearIfDecayed(CoreId core, double ewma) {
+  if (ewma < static_cast<double>(low_)) {
+    return SetBusy(core, false) && !IsForcedBusy(core);
   }
   return false;
 }
 
 bool BalancePolicy::OnEnqueueBatch(CoreId core, size_t /*count*/, size_t len_after) {
-  Ewma& avg = ewma_[Slot(core)];
-  avg.Update(static_cast<double>(len_after));
+  const double ewma = UpdateEwma(core, len_after);
   // The high watermark reads the instantaneous length: a load spike must
   // flip the bit quickly so other cores start stealing.
   if (len_after > high_) {
     bool flipped = SetBusy(core, true);
     if (flipped) {
       // Seed the average with the spike; otherwise a fresh EWMA (still near
-      // zero) would clear the bit on the very next enqueue.
-      avg.Reset(static_cast<double>(len_after));
+      // zero) would clear the bit on the very next enqueue. A thief's
+      // dequeue report computed from the average before this store can
+      // still clear the bit just set, and the next report above the high
+      // watermark sets it again. No serial order does that, but the bit is
+      // advisory -- no ledger or ring handoff reads it -- so it costs at
+      // most a missed steal.
+      cores_[Slot(core)].value.ewma.store(static_cast<double>(len_after),
+                                          std::memory_order_relaxed);
     }
-    return flipped && !forced_[Slot(core)];
+    return flipped && !IsForcedBusy(core);
   }
-  return ClearIfDecayed(core);
+  return ClearIfDecayed(core, ewma);
 }
 
 bool BalancePolicy::OnDequeueBatch(CoreId core, size_t /*count*/, size_t len_after) {
-  ewma_[Slot(core)].Update(static_cast<double>(len_after));
-  return ClearIfDecayed(core);
+  return ClearIfDecayed(core, UpdateEwma(core, len_after));
 }
-
-bool BalancePolicy::IsBusy(CoreId core) const { return BusyBit(core); }
-
-bool BalancePolicy::AnyBusy() const { return AnyBusyBit(); }
 
 void BalancePolicy::SetForcedBusy(CoreId core, bool forced) {
-  if (forced_[Slot(core)] == forced) {
+  std::atomic<uint64_t>& word = bits_.forced[Word(core)];
+  const uint64_t mask = Mask(core);
+  if (((word.load(std::memory_order_relaxed) & mask) != 0) == forced) {
     return;
   }
-  forced_[Slot(core)] = forced;
-  forced_count_ += forced ? 1 : -1;
+  if (forced) {
+    word.fetch_or(mask, std::memory_order_relaxed);
+  } else {
+    word.fetch_and(~mask, std::memory_order_relaxed);
+  }
 }
 
-double BalancePolicy::EwmaValue(CoreId core) const { return ewma_[Slot(core)].value(); }
-
 bool BalancePolicy::ShouldStealThisTime(CoreId core) {
-  int& counter = share_counter_[Slot(core)];
+  AssertOwner(core);
+  int& counter = cores_[Slot(core)].value.share_counter;
   counter = (counter + 1) % (steal_ratio_ + 1);
   return counter == 0;
 }
 
 CoreId BalancePolicy::PickBusyVictim(CoreId thief) {
-  if (!AnyBusyBit()) {
+  AssertOwner(thief);
+  if (!AnyBusy()) {
     return kNoCore;
   }
-  return Scan(thief, [this](CoreId candidate) { return BusyBit(candidate); });
-}
-
-CoreId BalancePolicy::PickAnyVictim(CoreId thief,
-                                    const std::function<bool(CoreId)>& has_connections) {
-  return Scan(thief, has_connections);
+  auto busy = [this](CoreId candidate) { return IsBusy(candidate); };
+  return Scan(thief, busy);
 }
 
 void BalancePolicy::OnSteal(CoreId thief, CoreId victim) {
-  ++counts_[Index(thief, victim)];
-  ++total_steals_;
+  AssertOwner(thief);
+  CoreSlot& slot = cores_[Slot(thief)].value;
+  ++slot.epoch_steals[Slot(victim)];
+  ++slot.total_steals;
 }
 
 CoreId BalancePolicy::TopVictimOf(CoreId thief) const {
+  AssertOwner(thief);
+  const std::vector<uint64_t>& row = cores_[Slot(thief)].value.epoch_steals;
   CoreId best = kNoCore;
   uint64_t best_count = 0;
   for (CoreId victim = 0; victim < num_cores_; ++victim) {
-    uint64_t count = counts_[Index(thief, victim)];
+    uint64_t count = row[Slot(victim)];
     if (count > best_count) {
       best_count = count;
       best = victim;
@@ -126,81 +143,28 @@ CoreId BalancePolicy::TopVictimOf(CoreId thief) const {
 }
 
 void BalancePolicy::ResetEpochCounts(CoreId thief) {
-  for (CoreId victim = 0; victim < num_cores_; ++victim) {
-    counts_[Index(thief, victim)] = 0;
-  }
+  AssertOwner(thief);
+  std::vector<uint64_t>& row = cores_[Slot(thief)].value.epoch_steals;
+  std::fill(row.begin(), row.end(), 0);
 }
 
 uint64_t BalancePolicy::EpochSteals(CoreId thief, CoreId victim) const {
-  return counts_[Index(thief, victim)];
+  AssertOwner(thief);
+  return cores_[Slot(thief)].value.epoch_steals[Slot(victim)];
 }
 
-bool LockedBalancePolicy::OnEnqueueBatch(CoreId core, size_t count, size_t len_after) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return BalancePolicy::OnEnqueueBatch(core, count, len_after);
+uint64_t BalancePolicy::total_steals() const {
+  uint64_t total = 0;
+  for (CoreId core = 0; core < num_cores_; ++core) {
+    total += cores_[Slot(core)].value.total_steals;
+  }
+  return total;
 }
 
-bool LockedBalancePolicy::OnDequeueBatch(CoreId core, size_t count, size_t len_after) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return BalancePolicy::OnDequeueBatch(core, count, len_after);
-}
-
-bool LockedBalancePolicy::IsBusy(CoreId core) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return BalancePolicy::IsBusy(core);
-}
-
-bool LockedBalancePolicy::AnyBusy() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return BalancePolicy::AnyBusy();
-}
-
-void LockedBalancePolicy::SetForcedBusy(CoreId core, bool forced) {
-  std::lock_guard<std::mutex> lock(mu_);
-  BalancePolicy::SetForcedBusy(core, forced);
-}
-
-double LockedBalancePolicy::EwmaValue(CoreId core) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return BalancePolicy::EwmaValue(core);
-}
-
-bool LockedBalancePolicy::ShouldStealThisTime(CoreId core) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return BalancePolicy::ShouldStealThisTime(core);
-}
-
-CoreId LockedBalancePolicy::PickBusyVictim(CoreId thief) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return BalancePolicy::PickBusyVictim(thief);
-}
-
-CoreId LockedBalancePolicy::PickAnyVictim(CoreId thief,
-                                          const std::function<bool(CoreId)>& has_connections) {
-  // The predicate runs under the policy mutex; it must not call back into
-  // this policy (reactor predicates only read queue lengths).
-  std::lock_guard<std::mutex> lock(mu_);
-  return BalancePolicy::PickAnyVictim(thief, has_connections);
-}
-
-void LockedBalancePolicy::OnSteal(CoreId thief, CoreId victim) {
-  std::lock_guard<std::mutex> lock(mu_);
-  BalancePolicy::OnSteal(thief, victim);
-}
-
-CoreId LockedBalancePolicy::TopVictimOf(CoreId thief) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return BalancePolicy::TopVictimOf(thief);
-}
-
-void LockedBalancePolicy::ResetEpochCounts(CoreId thief) {
-  std::lock_guard<std::mutex> lock(mu_);
-  BalancePolicy::ResetEpochCounts(thief);
-}
-
-uint64_t LockedBalancePolicy::EpochSteals(CoreId thief, CoreId victim) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return BalancePolicy::EpochSteals(thief, victim);
+void BalancePolicy::ResetTotalSteals() {
+  for (CoreId core = 0; core < num_cores_; ++core) {
+    cores_[Slot(core)].value.total_steals = 0;
+  }
 }
 
 }  // namespace affinity

@@ -553,8 +553,11 @@ LoadClient::ConnOutcome LoadClient::OneConnection(int thread_index, uint16_t src
       continue;
     }
     bool timed_out = n < 0 && (errno == EWOULDBLOCK || errno == EAGAIN);
-    if (src_port != 0) {
-      // See above: RST-close keeps the deterministic source port reusable.
+    if (n == 0 || src_port != 0) {
+      // RST-close. After the server's EOF the conversation is complete and
+      // the server closed first: a FIN here would leave the server's side
+      // in TIME_WAIT on the listen port, one socket per connection. And as
+      // above, it keeps a deterministic source port reusable.
       linger lg{1, 0};
       setsockopt(fd, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
     }

@@ -1,7 +1,9 @@
 // Loopback load generator: closed-loop client threads that connect to the
 // runtime and drive its workload. Under kAccept (the legacy mode) each
-// connection reads the one-byte response until EOF and reconnects --
-// connection-per-request, like the paper's ab/apachebench setup. Under the
+// connection reads the one-byte response until EOF, RST-closes (the server
+// closed first, so a FIN would leave a TIME_WAIT socket on the listen port
+// per connection) and reconnects -- connection-per-request, like the
+// paper's ab/apachebench setup. Under the
 // request/response workloads (echo/static/stream) each connection carries
 // `requests_per_conn` newline-terminated requests, reading back the
 // "<len>\n<payload>" response per round and stamping a per-request latency

@@ -90,6 +90,9 @@ void Reactor::Run() {
   if (config_.pin_threads) {
     PinCurrentThreadToCpu(index_);
   }
+  if (shared_->policy != nullptr) {
+    shared_->policy->BindOwner(index_);
+  }
   ResolveHotCells();
   // Hardware profiling: open this thread's counter group AFTER pinning so
   // the counters follow the reactor's core. Never fails -- an unavailable

@@ -128,7 +128,8 @@ struct ReactorShared {
   // reactors run). Blocks are allocated on the accepting core and returned
   // to it, possibly remotely, by the serving core.
   ConnPool* pool = nullptr;
-  // Thread-safe policy (LockedBalancePolicy); null outside affinity mode.
+  // The lock-free Section 3.3.1 policy, shared by every reactor; each binds
+  // its own core (BindOwner) in Run(). Null outside affinity mode.
   BalancePolicy* policy = nullptr;
   // Hardware distance model (owned by the Runtime; never null while
   // reactors run -- flat on hosts without sysfs topology). Classifies every

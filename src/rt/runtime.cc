@@ -190,8 +190,8 @@ bool Runtime::Start(std::string* error) {
   pool_.reset(new ConnPool(config_.num_threads, blocks_per_core, topo_.get()));
   shared_.pool = pool_.get();
   if (config_.mode == RtMode::kAffinity) {
-    policy_.reset(new LockedBalancePolicy(config_.num_threads, max_local_len_, BalanceTuning{},
-                                          topo_.get()));
+    policy_.reset(
+        new BalancePolicy(config_.num_threads, max_local_len_, BalanceTuning{}, topo_.get()));
     shared_.policy = policy_.get();
   }
   if (config_.steer && config_.mode == RtMode::kAffinity) {

@@ -270,7 +270,7 @@ class Runtime {
   std::unique_ptr<svc::ConnHandler> handler_;
   std::unique_ptr<topo::Topology> topo_;
   std::unique_ptr<ConnPool> pool_;
-  std::unique_ptr<LockedBalancePolicy> policy_;
+  std::unique_ptr<BalancePolicy> policy_;
   std::unique_ptr<steer::FlowDirector> director_;
   std::unique_ptr<fault::FaultInjector> injector_;
   std::unique_ptr<fault::FailureDomains> domains_;

@@ -87,7 +87,7 @@ ParkDistances FlowDirector::FailOverCore(CoreId dead, BalancePolicy* policy) {
   // every nearer core is busy); if every survivor is busy, the nearest
   // non-empty class takes them anyway -- a dead owner is worse than a
   // loaded one. Without a topology both passes degrade to the ascending
-  // all-survivors scan. Lock order: director mutex, then policy mutex.
+  // all-survivors scan.
   std::vector<std::vector<CoreId>> classes = topo::NearestFirstPeers(config_.topo, dead, num_cores);
   std::vector<CoreId> targets;
   for (const std::vector<CoreId>& members : classes) {

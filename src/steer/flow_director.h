@@ -30,8 +30,7 @@
 //
 // Thread safety: table reads are lock-free (reactor accept paths); all
 // writes -- migrations, failover parking, reprogramming -- and Snapshot()
-// serialize on one mutex. Migrations take the director mutex before the
-// BalancePolicy mutex; no caller holds them in the reverse order.
+// serialize on one mutex, the only lock here (the BalancePolicy has none).
 
 #ifndef AFFINITY_SRC_STEER_FLOW_DIRECTOR_H_
 #define AFFINITY_SRC_STEER_FLOW_DIRECTOR_H_

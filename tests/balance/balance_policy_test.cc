@@ -1,15 +1,19 @@
-// BalancePolicy tests: the simulator's BalancePolicy and the runtime's
-// LockedBalancePolicy must make byte-for-byte identical decisions from
-// identical event sequences -- that equivalence is what lets the
-// live-socket runtime claim to execute the paper's policy, not a
-// reimplementation of it. The lock must also cover every call the runtime
-// makes through a BalancePolicy*.
+// BalancePolicy tests. One lock-free class serves the simulator's single
+// event loop and the runtime's reactor threads, so the same event sequence
+// must yield the same decisions whether one thread drives every core or
+// each core's events run on the thread bound to that core; and under real
+// concurrency every busy flip and every steal must be counted exactly once.
 
 #include "src/balance/balance_policy.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -32,185 +36,212 @@ class Lcg {
   uint64_t state_;
 };
 
+// A thread bound (BindOwner) to one core of a policy. Run() hands it one
+// event and returns once the event has run there.
+class BoundCoreThread {
+ public:
+  BoundCoreThread(BalancePolicy* policy, CoreId core)
+      : thread_([this, policy, core] {
+          policy->BindOwner(core);
+          Loop();
+        }) {}
+  ~BoundCoreThread() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+  BoundCoreThread(const BoundCoreThread&) = delete;
+  BoundCoreThread& operator=(const BoundCoreThread&) = delete;
+
+  void Run(const std::function<void()>& event) {
+    std::unique_lock<std::mutex> lock(mu_);
+    event_ = &event;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return event_ == nullptr; });
+  }
+
+ private:
+  void Loop() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      cv_.wait(lock, [this] { return event_ != nullptr || stop_; });
+      if (event_ == nullptr) {
+        return;
+      }
+      (*event_)();
+      event_ = nullptr;
+      cv_.notify_all();
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  const std::function<void()>* event_ = nullptr;
+  bool stop_ = false;
+  std::thread thread_;  // last: starts after the fields it uses
+};
+
 TEST(BalancePolicyTest, FiveToOneProportionalShare) {
-  BalancePolicy sim(kCores, kMaxLocalLen);
-  LockedBalancePolicy rt(kCores, kMaxLocalLen);
+  BalancePolicy policy(kCores, kMaxLocalLen);
 
   // With the paper's 5:1 tuning, exactly one accept in every six goes
-  // remote, on both policies, in the same positions.
-  int sim_steals = 0;
-  int rt_steals = 0;
+  // remote.
+  int steals = 0;
   for (int i = 1; i <= 60; ++i) {
-    bool sim_decision = sim.ShouldStealThisTime(0);
-    bool rt_decision = rt.ShouldStealThisTime(0);
-    EXPECT_EQ(sim_decision, rt_decision) << "call " << i;
-    EXPECT_EQ(sim_decision, i % 6 == 0) << "call " << i;
-    sim_steals += sim_decision ? 1 : 0;
-    rt_steals += rt_decision ? 1 : 0;
+    bool decision = policy.ShouldStealThisTime(0);
+    EXPECT_EQ(decision, i % 6 == 0) << "call " << i;
+    steals += decision ? 1 : 0;
   }
-  EXPECT_EQ(sim_steals, 10);
-  EXPECT_EQ(rt_steals, 10);
+  EXPECT_EQ(steals, 10);
 
   // The share counter is per-core: core 1's cadence is independent.
-  EXPECT_FALSE(sim.ShouldStealThisTime(1));
-  EXPECT_FALSE(rt.ShouldStealThisTime(1));
+  EXPECT_FALSE(policy.ShouldStealThisTime(1));
 }
 
 TEST(BalancePolicyTest, CustomStealRatioRespected) {
   BalanceTuning tuning;
   tuning.steal_ratio = 2;  // 2 local : 1 remote
-  BalancePolicy sim(kCores, kMaxLocalLen, tuning);
-  LockedBalancePolicy rt(kCores, kMaxLocalLen, tuning);
+  BalancePolicy policy(kCores, kMaxLocalLen, tuning);
   for (int i = 1; i <= 12; ++i) {
-    bool expected = i % 3 == 0;
-    EXPECT_EQ(sim.ShouldStealThisTime(0), expected) << "call " << i;
-    EXPECT_EQ(rt.ShouldStealThisTime(0), expected) << "call " << i;
+    EXPECT_EQ(policy.ShouldStealThisTime(0), i % 3 == 0) << "call " << i;
   }
 }
 
+// Both adapters -- the simulator's ListenSocket and the runtime's Reactor --
+// hold this one class, so one policy's transitions are both sides'.
 TEST(BalancePolicyTest, WatermarkTransitionsMatchOnBothAdapters) {
-  BalancePolicy sim(kCores, kMaxLocalLen);
-  LockedBalancePolicy rt(kCores, kMaxLocalLen);
+  BalancePolicy policy(kCores, kMaxLocalLen);
 
   // Below the 75% high watermark: not busy.
-  EXPECT_FALSE(sim.OnEnqueueBatch(0, 1, 75));
-  EXPECT_FALSE(rt.OnEnqueueBatch(0, 1, 75));
-  EXPECT_FALSE(sim.IsBusy(0));
-  EXPECT_FALSE(rt.IsBusy(0));
+  EXPECT_FALSE(policy.OnEnqueueBatch(0, 1, 75));
+  EXPECT_FALSE(policy.IsBusy(0));
 
-  // Crossing it flips the bit (both policies report the flip).
-  EXPECT_TRUE(sim.OnEnqueueBatch(0, 1, 76));
-  EXPECT_TRUE(rt.OnEnqueueBatch(0, 1, 76));
-  EXPECT_TRUE(sim.IsBusy(0));
-  EXPECT_TRUE(rt.IsBusy(0));
-  EXPECT_TRUE(sim.AnyBusy());
-  EXPECT_TRUE(rt.AnyBusy());
-  EXPECT_EQ(sim.transitions_to_busy(), 1u);
-  EXPECT_EQ(rt.transitions_to_busy(), 1u);
+  // Crossing it flips the bit, and the flip is reported.
+  EXPECT_TRUE(policy.OnEnqueueBatch(0, 1, 76));
+  EXPECT_TRUE(policy.IsBusy(0));
+  EXPECT_TRUE(policy.AnyBusy());
+  EXPECT_EQ(policy.transitions_to_busy(), 1u);
 
   // An instantaneous dip does NOT clear the bit: the EWMA (seeded at 76)
   // must first decay below the 10% low watermark.
-  EXPECT_FALSE(sim.OnDequeueBatch(0, 1, 0));
-  EXPECT_FALSE(rt.OnDequeueBatch(0, 1, 0));
-  EXPECT_TRUE(sim.IsBusy(0));
-  EXPECT_TRUE(rt.IsBusy(0));
+  EXPECT_FALSE(policy.OnDequeueBatch(0, 1, 0));
+  EXPECT_TRUE(policy.IsBusy(0));
 
-  // Drain: both policies shed the busy bit on the same event.
-  int sim_cleared_at = -1;
-  int rt_cleared_at = -1;
-  for (int i = 0; i < 2000 && (sim_cleared_at < 0 || rt_cleared_at < 0); ++i) {
-    if (sim.OnDequeueBatch(0, 1, 0) && sim_cleared_at < 0) {
-      sim_cleared_at = i;
-    }
-    if (rt.OnDequeueBatch(0, 1, 0) && rt_cleared_at < 0) {
-      rt_cleared_at = i;
+  // Drain: exactly one dequeue report sheds the busy bit, the first after
+  // which the average has decayed: 76 * (1 - 1/200)^n < 10 first at n = 405,
+  // the dip above plus 404 more.
+  int cleared_at = -1;
+  for (int i = 0; i < 2000; ++i) {
+    if (policy.OnDequeueBatch(0, 1, 0)) {
+      EXPECT_LT(cleared_at, 0) << "second clear at " << i;
+      cleared_at = i;
     }
   }
-  EXPECT_GE(sim_cleared_at, 0);
-  EXPECT_EQ(sim_cleared_at, rt_cleared_at);
-  EXPECT_FALSE(sim.IsBusy(0));
-  EXPECT_FALSE(rt.IsBusy(0));
-  EXPECT_EQ(sim.transitions_to_nonbusy(), 1u);
-  EXPECT_EQ(rt.transitions_to_nonbusy(), 1u);
+  EXPECT_EQ(cleared_at, 403);
+  EXPECT_FALSE(policy.IsBusy(0));
+  EXPECT_FALSE(policy.AnyBusy());
+  EXPECT_EQ(policy.transitions_to_nonbusy(), 1u);
 }
 
 TEST(BalancePolicyTest, VictimSelectionRoundRobinMatches) {
-  BalancePolicy sim(kCores, kMaxLocalLen);
-  LockedBalancePolicy rt(kCores, kMaxLocalLen);
+  BalancePolicy policy(kCores, kMaxLocalLen);
 
-  // Make cores 1 and 3 busy on both policies.
+  // Make cores 1 and 3 busy.
   for (CoreId busy_core : {1, 3}) {
-    EXPECT_TRUE(sim.OnEnqueueBatch(busy_core, 1, 80));
-    EXPECT_TRUE(rt.OnEnqueueBatch(busy_core, 1, 80));
+    EXPECT_TRUE(policy.OnEnqueueBatch(busy_core, 1, 80));
   }
 
   // Round-robin one past the last victim: 1, 3, 1, 3, ... for thief 0.
   for (int i = 0; i < 6; ++i) {
-    CoreId sim_victim = sim.PickBusyVictim(0);
-    CoreId rt_victim = rt.PickBusyVictim(0);
-    EXPECT_EQ(sim_victim, rt_victim) << "pick " << i;
-    EXPECT_EQ(sim_victim, i % 2 == 0 ? 1 : 3) << "pick " << i;
-    sim.OnSteal(0, sim_victim);
-    rt.OnSteal(0, rt_victim);
+    CoreId victim = policy.PickBusyVictim(0);
+    EXPECT_EQ(victim, i % 2 == 0 ? 1 : 3) << "pick " << i;
+    policy.OnSteal(0, victim);
   }
-  EXPECT_EQ(sim.total_steals(), 6u);
-  EXPECT_EQ(rt.total_steals(), 6u);
-  EXPECT_EQ(sim.TopVictimOf(0), rt.TopVictimOf(0));
+  EXPECT_EQ(policy.total_steals(), 6u);
+  EXPECT_EQ(policy.EpochSteals(0, 1), 3u);
+  EXPECT_EQ(policy.EpochSteals(0, 3), 3u);
+  EXPECT_EQ(policy.TopVictimOf(0), 1);  // a tie goes to the lower core
 
-  // PickAnyVictim honors the predicate identically (only core 2 claims
-  // connections here) and never returns the thief itself.
+  // PickAnyVictim honors the predicate (only core 2 claims connections
+  // here) and never returns the thief itself.
   auto only_core2 = [](CoreId c) { return c == 2; };
-  EXPECT_EQ(sim.PickAnyVictim(0, only_core2), 2);
-  EXPECT_EQ(rt.PickAnyVictim(0, only_core2), 2);
+  EXPECT_EQ(policy.PickAnyVictim(0, only_core2), 2);
   auto only_thief = [](CoreId c) { return c == 0; };
-  EXPECT_EQ(sim.PickAnyVictim(0, only_thief), kNoCore);
-  EXPECT_EQ(rt.PickAnyVictim(0, only_thief), kNoCore);
+  EXPECT_EQ(policy.PickAnyVictim(0, only_thief), kNoCore);
 }
 
-// Lock-step fuzz: a long randomized event sequence applied to both policies
-// must produce identical observable behaviour at every single step.
+// Lock-step fuzz: a long randomized event sequence applied to two policies,
+// one driven for every core from the test thread (the simulator's shape),
+// the other with each event run on the thread bound to that event's core
+// (the runtime's shape), one event at a time. Every decision must match at
+// every single step.
 TEST(BalancePolicyTest, LockStepFuzzParity) {
-  BalancePolicy sim(kCores, kMaxLocalLen);
-  LockedBalancePolicy rt(kCores, kMaxLocalLen);
+  BalancePolicy serial(kCores, kMaxLocalLen);
+  BalancePolicy bound(kCores, kMaxLocalLen);
+  std::vector<std::unique_ptr<BoundCoreThread>> owners;
+  for (CoreId c = 0; c < kCores; ++c) {
+    owners.push_back(std::make_unique<BoundCoreThread>(&bound, c));
+  }
   Lcg rng(0xA11FEEDu);
   std::vector<size_t> queue_len(kCores, 0);
 
+  // One event: the same calls on `policy`, each decision appended to `out`.
+  auto apply = [&queue_len](BalancePolicy& policy, CoreId core, uint64_t kind, size_t burst,
+                            std::vector<int>* out) {
+    size_t len = queue_len[static_cast<size_t>(core)];
+    switch (kind) {
+      case 0:
+      case 1:  // enqueue burst
+        for (size_t i = 0; i < burst && len < static_cast<size_t>(kMaxLocalLen); ++i) {
+          out->push_back(policy.OnEnqueueBatch(core, 1, ++len));
+        }
+        break;
+      case 2:
+      case 3:  // dequeue burst
+        for (size_t i = 0; i < burst && len > 0; ++i) {
+          out->push_back(policy.OnDequeueBatch(core, 1, --len));
+        }
+        break;
+      case 4:  // steal attempt
+        out->push_back(policy.ShouldStealThisTime(core));
+        break;
+      case 5: {  // victim pick
+        CoreId victim = policy.PickBusyVictim(core);
+        out->push_back(victim);
+        if (victim != kNoCore) {
+          policy.OnSteal(core, victim);
+        }
+        break;
+      }
+    }
+    return len;
+  };
+
   for (int step = 0; step < 20000; ++step) {
     CoreId core = static_cast<CoreId>(rng.Next() % kCores);
-    switch (rng.Next() % 6) {
-      case 0:
-      case 1: {  // enqueue burst
-        size_t burst = 1 + rng.Next() % 40;
-        for (size_t i = 0; i < burst; ++i) {
-          size_t& len = queue_len[static_cast<size_t>(core)];
-          if (len >= static_cast<size_t>(kMaxLocalLen)) {
-            break;
-          }
-          ++len;
-          ASSERT_EQ(sim.OnEnqueueBatch(core, 1, len), rt.OnEnqueueBatch(core, 1, len))
-              << "step " << step;
-        }
-        break;
-      }
-      case 2:
-      case 3: {  // dequeue burst
-        size_t burst = 1 + rng.Next() % 40;
-        for (size_t i = 0; i < burst; ++i) {
-          size_t& len = queue_len[static_cast<size_t>(core)];
-          if (len == 0) {
-            break;
-          }
-          --len;
-          ASSERT_EQ(sim.OnDequeueBatch(core, 1, len), rt.OnDequeueBatch(core, 1, len))
-              << "step " << step;
-        }
-        break;
-      }
-      case 4: {  // steal attempt
-        ASSERT_EQ(sim.ShouldStealThisTime(core), rt.ShouldStealThisTime(core)) << "step " << step;
-        break;
-      }
-      case 5: {  // victim picks
-        CoreId sim_victim = sim.PickBusyVictim(core);
-        CoreId rt_victim = rt.PickBusyVictim(core);
-        ASSERT_EQ(sim_victim, rt_victim) << "step " << step;
-        if (sim_victim != kNoCore) {
-          sim.OnSteal(core, sim_victim);
-          rt.OnSteal(core, rt_victim);
-        }
-        break;
-      }
-    }
-    ASSERT_EQ(sim.AnyBusy(), rt.AnyBusy()) << "step " << step;
+    uint64_t kind = rng.Next() % 6;
+    size_t burst = kind < 4 ? 1 + rng.Next() % 40 : 0;
+    std::vector<int> serial_decisions;
+    std::vector<int> bound_decisions;
+    size_t len_after = apply(serial, core, kind, burst, &serial_decisions);
+    owners[static_cast<size_t>(core)]->Run(
+        [&] { apply(bound, core, kind, burst, &bound_decisions); });
+    queue_len[static_cast<size_t>(core)] = len_after;
+    ASSERT_EQ(serial_decisions, bound_decisions) << "step " << step;
+    ASSERT_EQ(serial.AnyBusy(), bound.AnyBusy()) << "step " << step;
     for (CoreId c = 0; c < kCores; ++c) {
-      ASSERT_EQ(sim.IsBusy(c), rt.IsBusy(c)) << "step " << step << " core " << c;
+      ASSERT_EQ(serial.IsBusy(c), bound.IsBusy(c)) << "step " << step << " core " << c;
+      ASSERT_EQ(serial.EwmaValue(c), bound.EwmaValue(c)) << "step " << step << " core " << c;
     }
   }
-  EXPECT_EQ(sim.total_steals(), rt.total_steals());
-  EXPECT_EQ(sim.transitions_to_busy(), rt.transitions_to_busy());
-  EXPECT_EQ(sim.transitions_to_nonbusy(), rt.transitions_to_nonbusy());
-  EXPECT_GT(sim.total_steals(), 0u);
-  EXPECT_GT(sim.transitions_to_busy(), 0u);
+  EXPECT_EQ(serial.total_steals(), bound.total_steals());
+  EXPECT_EQ(serial.transitions_to_busy(), bound.transitions_to_busy());
+  EXPECT_EQ(serial.transitions_to_nonbusy(), bound.transitions_to_nonbusy());
+  EXPECT_GT(serial.total_steals(), 0u);
+  EXPECT_GT(serial.transitions_to_busy(), 0u);
 }
 
 TEST(BalancePolicyTest, ForcedBusyOverridesWatermarks) {
@@ -259,63 +290,66 @@ TEST(BalancePolicyTest, ForcedBusySuppressesFlipReportsButNotState) {
   EXPECT_GE(policy.transitions_to_busy(), to_busy);
 }
 
-TEST(BalancePolicyTest, ForcedBusyLockedAdapterMatches) {
-  LockedBalancePolicy policy(kCores, kMaxLocalLen);
-  policy.SetForcedBusy(3, true);
-  EXPECT_TRUE(policy.IsBusy(3));
-  EXPECT_TRUE(policy.IsForcedBusy(3));
-  EXPECT_TRUE(policy.AnyBusy());
-  policy.SetForcedBusy(3, false);
-  EXPECT_FALSE(policy.IsBusy(3));
-  EXPECT_FALSE(policy.AnyBusy());
-}
-
-// Four threads drive every virtual method through the base pointer the
-// runtime holds. Each override takes the mutex, so the threads never touch
-// the policy's state at once: an override that went missing would run the
-// unlocked body, which TSan reports as a race and which can lose a steal.
-TEST(BalancePolicyTest, LockedPolicySerializesThroughTheBasePointer) {
-  LockedBalancePolicy locked(kCores, kMaxLocalLen);
-  BalancePolicy* policy = &locked;
-  constexpr int kThreads = 4;
-  constexpr int kRounds = 2000;
-  std::vector<uint64_t> steals(kThreads, 0);
-  std::vector<uint64_t> sinks(kThreads, 0);
+// Four threads, each bound to its own core, drive every method at once.
+// Each reports every core's queue, its own and its peers', the way an
+// owner, a thief's pop and a re-steering push do, so EWMA updates and bit
+// flips race: a spike over the high watermark opens each phase and sets
+// the bits, empty-queue reports then decay the averages until every
+// thread's next report tries the same clear. Every flip and every steal
+// must still be counted exactly once: after the join the steal total is
+// what the threads counted, and the flip balance is the number of cores
+// left busy.
+TEST(BalancePolicyTest, ConcurrentOwnersCountEachFlipOnce) {
+  BalancePolicy policy(kCores, kMaxLocalLen);
+  constexpr int kRounds = 20000;
+  std::vector<uint64_t> steals(kCores, 0);
+  std::vector<uint64_t> sinks(kCores, 0);
+  std::atomic<int> ready{0};
   std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([policy, t, &steals, &sinks] {
-      const CoreId me = static_cast<CoreId>(t);
-      const CoreId peer = static_cast<CoreId>((t + 1) % kCores);
+  for (CoreId me = 0; me < kCores; ++me) {
+    threads.emplace_back([&policy, me, &steals, &sinks, &ready] {
+      policy.BindOwner(me);
+      ready.fetch_add(1);
+      while (ready.load() < kCores) {
+      }
+      const CoreId peer = static_cast<CoreId>((me + 1) % kCores);
       uint64_t sink = 0;
+      uint64_t stolen = 0;
       for (int i = 0; i < kRounds; ++i) {
-        // Queue lengths sweep past the high watermark, so busy bits flip.
-        size_t len = static_cast<size_t>(i % kMaxLocalLen);
-        sink += policy->OnEnqueueBatch(me, 1, len) ? 1 : 0;
-        sink += policy->OnDequeueBatch(me, 1, len / 2) ? 1 : 0;
-        policy->SetForcedBusy(me, i % 64 == 0);
-        sink += policy->IsBusy(peer) ? 1 : 0;
-        sink += policy->AnyBusy() ? 1 : 0;
-        sink += policy->EwmaValue(peer) > 0.0 ? 1 : 0;
-        sink += policy->ShouldStealThisTime(me) ? 1 : 0;
-        CoreId victim = policy->PickBusyVictim(me);
-        if (victim != kNoCore) {
-          policy->OnSteal(me, victim);
-          ++steals[static_cast<size_t>(t)];
+        // Four reports per core per round decay a spike of 100 below the
+        // low watermark in about 115 rounds, well inside a 256-round phase.
+        const bool spike = i % 256 < 4;
+        for (CoreId c = 0; c < kCores; ++c) {
+          sink += (spike ? policy.OnEnqueueBatch(c, 1, kMaxLocalLen)
+                         : policy.OnDequeueBatch(c, 1, 0))
+                      ? 1
+                      : 0;
         }
-        victim = policy->PickAnyVictim(me, [](CoreId c) { return c % 2 == 0; });
+        policy.SetForcedBusy(me, i % 64 == 0);
+        sink += policy.IsBusy(peer) ? 1 : 0;
+        sink += policy.AnyBusy() ? 1 : 0;
+        sink += policy.EwmaValue(peer) > 0.0 ? 1 : 0;
+        sink += policy.ShouldStealThisTime(me) ? 1 : 0;
+        CoreId victim = policy.PickBusyVictim(me);
         if (victim != kNoCore) {
-          policy->OnSteal(me, victim);
-          ++steals[static_cast<size_t>(t)];
+          policy.OnSteal(me, victim);
+          ++stolen;
+        }
+        victim = policy.PickAnyVictim(me, [](CoreId c) { return c % 2 == 0; });
+        if (victim != kNoCore) {
+          policy.OnSteal(me, victim);
+          ++stolen;
         }
         if (i % 100 == 99) {
-          CoreId top = policy->TopVictimOf(me);
+          CoreId top = policy.TopVictimOf(me);
           if (top != kNoCore) {
-            sink += policy->EpochSteals(me, top);
+            sink += policy.EpochSteals(me, top);
           }
-          policy->ResetEpochCounts(me);
+          policy.ResetEpochCounts(me);
         }
       }
-      sinks[static_cast<size_t>(t)] = sink;
+      steals[static_cast<size_t>(me)] = stolen;
+      sinks[static_cast<size_t>(me)] = sink;
     });
   }
   for (std::thread& thread : threads) {
@@ -326,7 +360,33 @@ TEST(BalancePolicyTest, LockedPolicySerializesThroughTheBasePointer) {
     counted += n;
   }
   EXPECT_GT(counted, 0u);
-  EXPECT_EQ(locked.total_steals(), counted);
+  EXPECT_EQ(policy.total_steals(), counted);
+
+  uint64_t busy_cores = 0;
+  for (CoreId c = 0; c < kCores; ++c) {
+    policy.SetForcedBusy(c, false);
+    busy_cores += policy.IsBusy(c) ? 1 : 0;
+  }
+  // Every core flips in each of the 78 phases.
+  EXPECT_GT(policy.transitions_to_busy(), static_cast<uint64_t>(kCores) * 50);
+  EXPECT_EQ(policy.transitions_to_busy() - policy.transitions_to_nonbusy(), busy_cores);
+}
+
+// An owner-only method called for a bound core from any other thread is a
+// race on that core's steal state, and aborts. Probes and reports stay open
+// to every thread, and an unbound core to anyone.
+TEST(BalancePolicyDeathTest, OwnerOnlyCallFromAnotherThreadAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  BalancePolicy policy(kCores, kMaxLocalLen);
+  std::thread owner([&policy] { policy.BindOwner(1); });
+  owner.join();
+  EXPECT_FALSE(policy.OnEnqueueBatch(1, 1, 1));
+  EXPECT_FALSE(policy.IsBusy(1));
+  EXPECT_FALSE(policy.ShouldStealThisTime(0));
+  EXPECT_DEATH(policy.ShouldStealThisTime(1), "owner-only");
+  EXPECT_DEATH(policy.PickBusyVictim(1), "owner-only");
+  EXPECT_DEATH(policy.OnSteal(1, 0), "owner-only");
+  EXPECT_DEATH(policy.TopVictimOf(1), "owner-only");
 }
 
 }  // namespace

@@ -14,8 +14,12 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
+#include <fstream>
+#include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 
 #include "src/obs/hwprof/scripted_source.h"
 #include "src/rt/accept_ring.h"
@@ -121,6 +125,64 @@ TEST_P(RtRuntimeTest, ServesLoopbackConnections) {
   if (GetParam() != RtMode::kAffinity) {
     EXPECT_EQ(totals.steals, 0u);
   }
+}
+
+// A TIME_WAIT socket's 4-tuple as /proc/net/tcp prints it: local address,
+// local port, remote address, remote port.
+using TcpTuple = std::tuple<unsigned, unsigned, unsigned, unsigned>;
+
+// Every IPv4 TIME_WAIT socket in this network namespace.
+std::set<TcpTuple> TimeWaitTuples() {
+  std::ifstream table("/proc/net/tcp");
+  std::string line;
+  std::getline(table, line);  // header
+  std::set<TcpTuple> tuples;
+  while (std::getline(table, line)) {
+    unsigned local = 0, local_port = 0, remote = 0, remote_port = 0, state = 0;
+    constexpr unsigned kTimeWait = 0x06;
+    if (std::sscanf(line.c_str(), " %*d: %x:%x %x:%x %x", &local, &local_port, &remote,
+                    &remote_port, &state) == 5 &&
+        state == kTimeWait) {
+      tuples.emplace(local, local_port, remote, remote_port);
+    }
+  }
+  return tuples;
+}
+
+// The accept workload's server closes first. A client that answered the
+// server's EOF with a FIN of its own would leave one TIME_WAIT socket per
+// connection on the listen port; the client RST-closes instead, so the run
+// adds none. Only 4-tuples absent at the start count: the kernel-chosen
+// port may carry sockets that an earlier run left behind.
+TEST_P(RtRuntimeTest, AcceptClientLeavesNoTimeWait) {
+  const std::set<TcpTuple> before = TimeWaitTuples();
+  RtConfig config;
+  config.mode = GetParam();
+  config.num_threads = 2;
+  Runtime runtime(config);
+  std::string error;
+  ASSERT_TRUE(runtime.Start(&error)) << error;
+  const unsigned port = runtime.port();
+
+  constexpr uint64_t kConns = 200;
+  LoadClientConfig client_config;
+  client_config.port = runtime.port();
+  client_config.num_threads = 2;
+  client_config.max_conns = kConns;
+  LoadClient client(client_config);
+  client.Start();
+  client.WaitForMaxConns();
+  runtime.Stop();
+  ASSERT_GE(client.completed(), kConns);
+  EXPECT_EQ(client.errors(), 0u);
+
+  int new_time_wait = 0;
+  for (const TcpTuple& tuple : TimeWaitTuples()) {
+    if ((std::get<1>(tuple) == port || std::get<3>(tuple) == port) && before.count(tuple) == 0) {
+      ++new_time_wait;
+    }
+  }
+  EXPECT_EQ(new_time_wait, 0) << "TIME_WAIT sockets this run left on port " << port;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, RtRuntimeTest,

@@ -85,7 +85,7 @@ class SteerParityTest : public ::testing::Test {
   std::unique_ptr<FlowGroupMigrator> migrator_;
   std::unique_ptr<FlowDirector> director_;
   BalancePolicy sim_policy_;
-  LockedBalancePolicy rt_policy_;
+  BalancePolicy rt_policy_;
   topo::Topology topo_ = topo::Topology::Flat(kCores, "parity default");
 };
 
