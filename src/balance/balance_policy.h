@@ -3,7 +3,8 @@
 // (src/stack/listen_socket.cc) and the real-socket runtime (src/rt/) run the
 // same watermark / EWMA / proportional-share decisions. ServeAffinityOrder
 // (below) is the order both sides consult it in when they take a
-// connection, so that sequence exists once too.
+// connection, and PickPollerToWake the choice of which sleeper a queued
+// connection wakes, so each of those exists once too.
 //
 // Tracking busy cores. Each core judges itself busy from its own accept
 // queue. The listen() backlog is split evenly across cores ("max local
@@ -173,6 +174,25 @@ class BalancePolicy {
   // Records a successful steal (feeds flow-group migration).
   void OnSteal(CoreId thief, CoreId victim);
 
+  // The polling wakeup ("Polling"): a connection landed on `core`'s queue
+  // and no local waiter will take it now, so wake a waiter on a non-busy
+  // remote core. Returns the first non-busy peer, in `core`'s nearest-first
+  // victim order, for which `has_waiter(peer)` holds -- the simulator asks
+  // "has a thread waiting", the runtime "is parked" -- or kNoCore. Reads
+  // only the busy bits and the constant victim classes, and moves no
+  // cursor, so any thread may call it.
+  template <typename HasWaiter>
+  CoreId PickPollerToWake(CoreId core, HasWaiter&& has_waiter) const {
+    for (const std::vector<CoreId>& members : VictimClasses(core)) {
+      for (CoreId peer : members) {
+        if (!IsBusy(peer) && has_waiter(peer)) {
+          return peer;
+        }
+      }
+    }
+    return kNoCore;
+  }
+
   // --- migration feed (Section 3.3.2); owner-only like stealing ---
 
   // The victim `thief` has stolen from the most since its last epoch reset;
@@ -303,9 +323,10 @@ using LockedBalancePolicy = BalancePolicy;
 // ListenSocket::Accept and the runtime's Reactor::ServeOne run. A non-busy
 // core with stealing on and a busy core in sight goes remote first when its
 // own queue is empty or the 5:1 share says so; otherwise it takes its own
-// queue, then a busy victim's. Only on the way to sleep (`idle`) does it
-// poll every other queue, nearest first ("Polling"). A busy core takes only
-// its own queue.
+// queue, then a busy victim's. Only an idle pass (`idle`) polls every other
+// queue, nearest first ("Polling"): the simulator's blocking accept on its
+// way to sleep, the runtime's pass after a wakeup that brought no I/O and
+// found nothing to serve. A busy core takes only its own queue.
 //
 // `pop(q)` dequeues one connection from core q's queue into the caller's
 // slot and returns whether it got one; `has_connections(q)` is the polling

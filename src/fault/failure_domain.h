@@ -1,7 +1,8 @@
 // Reactor failure domains: per-core heartbeats and an alive/dead state word.
 //
 // Each reactor ticks its own heartbeat once per loop iteration (one relaxed
-// store on a private cache line). Every reactor also runs a WatchdogMonitor
+// store on a private cache line); an idle reactor's wait ends by its next
+// watchdog tick, a quarter of the timeout, so it still beats that often. Every reactor also runs a WatchdogMonitor
 // over its peers' heartbeats, piggybacked on the same periodic tick as the
 // FlowDirector's 100 ms epoch: a peer whose heartbeat has not advanced for
 // the configured timeout is stalled or dead. Detection is cooperative --

@@ -68,7 +68,10 @@ struct FaultPlan {
   // --- canned plans for the chaos matrix ---
 
   // `core`'s epoll_wait stalls for `stall_ms` starting at its
-  // `after_calls`-th call: a reactor wedge that later resolves.
+  // `after_calls`-th call: a reactor wedge that later resolves. An idle
+  // reactor waits with no timer until it is rung or a deadline or tick is
+  // due, so an epoll_wait count measures wakeups, not time: under load it
+  // grows with traffic, and an idle reactor may take seconds to reach it.
   static FaultPlan ReactorStall(int core, uint64_t after_calls, uint64_t stall_ms) {
     FaultPlan plan;
     FaultRule rule;
@@ -81,8 +84,8 @@ struct FaultPlan {
     return plan;
   }
 
-  // `core`'s reactor dies at its `after_calls`-th epoll_wait and never
-  // comes back.
+  // `core`'s reactor dies at its `after_calls`-th epoll_wait (a count of
+  // wakeups, as above) and never comes back.
   static FaultPlan ReactorKill(int core, uint64_t after_calls) {
     FaultPlan plan;
     FaultRule rule;

@@ -36,6 +36,13 @@ bool IoBackend::WatchListen(int fd) {
 
 void IoBackend::UnwatchListen(int fd) { epoll_ctl(ep_, EPOLL_CTL_DEL, fd, nullptr); }
 
+bool IoBackend::WatchDoorbell(int fd) {
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = kDoorbellToken;
+  return epoll_ctl(ep_, EPOLL_CTL_ADD, fd, &ev) == 0;
+}
+
 bool IoBackend::ArmConn(int fd, uint32_t events, uint64_t token, bool first) {
   epoll_event ev{};
   ev.events = events;

@@ -4,12 +4,13 @@
 // The engine only reports readiness; the reactor does the I/O. A listen
 // event means "accept4 will succeed" and the reactor drains the shard itself
 // (Reactor::AcceptBatch); a connection event means the handler's read or
-// write can make progress. Conn arming goes through sys->EpollCtl (the
-// kEpollCtl fault site) and the wait through sys->EpollWait (the kEpollWait
-// fault site, including the kKillReactor chaos sentinel). Listen
-// registrations bypass the fault seam: chaos plans target the hot path, and
-// a failed listen ADD at startup must surface as a dead source, not an
-// injected flake.
+// write can make progress; a doorbell event means a peer or the Runtime woke
+// this reactor (an eventfd write) and carries no I/O. Conn arming goes
+// through sys->EpollCtl (the kEpollCtl fault site) and the wait through
+// sys->EpollWait (the kEpollWait fault site, including the kKillReactor
+// chaos sentinel). Listen and doorbell registrations bypass the fault seam:
+// chaos plans target the hot path, and a failed listen ADD at startup must
+// surface as a dead source, not an injected flake.
 //
 // Why the paper's accept fix does not depend on the engine, and what a
 // completion-model engine would have to show to join this one, is recorded
@@ -22,8 +23,9 @@
 //    an earlier event in the same batch closed and recycled (a pool-pressure
 //    eviction inside AcceptBatch), and the reactor drops it by comparing
 //    generations.
+//  - kDoorbellToken (bit 62 alone) = the engine's one doorbell eventfd.
 //  - otherwise  = listen source: bits [0,32) the listen fd. Listen fds are
-//    nonnegative ints, so the tag bit can never collide.
+//    nonnegative ints, so neither tag bit can collide.
 
 #ifndef AFFINITY_SRC_IO_IO_BACKEND_H_
 #define AFFINITY_SRC_IO_IO_BACKEND_H_
@@ -38,6 +40,7 @@ namespace affinity {
 namespace io {
 
 inline constexpr uint64_t kConnTokenTag = 1ull << 63;
+inline constexpr uint64_t kDoorbellToken = 1ull << 62;
 
 inline uint64_t MakeConnToken(uint32_t handle, uint16_t gen) {
   return kConnTokenTag | (static_cast<uint64_t>(gen) << 32) | handle;
@@ -46,6 +49,7 @@ inline uint64_t MakeListenToken(int fd) {
   return static_cast<uint64_t>(static_cast<uint32_t>(fd));
 }
 inline bool IsConnToken(uint64_t token) { return (token & kConnTokenTag) != 0; }
+inline bool IsDoorbellToken(uint64_t token) { return token == kDoorbellToken; }
 inline uint32_t HandleOfToken(uint64_t token) { return static_cast<uint32_t>(token); }
 inline int FdOfListenToken(uint64_t token) { return static_cast<int>(static_cast<uint32_t>(token)); }
 inline uint16_t GenOfToken(uint64_t token) { return static_cast<uint16_t>(token >> 32); }
@@ -75,14 +79,19 @@ class IoBackend {
   bool WatchListen(int fd);
   void UnwatchListen(int fd);
 
+  // Watches the reactor's doorbell eventfd (level-triggered: readable until
+  // the reactor reads it back to zero), reported as kDoorbellToken. The fd
+  // stays the caller's; Shutdown's close of the epoll instance drops it.
+  bool WatchDoorbell(int fd);
+
   // (Re-)arms `events` (EPOLLIN or EPOLLOUT) for a held connection: ADD when
   // `first`, MOD after. close() drops the registration, so there is no
   // disarm. False = the connection cannot be watched and must be closed.
   bool ArmConn(int fd, uint32_t events, uint64_t token, bool first);
 
-  // Blocks up to timeout_ms for events; returns the count filled into
-  // `out`, 0 on timeout/EINTR, -1 on a hard engine error, or
-  // fault::SysIface::kKillReactor when a chaos plan killed this reactor.
+  // Blocks up to timeout_ms (-1 = until an event) for events; returns the
+  // count filled into `out`, 0 on timeout/EINTR, -1 on a hard engine error,
+  // or fault::SysIface::kKillReactor when a chaos plan killed this reactor.
   int Wait(IoEvent* out, int max_events, int timeout_ms);
 
  private:

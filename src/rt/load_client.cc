@@ -529,13 +529,15 @@ LoadClient::ConnOutcome LoadClient::OneConnection(int thread_index, uint16_t src
 
   if (config_.workload != svc::WorkloadKind::kAccept) {
     outcome = RunRounds(thread_index, fd, ledger, config_.requests_per_conn);
-    if (src_port != 0) {
-      // RST-close: a FIN would leave this exact 4-tuple in TIME_WAIT and the
-      // next cycle's bind+connect to the same port would fail, but the port
-      // IS the flow-group key, so we cannot substitute another one.
-      linger lg{1, 0};
-      setsockopt(fd, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
-    }
+    // RST-close. This side closes first -- after the last response, or when
+    // it gives up on the conversation (a timeout, Stop()) -- so a FIN would
+    // leave a TIME_WAIT socket per connection with the listen port as its
+    // remote end. And a deterministic source port must be reusable at once:
+    // a FIN would leave this exact 4-tuple in TIME_WAIT and the next cycle's
+    // bind+connect to the same port would fail, but the port IS the
+    // flow-group key, so we cannot substitute another one.
+    linger lg{1, 0};
+    setsockopt(fd, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
     close(fd);
     return fail(outcome);
   }

@@ -8,7 +8,9 @@
 // `requests_per_conn` newline-terminated requests, reading back the
 // "<len>\n<payload>" response per round and stamping a per-request latency
 // into a per-thread histogram ledger -- the paper's persistent-connection
-// Apache traffic.
+// Apache traffic -- and RST-closes after the last round or on giving up
+// (this side closes first, so a FIN would leave a TIME_WAIT socket here per
+// connection).
 //
 // Robustness: every blocking call is bounded by connect_timeout_ms, and a
 // refused or timed-out connect enters capped exponential backoff with

@@ -11,6 +11,7 @@
 #include <cassert>
 #include <cerrno>
 #include <chrono>
+#include <limits>
 
 #include "src/rt/listener.h"
 #include "src/rt/runtime.h"
@@ -44,6 +45,24 @@ const char* RtModeName(RtMode mode) {
 
 Reactor::Reactor(int index, ReactorShared* shared)
     : index_(index), shared_(shared), config_(*shared->config), io_(index, shared->sys) {}
+
+void ReactorShared::Ring(int core) {
+  const uint64_t one = 1;
+  // A nonblocking eventfd refuses a write only when its counter would
+  // overflow, and a reactor that far behind is awake anyway.
+  (void)!write(doorbells[core].value.fd, &one, sizeof(one));
+  metrics->Add(ids.doorbell_rings, core);
+}
+
+void ReactorShared::WakeParkedReactors(int skip) {
+  // The waker's side of parking; Reactor::Park has the argument.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  for (int core = 0; core < config->num_threads; ++core) {
+    if (core != skip && Parked(core)) {
+      Ring(core);
+    }
+  }
+}
 
 void ReactorShared::PublishSteering() const {
   director->Snapshot([this](steer::KernelSteering steering, const steer::SteeringTable& table) {
@@ -98,7 +117,7 @@ void Reactor::Run() {
   // the counters follow the reactor's core. Never fails -- an unavailable
   // PMU yields an inactive profile (phase entries only).
   prof_ = shared_->hwprof != nullptr ? shared_->hwprof->AttachThread(index_) : nullptr;
-  if (!io_.Init(nullptr)) {
+  if (!io_.Init(nullptr) || !io_.WatchDoorbell(shared_->doorbells[index_].value.fd)) {
     return;
   }
 
@@ -134,16 +153,18 @@ void Reactor::Run() {
   backoff_until_ = std::chrono::steady_clock::time_point{};
   SyncListenWatch(std::chrono::steady_clock::now());
 
+  auto now = std::chrono::steady_clock::now();
+  constexpr auto kNever = std::chrono::steady_clock::time_point::max();
   bool migrate = shared_->director != nullptr && config_.migrate_interval_ms > 0;
-  auto migrate_period = std::chrono::milliseconds(migrate ? config_.migrate_interval_ms : 1);
-  auto next_migrate = std::chrono::steady_clock::now() + migrate_period;
+  auto migrate_period = std::chrono::milliseconds(config_.migrate_interval_ms);
+  next_migrate_ = migrate ? now + migrate_period : kNever;
 
   // The Runtime builds failure domains only for a positive watchdog timeout.
+  // A parked reactor beats once per watchdog tick, a quarter of the timeout.
   bool watchdog = shared_->domains != nullptr;
   std::unique_ptr<fault::WatchdogMonitor> monitor;
-  auto watchdog_period = std::chrono::milliseconds(
-      watchdog ? std::max(1, config_.watchdog_timeout_ms / 4) : 1);
-  auto next_watchdog = std::chrono::steady_clock::now() + watchdog_period;
+  auto watchdog_period = std::chrono::milliseconds(std::max(1, config_.watchdog_timeout_ms / 4));
+  next_watchdog_ = watchdog ? now + watchdog_period : kNever;
   if (watchdog) {
     monitor.reset(new fault::WatchdogMonitor(
         shared_->domains, index_, std::chrono::milliseconds(config_.watchdog_timeout_ms)));
@@ -161,11 +182,8 @@ void Reactor::Run() {
         SelfRecover();
       }
     }
-    // The 1 ms cap keeps stop and cross-ring work (stolen connections pushed
-    // by other shards) noticed even when our own shard is idle; the wheel's
-    // next deadline can only shorten the sleep below it.
     Prof(obs::hwprof::Phase::kEpollWait);
-    int n = io_.Wait(events, 64, NextWaitTimeoutMs());
+    int n = Park(events, 64, NextWaitTimeoutMs(now));
     if (n == fault::SysIface::kKillReactor) {
       // The chaos plan killed this reactor: exit as if the thread died.
       // Deliberately no recovery, no draining -- the watchdog and the
@@ -175,11 +193,14 @@ void Reactor::Run() {
     if (n < 0) {
       break;  // hard engine error (Wait swallows EINTR itself)
     }
-    if (n > 0) {
-      hot_.epoll_wakeups->fetch_add(1, std::memory_order_relaxed);
-    }
+    int io_events = 0;
     for (int i = 0; i < n; ++i) {
       const io::IoEvent& ev = events[i];
+      if (io::IsDoorbellToken(ev.token)) {
+        DrainDoorbell();  // a wakeup, not I/O: what it announced is below
+        continue;
+      }
+      ++io_events;
       if (io::IsConnToken(ev.token)) {
         ConnHandle handle = io::HandleOfToken(ev.token);
         PendingConn* conn = shared_->pool->Get(handle);
@@ -203,11 +224,15 @@ void Reactor::Run() {
         }
       }
     }
+    if (io_events > 0) {
+      hot_.epoll_wakeups->fetch_add(1, std::memory_order_relaxed);
+    }
     Prof(obs::hwprof::Phase::kServe);
     int served = ServeBatch();
-    if (n <= 0 && served == 0) {
-      // Nothing local and nothing accepted: one widened pass before going
-      // back to sleep (the paper's "polling" order).
+    if (io_events == 0 && served == 0) {
+      // A doorbell or a timer woke us and nothing was ours to serve: one
+      // widened pass, the paper's "polling" order. Not after a pass whose
+      // accepts were all re-steered away: it would steal them back.
       ServeOne(/*idle=*/true);
       FlushDequeues();
     }
@@ -216,20 +241,19 @@ void Reactor::Run() {
       wheel_->Advance(config_.clock->NowNs(),
                       [this](timer::TimerEntry* e) { OnDeadlineExpiry(e); });
     }
-    auto now = std::chrono::steady_clock::now();
-    // A drain stops accepting and an fd-exhaustion window pauses it; the
-    // 1 ms wait cap bounds how late this pass notices either.
+    now = std::chrono::steady_clock::now();
+    // A drain stops accepting (Stop() rings us when it begins) and an
+    // fd-exhaustion window pauses accepting (the wait ends with it).
     SyncListenWatch(now);
-    if (migrate && now >= next_migrate) {
+    if (now >= next_migrate_) {
       // The paper's long-term balancer: every 100 ms each (non-busy) core
-      // makes its own migration decision. The epoll timeout above bounds
-      // how late a tick can fire.
+      // makes its own migration decision. The wait above ends by the tick.
       MigrationTick();
-      next_migrate += migrate_period;
+      next_migrate_ += migrate_period;
     }
-    if (watchdog && now >= next_watchdog) {
+    if (now >= next_watchdog_) {
       WatchdogTick(monitor.get());
-      next_watchdog += watchdog_period;
+      next_watchdog_ += watchdog_period;
     }
   }
   Prof(obs::hwprof::Phase::kMaintenance);
@@ -287,9 +311,11 @@ void Reactor::TryFailover(int dead) {
   shared_->metrics->GaugeSet(shared_->ids.reactor_dead, dead, 1);
   if (shared_->policy != nullptr) {
     // Permanently busy: peers steal the dead ring dry, and the migration
-    // loop never picks the dead core as a destination.
+    // loop never picks the dead core as a destination. A parked survivor
+    // learns of it from its doorbell.
     shared_->policy->SetForcedBusy(dead, true);
     shared_->metrics->GaugeSet(shared_->ids.busy, dead, 1);
+    shared_->WakeParkedReactors(/*skip=*/dead);
   }
   if (shared_->director != nullptr) {
     steer::ParkDistances parks = shared_->director->FailOverCore(dead, shared_->policy);
@@ -621,14 +647,54 @@ void Reactor::AdmitBatch(const Accepted* batch, int n) {
   if (pool_drops > 0) {
     hot_.pool_exhausted->fetch_add(pool_drops, std::memory_order_relaxed);
   }
+  BalancePolicy* policy = shared_->policy;
+  const bool stock = config_.mode == RtMode::kStock;
+  bool cross_push = false;
+  CoreId poll_near = kNoCore;
   for (uint32_t qi : enq_.touched) {
     QueueBatch::PerQueue& entry = enq_.q[qi];
     hot_.ring_len[qi]->store(entry.last_len, std::memory_order_relaxed);
-    if (shared_->policy != nullptr &&
-        shared_->policy->OnEnqueueBatch(static_cast<CoreId>(qi), entry.moved, entry.last_len)) {
+    const CoreId q = static_cast<CoreId>(qi);
+    const bool flipped = policy != nullptr && policy->OnEnqueueBatch(q, entry.moved, entry.last_len);
+    if (flipped) {
       RecordBusyFlip(qi, entry.last_len);
     }
+    cross_push = cross_push || (!stock && q != index_);
+    // The polling wakeup's trigger: the ring just turned busy, or this
+    // core's own ring held connections before the batch (its owner is
+    // behind).
+    if (policy != nullptr && poll_near == kNoCore &&
+        ((flipped && policy->IsBusy(q)) || (q == index_ && entry.last_len > entry.moved))) {
+      poll_near = q;
+    }
     entry.moved = 0;
+  }
+
+  // Stage 4: wake whoever should take what this batch queued. A ring pushed
+  // for another core rings that owner (a fallback re-steer, or a connection
+  // in flight across a migration), so the connection stays on its flow
+  // group's core. A polling trigger rings one parked, non-busy peer, nearest
+  // first -- the simulator's choice (ListenSocket::WakeAfterEnqueue).
+  if (cross_push || poll_near != kNoCore) {
+    // The waker's side of parking (Reactor::Park has the argument): every
+    // push and busy flip of this batch is visible; fence, then read the
+    // parked flags.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (cross_push) {
+      for (uint32_t qi : enq_.touched) {
+        const int owner = static_cast<int>(qi);
+        if (owner != index_ && shared_->Parked(owner)) {
+          shared_->Ring(owner);
+        }
+      }
+    }
+    if (poll_near != kNoCore) {
+      CoreId peer =
+          policy->PickPollerToWake(poll_near, [this](CoreId c) { return shared_->Parked(c); });
+      if (peer != kNoCore) {
+        shared_->Ring(peer);
+      }
+    }
   }
   enq_.touched.clear();
 }
@@ -901,21 +967,98 @@ void Reactor::OnDeadlineExpiry(timer::TimerEntry* e) {
   CloseConn(handle, conn, /*rst=*/true, hot_.timeouts[e->kind - 1]);
 }
 
-int Reactor::NextWaitTimeoutMs() {
-  constexpr int kWaitCapMs = 1;
-  if (!deadlines_enabled_) {
-    return kWaitCapMs;
+int Reactor::NextWaitTimeoutMs(std::chrono::steady_clock::time_point now) {
+  constexpr int64_t kNone = -1;
+  int64_t wait_ns = kNone;
+  // The steady-clock events; a tick whose subsystem is off is never due.
+  auto nearest = std::min(next_migrate_, next_watchdog_);
+  if (backoff_until_ > now) {
+    nearest = std::min(nearest, backoff_until_);
   }
-  uint64_t next = wheel_->NextFireNs();
-  if (next == timer::TimerWheel::kNever) {
-    return kWaitCapMs;
+  if (nearest != std::chrono::steady_clock::time_point::max()) {
+    wait_ns = std::max<int64_t>(
+        0, std::chrono::duration_cast<std::chrono::nanoseconds>(nearest - now).count());
   }
-  uint64_t now_ns = config_.clock->NowNs();
-  if (next <= now_ns) {
-    return 0;  // already due: poll, expire, then sleep for real
+  // The wheel runs on the config clock, which a test may script.
+  if (deadlines_enabled_) {
+    const uint64_t fire = wheel_->NextFireNs();
+    if (fire != timer::TimerWheel::kNever) {
+      const uint64_t clock_now = config_.clock->NowNs();
+      const int64_t until = fire <= clock_now ? 0 : static_cast<int64_t>(fire - clock_now);
+      wait_ns = wait_ns == kNone ? until : std::min(wait_ns, until);
+    }
   }
-  uint64_t ms = (next - now_ns + 999'999) / 1'000'000;
-  return ms < static_cast<uint64_t>(kWaitCapMs) ? static_cast<int>(ms) : kWaitCapMs;
+  if (wait_ns == kNone) {
+    return -1;
+  }
+  // Rounded up: a wait that ends early only costs another wait.
+  const int64_t ms = (wait_ns + 999'999) / 1'000'000;
+  return static_cast<int>(std::min<int64_t>(ms, std::numeric_limits<int>::max()));
+}
+
+int Reactor::Park(io::IoEvent* events, int max_events, int timeout_ms) {
+  std::atomic<bool>& parked = shared_->doorbells[index_].value.parked;
+  if (timeout_ms != 0) {
+    // The sleeper's side of parking. Raise the flag, fence, then look once
+    // more for work a waker may have published without ringing. A waker
+    // publishes its work (a ring push, a busy bit, a flag store), fences,
+    // then reads the flag. The two seq_cst fences are ordered one way or
+    // the other, so either WorkPending below sees the work, or the waker
+    // sees the flag and writes the eventfd, which stays readable until
+    // DrainDoorbell and so ends the wait below at once. No wakeup is lost.
+    // The fence is needed here too: the ring and busy-bit reads are not
+    // seq_cst operations.
+    parked.store(true, std::memory_order_seq_cst);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (WorkPending()) {
+      timeout_ms = 0;
+    }
+  }
+  int n = io_.Wait(events, max_events, timeout_ms);
+  // A waker that still reads the flag set rings once more: harmless.
+  parked.store(false, std::memory_order_relaxed);
+  return n;
+}
+
+bool Reactor::WorkPending() const {
+  if (shared_->stop.load(std::memory_order_relaxed) ||
+      (listening_ && shared_->draining.load(std::memory_order_relaxed))) {
+    return true;
+  }
+  const std::vector<std::unique_ptr<AcceptRing>>& queues = shared_->queues;
+  switch (config_.mode) {
+    case RtMode::kStock:
+      return queues[0]->size() > 0;
+    case RtMode::kFine:
+      for (const std::unique_ptr<AcceptRing>& ring : queues) {
+        if (ring->size() > 0) {
+          return true;
+        }
+      }
+      return false;
+    case RtMode::kAffinity: {
+      if (queues[static_cast<size_t>(index_)]->size() > 0) {
+        return true;
+      }
+      const BalancePolicy* policy = shared_->policy;
+      if (policy->IsBusy(index_) || !policy->AnyBusy()) {
+        return false;
+      }
+      for (size_t qi = 0; qi < queues.size(); ++qi) {
+        if (static_cast<int>(qi) != index_ && policy->IsBusy(static_cast<CoreId>(qi)) &&
+            queues[qi]->size() > 0) {
+          return true;
+        }
+      }
+      return false;
+    }
+  }
+  return false;
+}
+
+void Reactor::DrainDoorbell() {
+  uint64_t rings = 0;
+  (void)!read(shared_->doorbells[index_].value.fd, &rings, sizeof(rings));
 }
 
 int Reactor::EvictIdleConns() {

@@ -4,6 +4,19 @@
 // handler: stock mode's one shared fd, or one SO_REUSEPORT shard per
 // reactor.
 //
+// An idle reactor sleeps in epoll_wait with no timer unless a deadline, a
+// migration or watchdog tick, or the end of an fd-exhaustion backoff window
+// is due (NextWaitTimeoutMs), as the blocking accept() of the paper's
+// threads does. What the kernel cannot see -- Stop() and its drain, a
+// connection pushed onto this core's ring by a peer, a busy peer with work
+// to steal, a failover -- arrives through the reactor's doorbell: an
+// eventfd in its epoll set that a waker writes only while the reactor is
+// parked (see Doorbell and Reactor::Park for the protocol that loses no
+// wakeup). A wakeup that brought no I/O and found nothing to serve runs the
+// paper's polling pass (Section 3.3.1, "Polling"), and AdmitBatch picks the
+// parked peer to ring with the simulator's own rule
+// (BalancePolicy::PickPollerToWake).
+//
 // This is the live-socket counterpart of the simulator's accept paths in
 // src/stack/listen_socket.cc, in the same three arrangements:
 //  - stock:    every reactor polls ONE shared listen socket and one shared
@@ -47,6 +60,7 @@
 #include "src/fault/failure_domain.h"
 #include "src/fault/sys_iface.h"
 #include "src/io/io_backend.h"
+#include "src/mem/cacheline.h"
 #include "src/obs/hwprof/hwprof.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace_ring.h"
@@ -106,8 +120,22 @@ enum class DeadlineKind : uint8_t {
 };
 
 // Event user-data tagging lives in src/io/io_backend.h (io::MakeConnToken /
-// io::MakeListenToken): bit 63 = connection handle + reuse generation,
-// otherwise a listen fd.
+// io::MakeListenToken / io::kDoorbellToken): bit 63 = connection handle +
+// reuse generation, bit 62 alone = the doorbell, otherwise a listen fd.
+
+// One reactor's doorbell. The eventfd sits in the reactor's epoll set; the
+// flag says the reactor is about to wait, or waiting, with a timeout other
+// than 0. Only the owning reactor writes `parked`. A waker makes its work
+// visible first (a ring push, a flag store), then issues a seq_cst fence,
+// then reads `parked` and writes the eventfd only if it is set
+// (ReactorShared::WakeParkedReactors, Reactor::AdmitBatch); the sleeper's
+// half is Reactor::Park. The Runtime opens the eventfds in Start() and
+// closes them after Stop() has joined the reactors, so no waker writes a
+// closed fd.
+struct Doorbell {
+  std::atomic<bool> parked{false};
+  int fd = -1;
+};
 
 // Registry handles for every table metric (src/rt/rt_metrics.h);
 // registered once by the Runtime before the reactor threads start.
@@ -173,6 +201,20 @@ struct ReactorShared {
   // conns + empty rings or the deadline expires.
   std::atomic<bool> draining{false};
   std::atomic<bool> stop{false};
+  // One doorbell per reactor, indexed by core, each on its own line.
+  std::unique_ptr<CachePadded<Doorbell>[]> doorbells;
+
+  bool Parked(int core) const {
+    return doorbells[core].value.parked.load(std::memory_order_seq_cst);
+  }
+  // Writes `core`'s eventfd and counts rt_doorbell_rings{core}. The caller
+  // has fenced and read Parked(core) first.
+  void Ring(int core);
+  // The waker's side of parking for every reactor but `skip` (-1 = none):
+  // one seq_cst fence, then a ring for each parked reactor. The caller has
+  // already made its work visible (Stop()'s flag stores, a failover's
+  // forced-busy bit).
+  void WakeParkedReactors(int skip = -1);
 
   // Exports the director's live state: rt_steer_cbpf (1 while the cBPF
   // program is attached) and every core's rt_steer_groups_owned. Called
@@ -249,9 +291,9 @@ class Reactor {
   int ServeBatch();
   // Picks and pops one connection per the mode's service discipline.
   // Affinity mode runs ServeAffinityOrder (src/balance/balance_policy.h),
-  // the simulator's accept order by the same code; `idle` marks the
-  // pre-sleep pass, where that order widens to the polling scan. Returns
-  // false when nothing was available.
+  // the simulator's accept order by the same code; `idle` marks the pass
+  // after a wakeup that brought no I/O and served nothing, where that order
+  // widens to the polling scan. Returns false when nothing was available.
   bool ServeOne(bool idle);
   // First touch of a popped connection: records its locality and runs the
   // handler's OnAccept. A close verdict there (the accept workload's only
@@ -321,9 +363,23 @@ class Reactor {
   // Timer-wheel expiry: classified RST close of the conn the entry is
   // embedded in.
   void OnDeadlineExpiry(timer::TimerEntry* e);
-  // The io_->Wait timeout: the 1 ms heartbeat/steal-visibility cap,
-  // shortened when the wheel's next deadline is nearer.
-  int NextWaitTimeoutMs();
+  // The io_.Wait timeout at `now`: the time to the nearest of the wheel's
+  // next deadline (deadlines on), the next migration tick (steering and
+  // migration on), the next watchdog tick (watchdog on) and the end of an
+  // fd-exhaustion backoff window, rounded up to whole ms; -1 (no timer)
+  // when none applies. Anything else that needs this reactor rings it.
+  int NextWaitTimeoutMs(std::chrono::steady_clock::time_point now);
+  // The sleeper's side of parking: io_.Wait, with `parked` set around any
+  // wait whose timeout is not 0, and the timeout dropped to 0 when
+  // WorkPending finds work after the flag went up.
+  int Park(io::IoEvent* events, int max_events, int timeout_ms);
+  // What a waker may have published without ringing: stop, or a drain this
+  // reactor still listens through; a non-empty ring it serves (stock: the
+  // shared ring, fine: any ring, affinity: its own); in affinity mode, while
+  // this core is not busy, a busy peer with queued connections.
+  bool WorkPending() const;
+  // Reads this reactor's doorbell eventfd back to zero.
+  void DrainDoorbell();
   // Pool-pressure reaper, run by every failed Alloc: closes up to
   // kEvictBatch of the OLDEST idle conns on this reactor's open list --
   // blocks owned by this core first, so the freed block lands on the
@@ -370,6 +426,10 @@ class Reactor {
   ReactorShared* shared_;
   const RtConfig& config_;  // *shared_->config
   uint64_t migrate_tick_ = 0;  // epochs elapsed on this reactor
+  // When the next migration and watchdog ticks are due; time_point::max()
+  // while that subsystem is off.
+  std::chrono::steady_clock::time_point next_migrate_{};
+  std::chrono::steady_clock::time_point next_watchdog_{};
   // This reactor's event engine; its epoll instance lives for one Run().
   io::IoBackend io_;
   // sources_[0] is this reactor's own source; entries past it are failover

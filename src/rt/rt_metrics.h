@@ -19,7 +19,9 @@
   X(served_remote, "rt_served_remote", "connections served from another core's queue")             \
   X(steals, "rt_steals", "affinity-mode connection steals")                                        \
   X(overflow_drops, "rt_overflow_drops", "connections dropped on a full local queue")              \
-  X(epoll_wakeups, "rt_epoll_wakeups", "epoll_wait returns with work")                             \
+  X(epoll_wakeups, "rt_epoll_wakeups", "epoll_wait returns with I/O (a doorbell alone is not)")    \
+  /* Labeled by the reactor woken, not the waker: Stop() rings too. */                             \
+  X(doorbell_rings, "rt_doorbell_rings", "doorbell writes that woke this parked reactor")          \
   X(transitions_to_busy, "rt_transitions_to_busy", "high-watermark busy-bit sets")                 \
   X(transitions_to_nonbusy, "rt_transitions_to_nonbusy", "low-watermark busy-bit clears")          \
   /* Slab-pool discipline (paper Section 2.2 on live connection state). */                         \

@@ -1,9 +1,12 @@
 #include "src/rt/runtime.h"
 
+#include <sys/eventfd.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 
 #include "src/rt/listener.h"
 
@@ -101,6 +104,19 @@ bool Runtime::Start(std::string* error) {
   reactors_.clear();
   shared_.queues.clear();
 
+  // One doorbell eventfd per reactor; Stop() closes them once it has
+  // joined the reactors, so no waker writes a closed fd.
+  shared_.doorbells.reset(new CachePadded<Doorbell>[static_cast<size_t>(config_.num_threads)]);
+  for (int i = 0; i < config_.num_threads; ++i) {
+    int fd = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    if (fd < 0) {
+      *error = std::string("eventfd: ") + std::strerror(errno);
+      CloseDoorbells();
+      return false;
+    }
+    shared_.doorbells[i].value.fd = fd;
+  }
+
   // The listen socket: one shared fd in stock mode, per-core reuseport
   // shards else.
   bool stock = config_.mode == RtMode::kStock;
@@ -114,6 +130,7 @@ bool Runtime::Start(std::string* error) {
         close(open_fd);
       }
       shared_.listen_fds.clear();
+      CloseDoorbells();
       return false;
     }
     shared_.listen_fds.push_back(fd);
@@ -233,17 +250,19 @@ void Runtime::Stop() {
     return;
   }
   if (config_.drain_deadline_ms > 0) {
-    // Drain window: flipping `draining` makes each reactor unwatch its
-    // listen sources on the next loop pass (no new accepts) while it keeps
-    // serving its rings and open conversations. We poll the open-conns
-    // gauge and the rings from here -- both monotone-toward-empty once
-    // accepting stops -- and give up at the deadline; whatever is still
-    // open then is aborted by the reactors' normal exit (aborted_at_stop).
+    // Drain window: flipping `draining` (and ringing every parked reactor)
+    // makes each reactor unwatch its listen sources on its next loop pass
+    // (no new accepts) while it keeps serving its rings and open
+    // conversations. We poll the open-conns gauge and the rings from here
+    // -- both monotone-toward-empty once accepting stops -- and give up at
+    // the deadline; whatever is still open then is aborted by the
+    // reactors' normal exit (aborted_at_stop).
     // Wall-clock on purpose: the deadline bounds THIS call's blocking time,
     // which must hold even when the conn deadlines run on a scripted clock.
     auto start = std::chrono::steady_clock::now();
     auto deadline = start + std::chrono::milliseconds(config_.drain_deadline_ms);
     shared_.draining.store(true, std::memory_order_release);
+    shared_.WakeParkedReactors();
     for (;;) {
       bool quiet = metrics_->Total(ids_.open_conns) == 0;
       if (quiet) {
@@ -265,10 +284,12 @@ void Runtime::Stop() {
                                                 .count()));
   }
   shared_.stop.store(true, std::memory_order_release);
+  shared_.WakeParkedReactors();
   for (std::thread& t : threads_) {
     t.join();
   }
   threads_.clear();
+  CloseDoorbells();
   for (int fd : shared_.listen_fds) {
     close(fd);
   }
@@ -288,6 +309,16 @@ void Runtime::Stop() {
   }
   shared_.draining.store(false, std::memory_order_release);
   started_ = false;
+}
+
+void Runtime::CloseDoorbells() {
+  for (int i = 0; i < config_.num_threads; ++i) {
+    Doorbell& bell = shared_.doorbells[i].value;
+    if (bell.fd >= 0) {
+      close(bell.fd);
+      bell.fd = -1;
+    }
+  }
 }
 
 RtTotals Runtime::Totals() const {

@@ -200,11 +200,11 @@ class Runtime {
   // false with *error set on socket failures.
   bool Start(std::string* error);
 
-  // Signals the reactors, joins them, closes the listen sockets and any
-  // still-queued connections. Idempotent, and the Runtime is restartable:
-  // a later Start() launches a fresh set of reactors (new port when
-  // config.port == 0). Metrics accumulate across restarts, so the
-  // conservation equation holds cumulatively.
+  // Signals the reactors (ringing every parked one), joins them, closes the
+  // listen sockets and any still-queued connections. Idempotent, and the
+  // Runtime is restartable: a later Start() launches a fresh set of
+  // reactors (new port when config.port == 0). Metrics accumulate across
+  // restarts, so the conservation equation holds cumulatively.
   //
   // With config.drain_deadline_ms > 0 (validated by Start()) it drains
   // first: new connections are refused (listen fds unwatched; the kernel
@@ -263,6 +263,9 @@ class Runtime {
   RtTotals Totals() const;
 
  private:
+  // Closes the doorbell eventfds Start() opened (no reactor may be running).
+  void CloseDoorbells();
+
   RtConfig config_;
   uint16_t port_ = 0;
   int max_local_len_ = 0;

@@ -290,17 +290,16 @@ void ListenSocket::WakeAfterEnqueue(ExecCtx& ctx, size_t qi) {
     wake_pollers_on(queue);
     if (woken == 0 && queue.waiters.empty()) {
       // No local thread at all: wake a waiter on a non-busy remote core
-      // (Section 3.3.1, "Polling").
-      for (size_t i = 0; i < queues_.size(); ++i) {
-        if (i == qi || balance_.IsBusy(static_cast<CoreId>(i))) {
-          continue;
-        }
-        if (!queues_[i].waiters.empty()) {
-          Waiter waiter = queues_[i].waiters.front();
-          queues_[i].waiters.pop_front();
-          scheduler_->Wake(waiter.thread, &ctx);
-          break;
-        }
+      // (Section 3.3.1, "Polling"), chosen as the runtime chooses which
+      // parked reactor to ring.
+      CoreId peer = balance_.PickPollerToWake(static_cast<CoreId>(qi), [this](CoreId c) {
+        return !queues_[static_cast<size_t>(c)].waiters.empty();
+      });
+      if (peer != kNoCore) {
+        std::deque<Waiter>& waiters = queues_[static_cast<size_t>(peer)].waiters;
+        Waiter waiter = waiters.front();
+        waiters.pop_front();
+        scheduler_->Wake(waiter.thread, &ctx);
       }
     }
   } else {

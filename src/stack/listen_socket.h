@@ -107,7 +107,7 @@ class ListenSocket {
 
   // --- balancer hooks ---
   // The watermark/EWMA/proportional-share policy, the class the runtime
-  // (src/rt/) runs behind its lock.
+  // (src/rt/) shares among its reactors.
   BalancePolicy& balance() { return balance_; }
   const ListenStats& stats() const { return stats_; }
   void ResetStats() { stats_ = ListenStats{}; }

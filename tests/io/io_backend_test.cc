@@ -1,18 +1,22 @@
 // The event engine on its own, without a reactor: the token scheme, conn
-// arming (ADD then MOD) delivering the armed direction with its token, and
-// a watched listen fd reporting accept readiness until it is unwatched --
-// the level-triggered semantics Reactor::Arm and the drain path rely on.
+// arming (ADD then MOD) delivering the armed direction with its token, a
+// watched listen fd reporting accept readiness until it is unwatched --
+// the level-triggered semantics Reactor::Arm and the drain path rely on --
+// and the doorbell that ends a wait with no timeout.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <string>
+#include <thread>
 
 #include "src/fault/sys_iface.h"
 #include "src/io/io_backend.h"
@@ -31,6 +35,41 @@ TEST(IoBackendTest, TokensRoundTripWithoutTagCollisions) {
   uint64_t listen = MakeListenToken(/*fd=*/0x7FFFFFFF);
   EXPECT_FALSE(IsConnToken(listen));
   EXPECT_EQ(FdOfListenToken(listen), 0x7FFFFFFF);
+
+  // The doorbell is neither.
+  EXPECT_FALSE(IsConnToken(kDoorbellToken));
+  EXPECT_TRUE(IsDoorbellToken(kDoorbellToken));
+  EXPECT_FALSE(IsDoorbellToken(listen));
+  EXPECT_FALSE(IsDoorbellToken(conn));
+}
+
+// A wait with no timeout ends when another thread writes the doorbell, and
+// the doorbell stays readable until it is read back -- a ring that lands
+// before the wait starts is not lost.
+TEST(IoBackendTest, DoorbellEndsAWaitWithNoTimeout) {
+  IoBackend io(/*core=*/0, fault::DefaultSys());
+  ASSERT_TRUE(io.Init(nullptr));
+  int bell = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  ASSERT_GE(bell, 0);
+  ASSERT_TRUE(io.WatchDoorbell(bell));
+  IoEvent events[4];
+  EXPECT_EQ(io.Wait(events, 4, 0), 0);
+
+  const uint64_t one = 1;
+  std::thread waker([bell, one] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(write(bell, &one, sizeof(one)), static_cast<ssize_t>(sizeof(one)));
+  });
+  ASSERT_EQ(io.Wait(events, 4, -1), 1);
+  waker.join();
+  EXPECT_EQ(events[0].token, kDoorbellToken);
+  ASSERT_EQ(io.Wait(events, 4, 0), 1);  // level-triggered until drained
+
+  uint64_t rings = 0;
+  ASSERT_EQ(read(bell, &rings, sizeof(rings)), static_cast<ssize_t>(sizeof(rings)));
+  EXPECT_EQ(rings, 1u);
+  EXPECT_EQ(io.Wait(events, 4, 0), 0);
+  close(bell);
 }
 
 TEST(IoBackendTest, ArmedConnDeliversItsDirectionAndToken) {

@@ -13,7 +13,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -127,6 +129,35 @@ TEST_P(RtRuntimeTest, ServesLoopbackConnections) {
   }
 }
 
+// A count-only plan: the rule never fires, but the injector counts every
+// epoll_wait of every reactor.
+fault::FaultPlan CountEpollWaits() {
+  return fault::FaultPlan::ErrnoBurst(fault::CallSite::kEpollWait, /*core=*/-1, EIO,
+                                      /*after_calls=*/UINT64_MAX, /*count=*/1);
+}
+
+// With no deadline, migration tick or watchdog tick due, an idle reactor
+// sleeps in epoll_wait with no timer until something rings it: one wait
+// for the whole run, ended by Stop(). A 1 ms wait cap would make about 300.
+TEST_P(RtRuntimeTest, IdleReactorsParkUntilWoken) {
+  RtConfig config;
+  config.mode = GetParam();
+  config.num_threads = 2;
+  config.fault_plan = CountEpollWaits();
+  Runtime runtime(config);
+  std::string error;
+  ASSERT_TRUE(runtime.Start(&error)) << error;
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  runtime.Stop();
+
+  ASSERT_NE(runtime.injector(), nullptr);
+  for (int c = 0; c < config.num_threads; ++c) {
+    const uint64_t waits = runtime.injector()->calls(fault::CallSite::kEpollWait, c);
+    EXPECT_GE(waits, 1u) << "reactor " << c;
+    EXPECT_LE(waits, 2u) << "reactor " << c;
+  }
+}
+
 // A TIME_WAIT socket's 4-tuple as /proc/net/tcp prints it: local address,
 // local port, remote address, remote port.
 using TcpTuple = std::tuple<unsigned, unsigned, unsigned, unsigned>;
@@ -149,16 +180,29 @@ std::set<TcpTuple> TimeWaitTuples() {
   return tuples;
 }
 
-// The accept workload's server closes first. A client that answered the
-// server's EOF with a FIN of its own would leave one TIME_WAIT socket per
-// connection on the listen port; the client RST-closes instead, so the run
-// adds none. Only 4-tuples absent at the start count: the kernel-chosen
-// port may carry sockets that an earlier run left behind.
-TEST_P(RtRuntimeTest, AcceptClientLeavesNoTimeWait) {
+INSTANTIATE_TEST_SUITE_P(AllModes, RtRuntimeTest,
+                         ::testing::Values(RtMode::kStock, RtMode::kFine, RtMode::kAffinity),
+                         [](const ::testing::TestParamInfo<RtMode>& mode_info) {
+                           return std::string(RtModeName(mode_info.param));
+                         });
+
+// Whichever side closes first holds the TIME_WAIT. The accept workload's
+// server closes first, and a client FIN after its EOF would leave one
+// TIME_WAIT socket per connection on the listen port; an echo client closes
+// first after its last round, and a FIN would leave one on its side. The
+// client RST-closes instead, so the run adds none. Only 4-tuples absent at
+// the start count: the kernel-chosen port may carry sockets that an earlier
+// run left behind.
+class RtTimeWaitTest
+    : public ::testing::TestWithParam<std::tuple<RtMode, svc::WorkloadKind>> {};
+
+TEST_P(RtTimeWaitTest, LoadClientLeavesNoTimeWait) {
+  const auto [mode, workload] = GetParam();
   const std::set<TcpTuple> before = TimeWaitTuples();
   RtConfig config;
-  config.mode = GetParam();
+  config.mode = mode;
   config.num_threads = 2;
+  config.workload = workload;
   Runtime runtime(config);
   std::string error;
   ASSERT_TRUE(runtime.Start(&error)) << error;
@@ -169,6 +213,8 @@ TEST_P(RtRuntimeTest, AcceptClientLeavesNoTimeWait) {
   client_config.port = runtime.port();
   client_config.num_threads = 2;
   client_config.max_conns = kConns;
+  client_config.workload = workload;
+  client_config.requests_per_conn = workload == svc::WorkloadKind::kAccept ? 1 : 4;
   LoadClient client(client_config);
   client.Start();
   client.WaitForMaxConns();
@@ -185,23 +231,52 @@ TEST_P(RtRuntimeTest, AcceptClientLeavesNoTimeWait) {
   EXPECT_EQ(new_time_wait, 0) << "TIME_WAIT sockets this run left on port " << port;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllModes, RtRuntimeTest,
-                         ::testing::Values(RtMode::kStock, RtMode::kFine, RtMode::kAffinity),
-                         [](const ::testing::TestParamInfo<RtMode>& mode_info) {
-                           return std::string(RtModeName(mode_info.param));
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    ModesAndWorkloads, RtTimeWaitTest,
+    ::testing::Combine(::testing::Values(RtMode::kStock, RtMode::kFine, RtMode::kAffinity),
+                       ::testing::Values(svc::WorkloadKind::kAccept, svc::WorkloadKind::kEcho)),
+    [](const ::testing::TestParamInfo<std::tuple<RtMode, svc::WorkloadKind>>& param_info) {
+      const bool accept = std::get<1>(param_info.param) == svc::WorkloadKind::kAccept;
+      return std::string(RtModeName(std::get<0>(param_info.param))) +
+             (accept ? "_accept" : "_echo");
+    });
 
+// Stop() rings every parked reactor, so it returns at once even though no
+// reactor has a timer to end its wait.
 TEST(RtLifecycleTest, StopWithoutTrafficIsClean) {
   RtConfig config;
   config.mode = RtMode::kAffinity;
   config.num_threads = 2;
+  config.fault_plan = CountEpollWaits();
   Runtime runtime(config);
   std::string error;
   ASSERT_TRUE(runtime.Start(&error)) << error;
+  // A reactor that has entered epoll_wait is parked: nothing here ends its
+  // wait but a ring.
+  ASSERT_NE(runtime.injector(), nullptr);
+  const auto entered_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (int c = 0; c < config.num_threads; ++c) {
+    while (runtime.injector()->calls(fault::CallSite::kEpollWait, c) == 0 &&
+           std::chrono::steady_clock::now() < entered_deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_GE(runtime.injector()->calls(fault::CallSite::kEpollWait, c), 1u) << "reactor " << c;
+  }
+
+  const auto stop_start = std::chrono::steady_clock::now();
   runtime.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - stop_start, std::chrono::milliseconds(50));
+
   RtTotals totals = runtime.Totals();
   EXPECT_EQ(totals.accepted, 0u);
   EXPECT_EQ(totals.served(), 0u);
+  const obs::MetricsSnapshot snapshot = runtime.metrics().Snapshot();
+  const obs::SeriesSnap* rings = snapshot.Find("rt_doorbell_rings");
+  ASSERT_NE(rings, nullptr);
+  ASSERT_EQ(rings->values.size(), static_cast<size_t>(config.num_threads));
+  for (int c = 0; c < config.num_threads; ++c) {
+    EXPECT_GE(rings->values[static_cast<size_t>(c)], 1u) << "reactor " << c;
+  }
 }
 
 // --- shutdown robustness: Stop() under live load, double Stop, restart ---

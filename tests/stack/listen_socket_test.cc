@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/mem/memory_system.h"
@@ -169,6 +171,74 @@ TEST_F(ListenSocketTest, EnqueueWakesParkedAcceptor) {
   loop_.RunAll();
   EXPECT_EQ(wakes, 1);
   delete conn;
+}
+
+// Sim<->rt parity of the polling wakeup. A connection landing on a queue
+// with no local waiter wakes a waiter on a non-busy remote core; the
+// reactors ring a parked peer by the same BalancePolicy::PickPollerToWake.
+// Threads sleep in accept() on cores 1-3, and each step queues one
+// connection on core 0: before it, a runtime whose parked set mirrors the
+// sleeping threads names the core it would ring, and the simulator must
+// wake exactly that core's thread.
+TEST_F(ListenSocketTest, PollingWakeupPicksTheCoreTheRuntimeWouldRing) {
+  Init(AcceptVariant::kAffinity);
+  int wakes[kCores] = {};
+  bool parked[kCores] = {};
+  for (CoreId c = 1; c < kCores; ++c) {
+    Thread* t = sched_->Spawn(c, 0, true, [&wakes, c](ExecCtx&, Thread& self) {
+      ++wakes[c];
+      self.Block();
+    });
+    RunOnCore(c, [&](ExecCtx& ctx) { EXPECT_EQ(listen_->Accept(ctx, t), nullptr); });
+    ASSERT_EQ(t->state(), Thread::State::kBlocked);
+    parked[c] = true;
+  }
+  auto runtime_choice = [&] {
+    return listen_->balance().PickPollerToWake(0, [&parked](CoreId c) { return parked[c]; });
+  };
+
+  struct Step {
+    CoreId force_busy;  // kNoCore: no change
+    bool busy;
+    CoreId expect;
+  };
+  const Step steps[] = {
+      {1, true, 2},                // the nearest sleeper is busy
+      {kNoCore, false, 3},         // core 2's thread already woke
+      {1, false, 1},               // the busy bit cleared
+      {kNoCore, false, kNoCore},   // nobody left asleep
+  };
+  std::vector<Connection*> queued;
+  for (size_t i = 0; i < sizeof(steps) / sizeof(steps[0]); ++i) {
+    SCOPED_TRACE("step " + std::to_string(i));
+    const Step& step = steps[i];
+    if (step.force_busy != kNoCore) {
+      listen_->balance().SetForcedBusy(step.force_busy, step.busy);
+    }
+    const CoreId want = runtime_choice();
+    EXPECT_EQ(want, step.expect);
+    int before[kCores];
+    std::copy(wakes, wakes + kCores, before);
+    Connection* conn = Establish(0, static_cast<uint16_t>(100 + i), i + 1);
+    ASSERT_NE(conn, nullptr);
+    queued.push_back(conn);
+    loop_.RunAll();
+    CoreId woken = kNoCore;
+    for (CoreId c = 0; c < kCores; ++c) {
+      if (wakes[c] != before[c]) {
+        EXPECT_EQ(woken, kNoCore) << "a second core woke: " << c;
+        woken = c;
+      }
+    }
+    EXPECT_EQ(woken, want);
+    if (woken != kNoCore) {
+      parked[woken] = false;
+    }
+  }
+  EXPECT_EQ(listen_->QueueLength(0), queued.size());
+  for (Connection* conn : queued) {
+    delete conn;  // still queued; the test owns it
+  }
 }
 
 TEST_F(ListenSocketTest, OverflowDropsConnection) {

@@ -430,6 +430,48 @@ TEST(SteerEndToEndTest, FallbackServesCorrectly) {
   EXPECT_EQ(totals.steer_cbpf, 0u);
 }
 
+// Every group owned by core 1, fallback steering, and no timer anywhere (no
+// migration, watchdog or deadline): reactors 0, 2 and 3 re-steer what their
+// shards accept onto core 1's ring, and reactor 1 sleeps with no timeout
+// between its own shard's connections. Only the doorbell a cross-ring push
+// rings gets those connections served before the client gives up on them.
+TEST(SteerEndToEndTest, CrossPushWakesAParkedOwner) {
+  rt::RtConfig config = SteerConfig(/*force_fallback=*/true, /*migrate_interval_ms=*/0);
+  rt::Runtime runtime(config);
+  std::string error;
+  ASSERT_TRUE(runtime.Start(&error)) << error;
+  std::vector<uint16_t> src_ports =
+      SkewedSourcePorts(/*owner_core=*/1, config.num_threads,
+                        runtime.director()->table().num_groups(),
+                        /*groups=*/8, /*ports_per_group=*/4, /*exclude_port=*/runtime.port());
+  ASSERT_FALSE(src_ports.empty());
+  for (uint16_t port : src_ports) {
+    ASSERT_EQ(runtime.director()->OwnerOfPort(port), 1) << "port " << port;
+  }
+
+  constexpr uint64_t kConns = 400;
+  rt::LoadClientConfig client_config;
+  client_config.port = runtime.port();
+  client_config.num_threads = 4;
+  client_config.max_conns = kConns;
+  client_config.src_ports = src_ports;
+  rt::LoadClient client(client_config);
+  client.Start();
+  client.WaitForMaxConns();
+  // Read before Stop(), which rings every parked reactor itself.
+  const rt::RtTotals served = runtime.Totals();
+  runtime.Stop();
+
+  EXPECT_GE(client.completed(), kConns);
+  EXPECT_EQ(client.timeouts(), 0u);
+  EXPECT_EQ(client.errors(), 0u);
+  EXPECT_GT(served.steer_cross_accepts, 0u);
+  EXPECT_GT(served.doorbell_rings, 0u);
+  rt::RtTotals totals = runtime.Totals();
+  EXPECT_EQ(totals.accepted, totals.accounted());
+  EXPECT_EQ(totals.admission_shed, 0u);
+}
+
 // Skewed load (every source port's group owned by core 0) plus the 100 ms
 // balancer: other cores steal from core 0, then migrate its groups to
 // themselves. The steering table must visibly drain away from core 0.

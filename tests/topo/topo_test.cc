@@ -295,6 +295,28 @@ TEST(BalancePolicyTopoTest, SameLlcVictimBeatsRemoteEveryTime) {
   EXPECT_EQ(2, policy.PickBusyVictim(0));
 }
 
+// The polling wakeup's choice, one function for the simulator and the
+// reactors: the nearest peer first, busy peers skipped, and only a peer
+// with a waiter. It moves no cursor, so asking twice gives one answer.
+TEST(BalancePolicyTopoTest, PollerToWakeIsTheNearestNonBusyWaiter) {
+  Topology topo = Topology::FromMap(TwoSocketMap(4), TopoOrigin::kScripted);
+  BalancePolicy policy(4, 8, BalanceTuning{}, &topo);
+  bool parked[4] = {true, true, true, true};
+  auto is_parked = [&parked](CoreId core) { return parked[core]; };
+  EXPECT_EQ(1, policy.PickPollerToWake(0, is_parked));  // the LLC-mate first
+  EXPECT_EQ(1, policy.PickPollerToWake(0, is_parked));
+  EXPECT_EQ(2, policy.PickPollerToWake(3, is_parked));
+  policy.SetForcedBusy(1, true);
+  EXPECT_EQ(2, policy.PickPollerToWake(0, is_parked));  // busy mate: remote socket
+  parked[2] = false;
+  EXPECT_EQ(3, policy.PickPollerToWake(0, is_parked));
+  policy.SetForcedBusy(3, true);
+  EXPECT_EQ(kNoCore, policy.PickPollerToWake(0, is_parked));
+  policy.SetForcedBusy(1, false);
+  EXPECT_EQ(1, policy.PickPollerToWake(0, is_parked));
+  EXPECT_EQ(0, policy.PickPollerToWake(2, is_parked));  // core 2's mate is busy
+}
+
 TEST(BalancePolicyTopoTest, FlatTopologyMatchesNoTopologyScanExactly) {
   // The degradation contract: a flat Topology and no topology at all must
   // produce the same victim sequence for every busy pattern and cursor
