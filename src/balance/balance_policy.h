@@ -157,6 +157,16 @@ class BalancePolicy {
   // in sight, should this accept() go remote? Advances `core`'s share
   // counter; one call in every (steal_ratio + 1) says yes.
   bool ShouldStealThisTime(CoreId core);
+  // The share's local side: steal_ratio local connections per stolen one.
+  int steal_ratio() const { return steal_ratio_; }
+
+  // Whether ServeAffinityOrder takes from `queue` for `core` outside an idle
+  // pass: `core`'s own queue, or a busy peer's while `core` is not busy.
+  // The runtime's last look for work before it sleeps asks the same
+  // question (Reactor::CanServeFrom). Any thread.
+  bool MayServeFrom(CoreId core, CoreId queue) const {
+    return queue == core || (!IsBusy(core) && IsBusy(queue));
+  }
 
   // The nearest busy victim for `thief`: distance classes nearest first,
   // round-robin within a class starting one past the last victim. kNoCore

@@ -54,15 +54,7 @@ void ReactorShared::Ring(int core) {
   metrics->Add(ids.doorbell_rings, core);
 }
 
-void ReactorShared::WakeParkedReactors(int skip) {
-  // The waker's side of parking; Reactor::Park has the argument.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  for (int core = 0; core < config->num_threads; ++core) {
-    if (core != skip && Parked(core)) {
-      Ring(core);
-    }
-  }
-}
+int ReactorShared::NumReactors() const { return config->num_threads; }
 
 void ReactorShared::PublishSteering() const {
   director->Snapshot([this](steer::KernelSteering steering, const steer::SteeringTable& table) {
@@ -315,7 +307,7 @@ void Reactor::TryFailover(int dead) {
     // learns of it from its doorbell.
     shared_->policy->SetForcedBusy(dead, true);
     shared_->metrics->GaugeSet(shared_->ids.busy, dead, 1);
-    shared_->WakeParkedReactors(/*skip=*/dead);
+    shared_->WakeParked([dead](int core) { return core != dead; });
   }
   if (shared_->director != nullptr) {
     steer::ParkDistances parks = shared_->director->FailOverCore(dead, shared_->policy);
@@ -652,7 +644,7 @@ void Reactor::AdmitBatch(const Accepted* batch, int n) {
   bool cross_push = false;
   CoreId poll_near = kNoCore;
   for (uint32_t qi : enq_.touched) {
-    QueueBatch::PerQueue& entry = enq_.q[qi];
+    const QueueBatch::PerQueue& entry = enq_.q[qi];
     hot_.ring_len[qi]->store(entry.last_len, std::memory_order_relaxed);
     const CoreId q = static_cast<CoreId>(qi);
     const bool flipped = policy != nullptr && policy->OnEnqueueBatch(q, entry.moved, entry.last_len);
@@ -660,34 +652,38 @@ void Reactor::AdmitBatch(const Accepted* batch, int n) {
       RecordBusyFlip(qi, entry.last_len);
     }
     cross_push = cross_push || (!stock && q != index_);
-    // The polling wakeup's trigger: the ring just turned busy, or this
-    // core's own ring held connections before the batch (its owner is
-    // behind).
+    // The polling wakeup's triggers on this core's side: the ring just
+    // turned busy, or this batch queued more connections on the own ring
+    // than one proportional share (steal_ratio), so the last of them wait
+    // behind a share's worth of local work with no waiter. Only what this
+    // batch queued counts: a peer's cross-push announced itself.
     if (policy != nullptr && poll_near == kNoCore &&
-        ((flipped && policy->IsBusy(q)) || (q == index_ && entry.last_len > entry.moved))) {
+        ((flipped && policy->IsBusy(q)) ||
+         (q == index_ && entry.moved > static_cast<uint32_t>(policy->steal_ratio())))) {
       poll_near = q;
     }
-    entry.moved = 0;
   }
 
   // Stage 4: wake whoever should take what this batch queued. A ring pushed
-  // for another core rings that owner (a fallback re-steer, or a connection
-  // in flight across a migration), so the connection stays on its flow
-  // group's core. A polling trigger rings one parked, non-busy peer, nearest
-  // first -- the simulator's choice (ListenSocket::WakeAfterEnqueue).
+  // for another core rings that owner if it is parked (a fallback re-steer,
+  // or a connection in flight across a migration), so the connection stays
+  // on its flow group's core.
   if (cross_push || poll_near != kNoCore) {
-    // The waker's side of parking (Reactor::Park has the argument): every
-    // push and busy flip of this batch is visible; fence, then read the
-    // parked flags.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (cross_push) {
-      for (uint32_t qi : enq_.touched) {
-        const int owner = static_cast<int>(qi);
-        if (owner != index_ && shared_->Parked(owner)) {
-          shared_->Ring(owner);
-        }
+    shared_->WakeParked([this, cross_push](int core) {
+      return cross_push && core != index_ && enq_.q[static_cast<size_t>(core)].moved > 0;
+    });
+    // An owner that is awake with connections queued ahead of this push has
+    // no waiter for it either. The flag reads below follow WakeParked's
+    // fence.
+    for (uint32_t qi : enq_.touched) {
+      const QueueBatch::PerQueue& entry = enq_.q[qi];
+      if (policy != nullptr && poll_near == kNoCore && static_cast<int>(qi) != index_ &&
+          entry.last_len > entry.moved && !shared_->Parked(static_cast<int>(qi))) {
+        poll_near = static_cast<CoreId>(qi);
       }
     }
+    // The polling wakeup rings one parked, non-busy peer, nearest first --
+    // the simulator's choice (ListenSocket::WakeAfterEnqueue).
     if (poll_near != kNoCore) {
       CoreId peer =
           policy->PickPollerToWake(poll_near, [this](CoreId c) { return shared_->Parked(c); });
@@ -695,6 +691,9 @@ void Reactor::AdmitBatch(const Accepted* batch, int n) {
         shared_->Ring(peer);
       }
     }
+  }
+  for (uint32_t qi : enq_.touched) {
+    enq_.q[qi].moved = 0;
   }
   enq_.touched.clear();
 }
@@ -754,24 +753,19 @@ bool Reactor::ServeOne(bool idle) {
   ConnHandle conn = kNullConn;
 
   switch (config_.mode) {
-    case RtMode::kStock: {
-      if (!PopFrom(0, &conn)) {
-        return false;
-      }
-      Serve(conn, /*local=*/true);
-      return true;
-    }
-
+    case RtMode::kStock:
     case RtMode::kFine: {
-      // Round-robin over all rings through the shared cursor; every core
-      // serves every ring, so there is no connection affinity.
-      size_t n = shared_->queues.size();
-      size_t start =
-          static_cast<size_t>(shared_->rr_cursor.fetch_add(1, std::memory_order_relaxed)) % n;
+      // Stock has one shared ring. Fine goes round-robin over all rings
+      // through the shared cursor; every core serves every ring, so there is
+      // no connection affinity.
+      const size_t n = shared_->queues.size();
+      const size_t start =
+          n == 1 ? 0
+                 : static_cast<size_t>(shared_->rr_cursor.fetch_add(1, std::memory_order_relaxed)) % n;
       for (size_t i = 0; i < n; ++i) {
-        size_t qi = (start + i) % n;
-        if (PopFrom(qi, &conn)) {
-          Serve(conn, qi == static_cast<size_t>(index_));
+        const size_t qi = (start + i) % n;
+        if (CanServeFrom(qi) && PopFrom(qi, &conn)) {
+          Serve(conn, /*local=*/n == 1 || qi == static_cast<size_t>(index_));
           return true;
         }
       }
@@ -1026,34 +1020,19 @@ bool Reactor::WorkPending() const {
     return true;
   }
   const std::vector<std::unique_ptr<AcceptRing>>& queues = shared_->queues;
-  switch (config_.mode) {
-    case RtMode::kStock:
-      return queues[0]->size() > 0;
-    case RtMode::kFine:
-      for (const std::unique_ptr<AcceptRing>& ring : queues) {
-        if (ring->size() > 0) {
-          return true;
-        }
-      }
-      return false;
-    case RtMode::kAffinity: {
-      if (queues[static_cast<size_t>(index_)]->size() > 0) {
-        return true;
-      }
-      const BalancePolicy* policy = shared_->policy;
-      if (policy->IsBusy(index_) || !policy->AnyBusy()) {
-        return false;
-      }
-      for (size_t qi = 0; qi < queues.size(); ++qi) {
-        if (static_cast<int>(qi) != index_ && policy->IsBusy(static_cast<CoreId>(qi)) &&
-            queues[qi]->size() > 0) {
-          return true;
-        }
-      }
-      return false;
+  for (size_t qi = 0; qi < queues.size(); ++qi) {
+    if (CanServeFrom(qi) && queues[qi]->size() > 0) {
+      return true;
     }
   }
   return false;
+}
+
+bool Reactor::CanServeFrom(size_t qi) const {
+  if (config_.mode != RtMode::kAffinity) {
+    return true;  // stock's one ring, or any ring in fine mode
+  }
+  return shared_->policy->MayServeFrom(index_, static_cast<CoreId>(qi));
 }
 
 void Reactor::DrainDoorbell() {

@@ -128,10 +128,9 @@ enum class DeadlineKind : uint8_t {
 // than 0. Only the owning reactor writes `parked`. A waker makes its work
 // visible first (a ring push, a flag store), then issues a seq_cst fence,
 // then reads `parked` and writes the eventfd only if it is set
-// (ReactorShared::WakeParkedReactors, Reactor::AdmitBatch); the sleeper's
-// half is Reactor::Park. The Runtime opens the eventfds in Start() and
-// closes them after Stop() has joined the reactors, so no waker writes a
-// closed fd.
+// (ReactorShared::WakeParked); the sleeper's half is Reactor::Park. The
+// Runtime opens the eventfds in Start() and closes them after Stop() has
+// joined the reactors, so no waker writes a closed fd.
 struct Doorbell {
   std::atomic<bool> parked{false};
   int fd = -1;
@@ -207,14 +206,25 @@ struct ReactorShared {
   bool Parked(int core) const {
     return doorbells[core].value.parked.load(std::memory_order_seq_cst);
   }
-  // Writes `core`'s eventfd and counts rt_doorbell_rings{core}. The caller
-  // has fenced and read Parked(core) first.
+  // Writes `core`'s eventfd and counts rt_doorbell_rings{core}. Called by
+  // WakeParked, or by a caller that picks a parked core after a WakeParked
+  // call (the polling wakeup).
   void Ring(int core);
-  // The waker's side of parking for every reactor but `skip` (-1 = none):
-  // one seq_cst fence, then a ring for each parked reactor. The caller has
-  // already made its work visible (Stop()'s flag stores, a failover's
-  // forced-busy bit).
-  void WakeParkedReactors(int skip = -1);
+  // The waker's side of parking; Reactor::Park has the sleeper's side and
+  // the argument. The caller has made its work visible first: a ring push,
+  // a busy bit, a flag store. One seq_cst fence, then a ring for each
+  // reactor `core` for which want(core) holds and that is parked. Parked
+  // flags the caller reads after the call are ordered after the fence too.
+  template <typename Want>
+  void WakeParked(Want&& want) {
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    for (int core = 0; core < NumReactors(); ++core) {
+      if (want(core) && Parked(core)) {
+        Ring(core);
+      }
+    }
+  }
+  int NumReactors() const;  // config->num_threads
 
   // Exports the director's live state: rt_steer_cbpf (1 while the cBPF
   // program is attached) and every core's rt_steer_groups_owned. Called
@@ -284,7 +294,8 @@ class Reactor {
   // Stages 2+3: pool blocks + ring pushes per accepted connection
   // (ShedOrDrop on a full ring or dry pool, after EvictIdleConns failed to
   // refill the pool), then one flush per touched ring (gauges + policy
-  // EWMA) and the batch counters.
+  // EWMA) and the batch counters, then stage 4's doorbells: a parked owner
+  // of a pushed-to ring, and the polling wakeup (DESIGN.md §5m).
   void AdmitBatch(const Accepted* batch, int n);
   // Serves up to kReactorBatch queued connections; returns how many.
   // Dequeue-side policy reporting is flushed once at the end of the batch.
@@ -374,10 +385,15 @@ class Reactor {
   // WorkPending finds work after the flag went up.
   int Park(io::IoEvent* events, int max_events, int timeout_ms);
   // What a waker may have published without ringing: stop, or a drain this
-  // reactor still listens through; a non-empty ring it serves (stock: the
-  // shared ring, fine: any ring, affinity: its own); in affinity mode, while
-  // this core is not busy, a busy peer with queued connections.
+  // reactor still listens through, or a non-empty ring it may serve
+  // (CanServeFrom).
   bool WorkPending() const;
+  // Whether a serve pass outside the polling pass takes from ring `qi`:
+  // stock's one shared ring, every ring in fine mode, and in affinity mode
+  // what BalancePolicy::MayServeFrom allows (ServeAffinityOrder's order:
+  // the own ring, or a busy peer's while this core is not busy). ServeOne's
+  // stock and fine scan and WorkPending both ask it.
+  bool CanServeFrom(size_t qi) const;
   // Reads this reactor's doorbell eventfd back to zero.
   void DrainDoorbell();
   // Pool-pressure reaper, run by every failed Alloc: closes up to

@@ -262,7 +262,7 @@ void Runtime::Stop() {
     auto start = std::chrono::steady_clock::now();
     auto deadline = start + std::chrono::milliseconds(config_.drain_deadline_ms);
     shared_.draining.store(true, std::memory_order_release);
-    shared_.WakeParkedReactors();
+    shared_.WakeParked([](int) { return true; });
     for (;;) {
       bool quiet = metrics_->Total(ids_.open_conns) == 0;
       if (quiet) {
@@ -284,7 +284,7 @@ void Runtime::Stop() {
                                                 .count()));
   }
   shared_.stop.store(true, std::memory_order_release);
-  shared_.WakeParkedReactors();
+  shared_.WakeParked([](int) { return true; });
   for (std::thread& t : threads_) {
     t.join();
   }

@@ -290,6 +290,36 @@ TEST(BalancePolicyTest, ForcedBusySuppressesFlipReportsButNotState) {
   EXPECT_GE(policy.transitions_to_busy(), to_busy);
 }
 
+// A reactor about to sleep looks for work with MayServeFrom, and what it
+// finds must be what its next serve pass (ServeAffinityOrder outside an
+// idle pass) takes: else it sleeps on work that no waker rings it for.
+// Every busy pattern of four cores (forced-busy bits stand in for the
+// watermarks), every serving core and every single non-empty queue.
+TEST(BalancePolicyTest, MayServeFromIsWhatTheServeOrderTakes) {
+  for (uint32_t pattern = 0; pattern < (1u << kCores); ++pattern) {
+    for (CoreId core = 0; core < kCores; ++core) {
+      for (CoreId full = 0; full < kCores; ++full) {
+        BalancePolicy policy(kCores, kMaxLocalLen);
+        for (CoreId c = 0; c < kCores; ++c) {
+          policy.SetForcedBusy(c, ((pattern >> c) & 1u) != 0);
+        }
+        auto only_full = [full](CoreId q) { return q == full; };
+        // The victim scan is round-robin, so kCores passes reach every
+        // busy peer.
+        bool took = false;
+        for (int pass = 0; pass < kCores && !took; ++pass) {
+          CoreId from = ServeAffinityOrder(&policy, core, /*stealing=*/true, /*idle=*/false,
+                                           /*local_empty=*/full != core, only_full, only_full);
+          EXPECT_TRUE(from == full || from == kNoCore);
+          took = from == full;
+        }
+        EXPECT_EQ(policy.MayServeFrom(core, full), took)
+            << "busy pattern " << pattern << ", core " << core << ", queue " << full;
+      }
+    }
+  }
+}
+
 // Four threads, each bound to its own core, drive every method at once.
 // Each reports every core's queue, its own and its peers', the way an
 // owner, a thief's pop and a re-steering push do, so EWMA updates and bit
